@@ -26,6 +26,8 @@ from .contraction import (
     list_rank,
     make_priorities,
     tree_contract,
+    validate_binary_tree,
+    validate_linked_list,
 )
 from .runtime import (
     NIL,
@@ -531,9 +533,13 @@ def _load_input(algo: str, path) -> object:
             relaxed.validate_swap_sequence(data)
         return data
     if kind == "list":
-        return formats.read_list(path)
+        lst = formats.read_list(path)
+        validate_linked_list(lst)
+        return lst
     if kind == "tree":
-        return formats.read_tree(path)
+        tree = formats.read_tree(path)
+        validate_binary_tree(tree)
+        return tree
     return formats.read_graph(path)
 
 

@@ -25,7 +25,7 @@ from .runtime import (
 )
 
 __all__ = ["ReservationTable", "RoundStats", "RoundView", "run_rounds",
-           "reserve_max", "LivelockError", "arange_source"]
+           "LivelockError", "arange_source"]
 
 LIVELOCK_ROUNDS = 64
 
@@ -64,15 +64,6 @@ class ReservationTable:
     def release(self) -> None:
         release(self.keys)
         release(self.vals)
-
-    def grow(self, capacity: int) -> None:
-        """Resize between rounds; only legal while empty."""
-        if self.count:
-            raise RuntimeError("reservation table can only grow while empty")
-        if capacity <= self.capacity:
-            return
-        self.release()
-        self.__init__(capacity)
 
     def _home(self, keys: np.ndarray) -> np.ndarray:
         return (keys * WORD(GOLDEN)) >> self._shift
@@ -167,7 +158,7 @@ class ReservationTable:
             pslot = pslot[live]
             steps += 1
             if steps > self.capacity:
-                break
+                raise RuntimeError("reservation table probe overflow")
         return out, found
 
     def delete(self, keys: np.ndarray) -> None:
@@ -192,7 +183,7 @@ class ReservationTable:
             slot = (slot[live] + WORD(1)) & self._mask
             steps += 1
             if steps > self.capacity:
-                break
+                raise RuntimeError("reservation table probe overflow")
         if located:
             slots = np.unique(np.concatenate(located))
             self.keys[slots] = WORD(NIL)
@@ -209,11 +200,6 @@ class ReservationTable:
     def get(self, key: int) -> int | None:
         vals, found = self.lookup(np.array([key], dtype=WORD))
         return int(vals[0]) if found[0] else None
-
-
-def reserve_max(table: ReservationTable, key: int, value: int) -> None:
-    """Write-max a single key (linearizable per key)."""
-    table.put_max(key, value)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +286,7 @@ def run_rounds(n_iterates: int, prefix_size: int, reserve, commit, clean,
                         "make progress")
             else:
                 zero_rounds = 0
-                fill = compact_by_mask(ids, ~view.committed, fill)
+                fill = compact_by_mask(ids, lambda s, e: ~committed[s:e], 0, fill)
     finally:
         release(committed)
         release(ids)

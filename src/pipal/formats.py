@@ -7,6 +7,7 @@ an 8-byte magic that pins the kind and version.
 from __future__ import annotations
 
 import csv
+import os
 import struct
 from pathlib import Path
 
@@ -52,6 +53,19 @@ def _read_header(f, path) -> str:
     return kind
 
 
+def _read_counts(f, path, k: int, words_per_count: int) -> tuple[int, ...]:
+    """Read k header counts; the last one times words_per_count words must
+    fit in the rest of the file, which is checked before anything is read."""
+    raw = f.read(8 * k)
+    if len(raw) != 8 * k:
+        raise ValueError(f"{path}: truncated header")
+    counts = struct.unpack(f"<{k}Q", raw)
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if 8 * words_per_count * counts[-1] > left:
+        raise ValueError(f"{path}: declared count {counts[-1]} does not fit the file")
+    return counts
+
+
 def _read_words(f, count: int, path) -> np.ndarray:
     raw = f.read(8 * count)
     if len(raw) != 8 * count:
@@ -72,7 +86,7 @@ def read_ints(path) -> np.ndarray:
     with open(path, "rb") as f:
         if _read_header(f, path) != "ints":
             raise ValueError(f"{path}: not an integer file")
-        (n,) = struct.unpack("<Q", f.read(8))
+        (n,) = _read_counts(f, path, 1, 1)
         return _read_words(f, n, path)
 
 
@@ -84,7 +98,7 @@ def read_list(path) -> LinkedList:
     with open(path, "rb") as f:
         if _read_header(f, path) != "list":
             raise ValueError(f"{path}: not a list file")
-        (n,) = struct.unpack("<Q", f.read(8))
+        (n,) = _read_counts(f, path, 1, 2)
         return LinkedList(_read_words(f, n, path), _read_words(f, n, path))
 
 
@@ -97,7 +111,7 @@ def read_tree(path) -> BinaryTree:
     with open(path, "rb") as f:
         if _read_header(f, path) != "tree":
             raise ValueError(f"{path}: not a tree file")
-        (n,) = struct.unpack("<Q", f.read(8))
+        (n,) = _read_counts(f, path, 1, 3)
         return BinaryTree(_read_words(f, n, path), _read_words(f, n, path),
                           _read_words(f, n, path))
 
@@ -114,7 +128,7 @@ def read_graph(path) -> GraphEdges:
     with open(path, "rb") as f:
         if _read_header(f, path) != "graph":
             raise ValueError(f"{path}: not a graph file")
-        n, m = struct.unpack("<QQ", f.read(16))
+        n, m = _read_counts(f, path, 2, 3)
         triples = _read_words(f, 3 * m, path)
         return GraphEdges(n, triples[0::3].copy(), triples[1::3].copy(),
                           triples[2::3].copy())

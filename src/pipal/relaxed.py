@@ -15,7 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detres import LivelockError, ReservationTable, RoundStats, run_rounds
+from .detres import (
+    LIVELOCK_ROUNDS,
+    LivelockError,
+    ReservationTable,
+    RoundStats,
+    run_rounds,
+)
 from .runtime import (
     NIL,
     SCRATCH_WORDS,
@@ -27,7 +33,14 @@ from .runtime import (
     aux,
     release,
 )
-from .strong import SORT_BASE, _split_point, merge_strong, rotate
+from .strong import (
+    SORT_BASE,
+    _check_sorted_run,
+    _merge_into,
+    _split_point,
+    merge_strong,
+    rotate,
+)
 
 __all__ = [
     "RP_VARIANTS", "make_swap_sequence", "validate_swap_sequence",
@@ -270,8 +283,9 @@ def decompose_driver(n: int, budget_words: int, step,
             trace.append(done)
         if done <= 0:
             zero_rounds += 1
-            if zero_rounds >= 64:
-                raise LivelockError("step retired nothing for 64 rounds")
+            if zero_rounds >= LIVELOCK_ROUNDS:
+                raise LivelockError(
+                    f"step retired nothing for {LIVELOCK_ROUNDS} rounds")
         else:
             zero_rounds = 0
         remaining -= done
@@ -373,19 +387,6 @@ def quicksort_relaxed(a: np.ndarray, rng, budget: EpsilonConfig = DEFAULT_BUDGET
 
 # ---------------------------------------------------------------------------
 # Merging
-
-def _merge_into(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
-    """Stable merge of sorted x, y into out; equal keys taken from x first."""
-    px = np.arange(len(x), dtype=np.int64) + np.searchsorted(y, x, side="left")
-    py = np.arange(len(y), dtype=np.int64) + np.searchsorted(x, y, side="right")
-    out[px] = x
-    out[py] = y
-
-
-def _check_sorted_run(a: np.ndarray, lo: int, hi: int) -> None:
-    if hi - lo > 1 and bool(np.any(a[lo + 1:hi] < a[lo:hi - 1])):
-        raise ValueError("unsorted input run")
-
 
 def _merge_buffered(a: np.ndarray, split: int) -> None:
     with aux(len(a)) as buf:

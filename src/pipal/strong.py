@@ -203,7 +203,7 @@ def scan_blocked(a: np.ndarray, op=None, identity: int = 0,
             s = b * block
             np.cumsum(a[s:s + block], dtype=WORD, out=a[s:s + block])
 
-    parallel_blocks(0, nfull, sweep, grain=4)
+    parallel_blocks(0, nfull, sweep)
 
     tail = nfull * block
     if tail < n:
@@ -222,7 +222,7 @@ def scan_blocked(a: np.ndarray, op=None, identity: int = 0,
             seg[1:] = tmp[:-1] + WORD(basev)
         return
 
-    parallel_blocks(0, nfull, offsets, grain=4)
+    parallel_blocks(0, nfull, offsets)
 
     total = full_total
     if tail < n:
@@ -249,21 +249,8 @@ def _count_pred(a: np.ndarray, s: int, t: int, pred) -> int:
 
 
 def _compact_pred(a: np.ndarray, s: int, t: int, pred) -> int:
-    """Stable in-place compaction of a[s:t] by pred; returns kept count."""
-    w = s
-    while s < t:
-        e = min(s + SCRATCH_WORDS, t)
-        mask = np.asarray(pred(a[s:e]), dtype=bool)
-        idx = np.flatnonzero(mask)
-        cnt = len(idx)
-        if cnt:
-            if w == s and cnt == e - s:
-                w = e
-            else:
-                a[w:w + cnt] = a[s:e][idx]
-                w += cnt
-        s = e
-    return w
+    """Stable in-place compaction of a[s:t] by pred; returns the kept run's end."""
+    return compact_by_mask(a, lambda bs, be: pred(a[bs:be]), s, t)
 
 
 def _copy_forward(a: np.ndarray, src: int, dst: int, cnt: int) -> None:
@@ -308,7 +295,7 @@ def filter_kway(a: np.ndarray, pred, n: int | None = None) -> int:
                 s = (c + t) * chunk
                 counts[t] = _count_pred(a, s, min(s + chunk, n), pred)
 
-        parallel_blocks(0, jcap, count_body, grain=1)
+        parallel_blocks(0, jcap, count_body)
 
         csum = [0] * (jcap + 1)
         for t in range(jcap):
@@ -343,7 +330,7 @@ def filter_kway(a: np.ndarray, pred, n: int | None = None) -> int:
                 cnt = _compact_pred(a, s, e, pred) - s
                 _copy_forward(a, s, m + csum[t], cnt)
 
-        parallel_blocks(0, j, move_body, grain=1)
+        parallel_blocks(0, j, move_body)
         m += csum[j]
         c += j
     return m
@@ -459,16 +446,17 @@ def quicksort_strong(a: np.ndarray, rng) -> None:
 # ---------------------------------------------------------------------------
 # Merging and mergesort (dual binary search + rotation)
 
+def _merge_into(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
+    """Stable merge of sorted x, y into out; equal keys taken from x first."""
+    px = np.arange(len(x), dtype=np.int64) + np.searchsorted(y, x, side="left")
+    py = np.arange(len(y), dtype=np.int64) + np.searchsorted(x, y, side="right")
+    out[px] = x
+    out[py] = y
+
+
 def _merge_base(a: np.ndarray, lo: int, mid: int, hi: int) -> None:
-    na = mid - lo
     scratch = a[lo:hi].copy()
-    x = scratch[:na]
-    y = scratch[na:]
-    seg = a[lo:hi]
-    px = np.arange(na, dtype=np.int64) + np.searchsorted(y, x, side="left")
-    py = np.arange(hi - mid, dtype=np.int64) + np.searchsorted(x, y, side="right")
-    seg[px] = x
-    seg[py] = y
+    _merge_into(scratch[:mid - lo], scratch[mid - lo:], a[lo:hi])
 
 
 def _split_point(a: np.ndarray, lo: int, mid: int, hi: int, h: int) -> int:

@@ -8,7 +8,7 @@ from pipal import runtime
 
 @pytest.fixture(autouse=True)
 def single_thread_default():
-    """Each test starts on the 1-thread pool unless it reconfigures it."""
+    """Each test starts with a thread count of 1 unless it sets another."""
     runtime.set_num_threads(1)
     yield
     runtime.set_num_threads(1)

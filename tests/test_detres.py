@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from pipal.detres import (
     LivelockError,
     ReservationTable,
-    reserve_max,
     run_rounds,
 )
 from pipal.runtime import NIL, SpaceMeter, WORD, metered
@@ -23,7 +22,7 @@ def words(vals):
 
 def test_put_then_get():
     t = ReservationTable(16)
-    reserve_max(t, 3, 7)
+    t.put_max(3, 7)
     assert t.get(3) == 7
     assert t.get(4) is None
 
@@ -74,6 +73,17 @@ def test_delete_then_empty():
     assert t.count == 0
     _, found = t.lookup(keys)
     assert not found.any()
+
+
+def test_probe_overflow_raises():
+    t = ReservationTable(8)
+    t.keys[:] = np.arange(100, 100 + t.capacity, dtype=np.uint64)
+    t.count = t.capacity
+    absent = words([7])
+    with pytest.raises(RuntimeError, match="probe overflow"):
+        t.lookup(absent)
+    with pytest.raises(RuntimeError, match="probe overflow"):
+        t.delete(absent)
 
 
 def test_clear_resets_all_slots():

@@ -1,11 +1,18 @@
 from __future__ import annotations
 
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pipal
 from pipal import cli, formats
 from pipal.cli import ALGORITHMS, BenchConfig, generate_input, run_bench
-from pipal.contraction import validate_binary_tree, validate_linked_list
+from pipal.contraction import LinkedList, validate_binary_tree, validate_linked_list
 from pipal.runtime import NIL, WORD
 
 
@@ -142,3 +149,36 @@ def test_cli_sweep_rows(tmp_path):
     assert len(rows) == 3
     peaks = [r["peak_heap_words"] for r in rows]
     assert peaks == sorted(peaks, reverse=True)  # nonincreasing in epsilon
+
+
+def _malformed_input(path, case):
+    nil = int(NIL)
+    if case == "truncated-header":
+        path.write_bytes(formats.MAGIC["ints"] + b"\x05\x00\x00")
+        return "scan"
+    if case == "huge-count":
+        path.write_bytes(formats.MAGIC["ints"] + struct.pack("<3Q", 1 << 60, 1, 2))
+        return "scan"
+    if case == "cyclic-list":
+        formats.write_list(path, LinkedList(np.array([1, 2, 0], dtype=WORD),
+                                            np.array([2, 0, 1], dtype=WORD)))
+        return "list-rank"
+    formats.write_list(path, LinkedList(np.array([7, nil], dtype=WORD),
+                                        np.array([nil, 0], dtype=WORD)))
+    return "list-rank"
+
+
+@pytest.mark.parametrize("case", ["truncated-header", "huge-count", "cyclic-list",
+                                  "next-out-of-range"])
+def test_cli_malformed_input_is_one_line_usage_error(tmp_path, case):
+    path = tmp_path / "bad.bin"
+    algo = _malformed_input(path, case)
+    src = str(Path(pipal.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pipal.cli", "run", "--algo", algo, "--input", str(path)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr

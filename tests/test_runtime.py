@@ -18,7 +18,6 @@ from pipal.runtime import (
     meter_scope,
     metered,
     parallel_blocks,
-    parallel_for,
     release,
     set_num_threads,
 )
@@ -28,13 +27,19 @@ from pipal.runtime import (
 def test_parallel_for_identity_fill(threads):
     set_num_threads(threads)
     a = np.zeros(4, dtype=np.uint64)
-    parallel_for(0, 4, lambda i: a.__setitem__(i, i))
+
+    def body(s, t):
+        for i in range(s, t):
+            a[i] = i
+
+    parallel_blocks(0, 4, body)
     assert a.tolist() == [0, 1, 2, 3]
 
 
 def test_parallel_for_empty_range():
     calls = []
-    parallel_for(0, 0, calls.append)
+    parallel_blocks(0, 0, lambda s, t: calls.append((s, t)))
+    parallel_blocks(5, 3, lambda s, t: calls.append((s, t)))
     assert calls == []
 
 
@@ -50,23 +55,32 @@ def test_parallel_for_matches_sequential_loop(threads):
 
     set_num_threads(threads)
     got = base.copy()
-    parallel_blocks(0, n, lambda s, t: got.__setitem__(slice(s, t), got[s:t] + np.uint64(1)),
-                    grain=1000)
+    parallel_blocks(0, n, lambda s, t: got.__setitem__(slice(s, t), got[s:t] + np.uint64(1)))
     assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("threads", [1, 3])
 def test_nested_fork_join_does_not_deadlock(threads):
     set_num_threads(threads)
+    order = []
+
+    def leaf(i):
+        order.append(i)
+        return i
+
+    assert fork_join(lambda: leaf(0), lambda: leaf(1), lambda: leaf(2)) == (0, 1, 2)
+    assert order == [0, 1, 2]
 
     def tree_sum(lo, hi):
         if hi - lo == 1:
-            return lo
+            return leaf(lo)
         mid = (lo + hi) // 2
         l, r = fork_join(lambda: tree_sum(lo, mid), lambda: tree_sum(mid, hi))
         return l + r
 
+    order.clear()
     assert tree_sum(0, 512) == 512 * 511 // 2
+    assert order == list(range(512))
 
 
 def test_meter_scope_counts_peak_and_conservation():
@@ -158,7 +172,7 @@ def test_compact_by_mask_matches_boolean_indexing(mask, seed):
     keep = np.array(mask, dtype=bool)
     arr = rng.integers(0, 1 << 64, size=len(keep), dtype=np.uint64)
     expected = arr[keep].tolist()
-    cnt = compact_by_mask(arr, keep)
+    cnt = compact_by_mask(arr, lambda s, e: keep[s:e], 0, len(arr))
     assert arr[:cnt].tolist() == expected
 
 
@@ -168,6 +182,5 @@ def test_determinism_across_thread_counts(threads):
     n = 50_000
     a = Rng(5).words(0, n)
     out = np.zeros(n, dtype=np.uint64)
-    parallel_blocks(0, n, lambda s, t: out.__setitem__(slice(s, t), a[s:t] * np.uint64(3)),
-                    grain=777)
+    parallel_blocks(0, n, lambda s, t: out.__setitem__(slice(s, t), a[s:t] * np.uint64(3)))
     assert int(out.sum(dtype=np.uint64)) == int((a * np.uint64(3)).sum(dtype=np.uint64))
