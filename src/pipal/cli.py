@@ -53,7 +53,6 @@ class BenchConfig:
     seed: int = 1
     reps: int = 1
     verify: bool = False
-    variant: str = "final"
 
     def budget(self) -> EpsilonConfig:
         return EpsilonConfig(self.epsilon, self.prefix_fraction)
@@ -286,7 +285,7 @@ def _make_run(cfg: BenchConfig, data) -> _Run:
         state = {}
 
         def body():
-            state["stats"] = relaxed.random_permutation(a, h, cfg.variant, budget)
+            state["stats"] = relaxed.random_permutation(a, h, budget=budget)
 
         def verify():
             ref = np.arange(len(h), dtype=WORD)
@@ -433,7 +432,7 @@ def run_bench(cfg: BenchConfig, data) -> list[dict]:
         if cfg.verify:
             verified = "true" if run.verify() else "false"
         rows.append({
-            "algo": cfg.algo if cfg.algo != "rp" else f"rp-{cfg.variant}",
+            "algo": cfg.algo if cfg.algo != "rp" else "rp-final",
             "n": cfg.n,
             "epsilon": cfg.epsilon,
             "threads": cfg.threads,
@@ -457,10 +456,8 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _normalize_algo(cfg_algo: str, variant: str | None) -> tuple[str, str]:
-    if cfg_algo.startswith("rp-") and cfg_algo != "rp-fullres":
-        return "rp", cfg_algo[3:]
-    return cfg_algo, variant or "final"
+def _normalize_algo(cfg_algo: str) -> str:
+    return "rp" if cfg_algo == "rp-final" else cfg_algo
 
 
 def build_parser() -> _Parser:
@@ -483,7 +480,6 @@ def build_parser() -> _Parser:
     r.add_argument("--reps", type=int, default=1)
     r.add_argument("--verify", action="store_true")
     r.add_argument("--csv")
-    r.add_argument("--variant", choices=relaxed.RP_VARIANTS)
 
     s = sub.add_parser("sweep", help="cross parameter lists through run")
     s.add_argument("--algo", required=True)
@@ -495,7 +491,6 @@ def build_parser() -> _Parser:
     s.add_argument("--reps", type=int, default=1)
     s.add_argument("--verify", action="store_true")
     s.add_argument("--csv", required=True)
-    s.add_argument("--variant", choices=relaxed.RP_VARIANTS)
     return parser
 
 
@@ -544,7 +539,7 @@ def _load_input(algo: str, path) -> object:
 
 
 def _cmd_run(args) -> int:
-    algo, variant = _normalize_algo(args.algo, args.variant)
+    algo = _normalize_algo(args.algo)
     if algo not in ALGO_KIND:
         print(f"pipal run: unknown algorithm {args.algo!r}", file=sys.stderr)
         return 1
@@ -559,8 +554,7 @@ def _cmd_run(args) -> int:
     kind = ALGO_KIND[algo]
     cfg = BenchConfig(algo=algo, n=input_size(kind, data), epsilon=args.epsilon,
                       prefix_fraction=args.prefix_frac, threads=args.threads,
-                      seed=args.seed, reps=args.reps, verify=args.verify,
-                      variant=variant)
+                      seed=args.seed, reps=args.reps, verify=args.verify)
     rows = run_bench(cfg, data)
     for row in rows:
         print(",".join(str(row[c]) for c in formats.CSV_COLUMNS))
@@ -577,7 +571,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    algo, variant = _normalize_algo(args.algo, args.variant)
+    algo = _normalize_algo(args.algo)
     if algo not in ALGO_KIND:
         print(f"pipal sweep: unknown algorithm {args.algo!r}", file=sys.stderr)
         return 1
@@ -594,8 +588,7 @@ def _cmd_sweep(args) -> int:
                 cfg = BenchConfig(algo=algo, n=input_size(kind, data),
                                   epsilon=eps, prefix_fraction=args.prefix_frac,
                                   threads=threads, seed=args.seed,
-                                  reps=args.reps, verify=args.verify,
-                                  variant=variant)
+                                  reps=args.reps, verify=args.verify)
                 rows = run_bench(cfg, data)
                 try:
                     formats.append_report_rows(args.csv, rows)

@@ -93,7 +93,7 @@ def make_priorities(n: int, rng) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Validation
 
-def validate_linked_list(lst: LinkedList, deep: bool = True) -> None:
+def validate_linked_list(lst: LinkedList) -> None:
     """Reject malformed lists: dangling or non-inverse links, or cycles."""
     n = len(lst)
     nxt, prv = lst.next, lst.prev
@@ -109,25 +109,13 @@ def validate_linked_list(lst: LinkedList, deep: bool = True) -> None:
     ids = np.flatnonzero(live)
     if bool(np.any(nxt[prv[ids]] != ids.astype(WORD))):
         raise ValueError("prev/next are not mutually inverse")
-    if not deep:
-        return
-    # chains only: every node must be reachable by walking from the heads
-    heads = np.flatnonzero(prv == _NILW).astype(WORD)
-    seen = 0
-    cur = heads
-    steps = 0
-    while len(cur):
-        seen += len(cur)
-        cur = nxt[cur]
-        cur = cur[cur != _NILW]
-        steps += 1
-        if steps > n + 1:
-            break
-    if seen != n:
+    # with inverse links the list is disjoint chains and cycles; a node is
+    # on a chain exactly when walking prev reaches NIL
+    if not _links_reach_nil(prv):
         raise ValueError("list contains a cycle")
 
 
-def validate_binary_tree(tree: BinaryTree, deep: bool = True) -> None:
+def validate_binary_tree(tree: BinaryTree) -> None:
     n = len(tree)
     pa, lf, rt = tree.parent, tree.left, tree.right
     for arr, name in ((pa, "parent"), (lf, "left"), (rt, "right")):
@@ -145,21 +133,27 @@ def validate_binary_tree(tree: BinaryTree, deep: bool = True) -> None:
         up = pa[ids]
         if bool(np.any((lf[up] != ids) & (rt[up] != ids))):
             raise ValueError("child/parent links inconsistent")
-    if not deep:
-        return
-    # acyclicity: breadth-first waves from the roots must reach every node
-    frontier = np.flatnonzero(pa == _NILW).astype(WORD)
-    seen = 0
-    steps = 0
-    while len(frontier):
-        seen += len(frontier)
-        kids = np.concatenate([lf[frontier], rt[frontier]])
-        frontier = kids[kids != _NILW]
-        steps += 1
-        if steps > n + 1:
-            break
-    if seen != n:
+    if bool(np.any((lf == rt) & (lf != _NILW))):
+        raise ValueError("child/parent links inconsistent")
+    # with consistent links every node has one parent, so a node is
+    # reachable from a root exactly when walking parent reaches NIL
+    if not _links_reach_nil(pa):
         raise ValueError("tree contains a cycle or unreachable nodes")
+
+
+def _links_reach_nil(up: np.ndarray) -> bool:
+    """Whether every node's ``up`` chain ends in NIL, by pointer doubling.
+
+    A chain of at most n links reaches NIL within ceil(log2 n) + 1
+    doublings; a node still live after that lies on or above a cycle.
+    """
+    jump = up.copy()
+    for _ in range(len(up).bit_length() + 1):
+        live = np.flatnonzero(jump != _NILW)
+        if not len(live):
+            return True
+        jump[live] = jump[jump[live]]
+    return not bool(np.any(jump != _NILW))
 
 
 # ---------------------------------------------------------------------------

@@ -222,7 +222,6 @@ class RoundView:
 
     ids: np.ndarray        # active iterates, packed order (failures first)
     committed: np.ndarray  # bool, filled by the commit callback
-    new_pos0: int          # position where this round's fresh iterates begin
     round_index: int
 
 
@@ -260,14 +259,13 @@ def run_rounds(n_iterates: int, prefix_size: int, reserve, commit, clean,
         zero_rounds = 0
         while True:
             fresh = source(prefix - fill)
-            new_pos0 = fill
             if len(fresh):
                 ids[fill:fill + len(fresh)] = fresh
                 fill += len(fresh)
             if fill == 0:
                 break
             view = RoundView(ids=ids[:fill], committed=committed[:fill],
-                             new_pos0=new_pos0, round_index=stats.rounds)
+                             round_index=stats.rounds)
             view.committed[:] = False
             reserve(view)
             commit(view)

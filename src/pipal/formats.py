@@ -129,6 +129,10 @@ def read_graph(path) -> GraphEdges:
         if _read_header(f, path) != "graph":
             raise ValueError(f"{path}: not a graph file")
         n, m = _read_counts(f, path, 2, 3)
+        # a file with m edges holds 24 + 24m bytes, so this admits every
+        # written graph and keeps the n + 1 offsets within 8x the file
+        if n > os.fstat(f.fileno()).st_size:
+            raise ValueError(f"{path}: vertex count {n} exceeds the file size")
         triples = _read_words(f, 3 * m, path)
         return GraphEdges(n, triples[0::3].copy(), triples[1::3].copy(),
                           triples[2::3].copy())

@@ -3,15 +3,12 @@
 Each operation takes an :class:`~pipal.runtime.EpsilonConfig` budget and
 keeps its charged auxiliary footprint within a small constant times
 ``budget.prefix_words(n)``.  Random permutation runs on the deterministic
-reservations engine in four storage variants; filter/partition/quicksort
-retire one budget-sized prefix per round; merging works on budget-sized
-chunks.
+reservations engine with one target-keyed reservation table; filter,
+partition and quicksort retire one budget-sized prefix per round; merging
+works on budget-sized chunks.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +48,7 @@ __all__ = [
 
 DEFAULT_BUDGET = EpsilonConfig(epsilon=0.5)
 
-RP_VARIANTS = ("naive", "flat", "oneres", "final")
+RP_VARIANTS = ("final",)
 
 
 # ---------------------------------------------------------------------------
@@ -66,54 +63,48 @@ def make_swap_sequence(n: int, rng) -> np.ndarray:
 
 
 def validate_swap_sequence(h: np.ndarray) -> None:
+    _check_swaps(h, len(h))
+
+
+def _check_swaps(h: np.ndarray, block: int) -> int:
+    """Check H[i] <= i over blocks of ``block`` words (so the temporaries
+    stay O(block)); return the number of non-self swaps."""
     as_words(h)
-    if len(h) and bool(np.any(h > np.arange(len(h), dtype=WORD))):
-        raise ValueError("invalid swap sequence: H[i] must lie in [0, i]")
+    iterates = 0
+    for lo in range(0, len(h), max(block, 1)):
+        hb = h[lo:lo + block]
+        pos = np.arange(lo, lo + len(hb), dtype=WORD)
+        if bool(np.any(hb > pos)):
+            raise ValueError("invalid swap sequence: H[i] must lie in [0, i]")
+        iterates += len(hb) - int(np.count_nonzero(hb == pos))
+    return iterates
 
 
 # ---------------------------------------------------------------------------
 # Random permutation (parallel shuffle equivalent to the sequential one)
 
 class _RpClient:
-    """Per-variant round callbacks and storage for random permutation.
+    """Round callbacks and storage for random permutation.
 
-    Storage per variant: ``naive`` keeps both the reservation values and the
-    staged swap targets in hash tables and clears them wholesale; ``flat``
-    stages targets in a prefix-sized array; ``oneres`` additionally drops
-    the source-side reservation (half-sized table, amended commit rule);
-    ``final`` adds a flat array for the reservation slots of this round's
-    consecutive fresh ids, leaving the hash table only for out-of-range
-    targets, which are deleted individually while the flat array is reset
-    wholesale.
+    Swap targets are staged in a prefix-sized array, and one reservation
+    table of 2 * prefix slots is keyed by target only: an iterate writes
+    its id at its target with write-max.  It commits when its target holds
+    its own id and its own position either holds its own id or was not
+    claimed as anyone's target this round.  The table is cleared wholesale
+    after each round.
     """
 
-    def __init__(self, a: np.ndarray, h: np.ndarray, variant: str, prefix: int,
+    def __init__(self, a: np.ndarray, h: np.ndarray, prefix: int,
                  debug_sweep: bool = False):
         self.debug_sweep = debug_sweep
         self.a = a
         self.h = h
-        self.variant = variant
-        two_res = variant in ("naive", "flat")
-        self.rtable = ReservationTable(4 * prefix if two_res else 2 * prefix)
-        self.htable = ReservationTable(2 * prefix) if variant == "naive" else None
-        self.hcache = alloc(prefix) if variant != "naive" else None
-        if variant == "final":
-            self.span_cap = prefix + prefix // 4 + 8
-            self.dense = alloc(self.span_cap, fill=0)  # slot = 1 + writer id
-        else:
-            self.span_cap = None
-            self.dense = None
-        self.dlo = 1
-        self.dhi = 0
+        self.rtable = ReservationTable(2 * prefix)
+        self.hcache = alloc(prefix)
         self.cursor = len(a) - 1
 
     def release(self) -> None:
-        if self.dense is not None:
-            release(self.dense)
-        if self.hcache is not None:
-            release(self.hcache)
-        if self.htable is not None:
-            self.htable.release()
+        release(self.hcache)
         self.rtable.release()
 
     # -- iterate source: descending ids, self-swaps retired at ingestion
@@ -121,8 +112,7 @@ class _RpClient:
         h = self.h
         while count > 0 and self.cursor >= 0:
             hi = self.cursor
-            width = self.span_cap if self.span_cap is not None else max(count, 1024)
-            lo = max(0, hi - width + 1)
+            lo = max(0, hi - max(count, 1024) + 1)
             window = np.arange(hi, lo - 1, -1, dtype=np.int64)
             idx = np.flatnonzero(h[window] != window.astype(WORD))[:count]
             if len(idx):
@@ -133,75 +123,19 @@ class _RpClient:
         return np.empty(0, dtype=WORD)
 
     # -- phases
-    def _targets(self, view) -> np.ndarray:
-        ids = view.ids
-        if self.variant == "naive":
-            vals, found = self.htable.lookup(ids)
-            return vals
-        return self.hcache[:len(ids)]
-
     def reserve(self, view) -> None:
         ids = view.ids
-        if self.variant == "naive":
-            hv = self.h[ids]
-            self.htable.reserve_max(ids, hv)
-        else:
-            np.take(self.h, ids, out=self.hcache[:len(ids)])
-            hv = self.hcache[:len(ids)]
-
-        if self.variant in ("naive", "flat"):
-            self.rtable.reserve_max(ids, ids, values_max_first=True)
-            self.rtable.reserve_max(hv, ids, values_max_first=True)
-            return
-        if self.variant == "oneres":
-            self.rtable.reserve_max(hv, ids, values_max_first=True)
-            return
-
-        # final: fresh ids form a consecutive (descending) key range served
-        # by the flat array; only other targets touch the hash table
-        fresh = ids[view.new_pos0:]
-        if len(fresh):
-            self.dhi = int(fresh[0])
-            self.dlo = int(fresh[-1])
-        else:
-            self.dlo, self.dhi = 1, 0
-        in_range = (hv >= WORD(self.dlo)) & (hv <= WORD(self.dhi))
-        np.maximum.at(self.dense, (WORD(self.dhi) - hv[in_range]).astype(np.int64),
-                      ids[in_range] + WORD(1))
-        self.rtable.reserve_max(hv[~in_range], ids[~in_range],
-                                values_max_first=True)
+        hv = self.hcache[:len(ids)]
+        np.take(self.h, ids, out=hv)
+        self.rtable.reserve_max(hv, ids, values_max_first=True)
 
     def commit(self, view) -> None:
         ids = view.ids
-        hv = self._targets(view)
-
-        if self.variant in ("naive", "flat"):
-            own_vals, own_found = self.rtable.lookup(ids)
-            own_ok = own_found & (own_vals == ids)
-            tgt_vals, tgt_found = self.rtable.lookup(hv)
-            tgt_ok = tgt_found & (tgt_vals == ids)
-        elif self.variant == "oneres":
-            own_vals, own_found = self.rtable.lookup(ids)
-            own_ok = (~own_found) | (own_vals == ids)
-            tgt_vals, tgt_found = self.rtable.lookup(hv)
-            tgt_ok = tgt_found & (tgt_vals == ids)
-        else:
-            own_ok = np.empty(len(ids), dtype=bool)
-            stale = ids[:view.new_pos0]
-            sv, sf = self.rtable.lookup(stale)
-            own_ok[:view.new_pos0] = (~sf) | (sv == stale)
-            fresh = ids[view.new_pos0:]
-            dv = self.dense[(WORD(self.dhi) - fresh).astype(np.int64)]
-            own_ok[view.new_pos0:] = (dv == 0) | (dv == fresh + WORD(1))
-
-            in_range = (hv >= WORD(self.dlo)) & (hv <= WORD(self.dhi))
-            tgt_ok = np.empty(len(ids), dtype=bool)
-            tdv = self.dense[(WORD(self.dhi) - hv[in_range]).astype(np.int64)]
-            tgt_ok[in_range] = tdv == ids[in_range] + WORD(1)
-            ov, of = self.rtable.lookup(hv[~in_range])
-            tgt_ok[~in_range] = of & (ov == ids[~in_range])
-
-        view.committed[:] = own_ok & tgt_ok
+        hv = self.hcache[:len(ids)]
+        own_vals, own_found = self.rtable.lookup(ids)
+        tgt_vals, tgt_found = self.rtable.lookup(hv)
+        view.committed[:] = (((~own_found) | (own_vals == ids))
+                             & tgt_found & (tgt_vals == ids))
 
         src = ids[view.committed]
         dst = hv[view.committed]
@@ -210,24 +144,11 @@ class _RpClient:
         self.a[dst] = tmp
 
     def clean(self, view) -> None:
-        if self.variant == "naive":
-            self.htable.clear()
-            self.rtable.clear()
-        elif self.variant in ("flat", "oneres"):
-            self.rtable.clear()
-        else:
-            # final: wholesale reset of the flat range, targeted hash deletes
-            if self.dhi >= self.dlo:
-                self.dense[:self.dhi - self.dlo + 1] = 0
-            hv = self.hcache[:len(view.ids)]
-            out = ~((hv >= WORD(self.dlo)) & (hv <= WORD(self.dhi)))
-            self.rtable.delete(hv[out])
+        self.rtable.clear()
         if self.debug_sweep:
             # every slot touched this round must read as empty again
             assert self.rtable.count == 0
             assert bool(np.all(self.rtable.keys == WORD(NIL)))
-            if self.dense is not None:
-                assert not self.dense.any()
 
 
 def random_permutation(a: np.ndarray, h: np.ndarray, variant: str = "final",
@@ -239,22 +160,19 @@ def random_permutation(a: np.ndarray, h: np.ndarray, variant: str = "final",
     The output equals the sequential shuffle with the same ``h``: rounds
     work on the first pending swaps in sequential order and only commit
     swaps whose source and target reservations both succeeded.
+    ``variant`` must be one of :data:`RP_VARIANTS`.
     """
     as_words(a)
     if len(h) != len(a):
         raise ValueError("swap sequence length must match the array")
-    validate_swap_sequence(h)
     if variant not in RP_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    n = len(a)
-    if n == 0:
-        return RoundStats()
-    n_iterates = int(np.count_nonzero(h != np.arange(n, dtype=WORD)))
+    prefix = budget.prefix_words(len(a))
+    n_iterates = _check_swaps(h, prefix)
     if n_iterates == 0:
         return RoundStats()
-    prefix = budget.prefix_words(n)
 
-    client = _RpClient(a, h, variant, prefix, debug_sweep=debug)
+    client = _RpClient(a, h, prefix, debug_sweep=debug)
     try:
         stats = run_rounds(n_iterates, prefix, client.reserve, client.commit,
                            client.clean, id_source=client.next_ids, trace=trace)

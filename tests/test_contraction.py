@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
 from pipal import baselines as bl
+from pipal import contraction
 from pipal.contraction import (
     BinaryTree,
     LinkedList,
@@ -102,6 +105,69 @@ def test_validate_tree_rejects_one_child():
     bad = BinaryTree(words([None, 0]), words([1, None]), words([None, None]))
     with pytest.raises(ValueError, match="exactly two children"):
         validate_binary_tree(bad)
+
+
+def test_validate_tree_rejects_shared_child():
+    bad = BinaryTree(words([None, 0, 0]), words([1, None, None]),
+                     words([1, None, None]))
+    with pytest.raises(ValueError, match="inconsistent"):
+        validate_binary_tree(bad)
+
+
+def contraction_lines(fn):
+    """Run ``fn`` and count the Python lines it executes in pipal.contraction:
+    a deterministic stand-in for the number of vectorized steps."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code.co_filename == contraction.__file__ else None
+
+    old = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        fn()
+    finally:
+        sys.settrace(old)
+    return count
+
+
+def test_validate_long_chain_in_logarithmic_steps():
+    n = 1 << 16
+    lst = chain_list(range(n))
+    assert contraction_lines(lambda: validate_linked_list(lst)) < 500
+    lst.next[n - 1] = 0
+    lst.prev[0] = n - 1
+    with pytest.raises(ValueError, match="cycle"):
+        validate_linked_list(lst)
+
+
+def caterpillar(k, closed=False):
+    """Spine 0..k-1 (left children), one leaf per spine node (right children);
+    ``closed`` makes the last spine node's left child the root, else a leaf."""
+    n = 2 * k + (0 if closed else 1)
+    pa = np.full(n, NIL, dtype=np.uint64)
+    lf = np.full(n, NIL, dtype=np.uint64)
+    rt = np.full(n, NIL, dtype=np.uint64)
+    spine = np.arange(k)
+    lf[spine[:-1]] = spine[1:]
+    pa[spine[1:]] = spine[:-1]
+    rt[spine] = k + spine
+    pa[k + spine] = spine
+    lf[k - 1] = 0 if closed else 2 * k
+    pa[lf[k - 1]] = k - 1
+    return BinaryTree(pa, lf, rt)
+
+
+def test_validate_deep_caterpillar_in_logarithmic_steps():
+    tree = caterpillar(1 << 15)
+    assert contraction_lines(lambda: validate_binary_tree(tree)) < 500
+    with pytest.raises(ValueError, match="cycle"):
+        validate_binary_tree(caterpillar(1 << 15, closed=True))
 
 
 # ---------------------------------------------------------------------------

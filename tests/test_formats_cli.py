@@ -121,6 +121,17 @@ def test_cli_rp_variant_alias(tmp_path):
                      "--verify"]) == 0
 
 
+def test_cli_rp_has_one_variant(tmp_path):
+    inp = tmp_path / "h.u64"
+    assert cli.main(["gen", "--kind", "perm", "--n", "200", "--seed", "3",
+                     "--out", str(inp)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--algo", "rp", "--variant", "final", "--input", str(inp)])
+    assert exc.value.code == 1
+    for alias in ("rp-naive", "rp-flat", "rp-oneres"):
+        assert cli.main(["run", "--algo", alias, "--input", str(inp)]) == 1
+
+
 def test_cli_kind_mismatch_is_usage_error(tmp_path):
     inp = tmp_path / "a.u64"
     cli.main(["gen", "--kind", "ints", "--n", "16", "--seed", "1",
@@ -147,6 +158,7 @@ def test_cli_sweep_rows(tmp_path):
                      "--prefix-frac", "1e-12"]) == 0
     rows = formats.check_report_csv(csvp)
     assert len(rows) == 3
+    assert rows[0]["algo"] == "rp-final"
     peaks = [r["peak_heap_words"] for r in rows]
     assert peaks == sorted(peaks, reverse=True)  # nonincreasing in epsilon
 
@@ -163,13 +175,16 @@ def _malformed_input(path, case):
         formats.write_list(path, LinkedList(np.array([1, 2, 0], dtype=WORD),
                                             np.array([2, 0, 1], dtype=WORD)))
         return "list-rank"
-    formats.write_list(path, LinkedList(np.array([7, nil], dtype=WORD),
-                                        np.array([nil, 0], dtype=WORD)))
-    return "list-rank"
+    if case == "next-out-of-range":
+        formats.write_list(path, LinkedList(np.array([7, nil], dtype=WORD),
+                                            np.array([nil, 0], dtype=WORD)))
+        return "list-rank"
+    path.write_bytes(formats.MAGIC["graph"] + struct.pack("<2Q", 1 << 40, 0))
+    return "connectivity"
 
 
 @pytest.mark.parametrize("case", ["truncated-header", "huge-count", "cyclic-list",
-                                  "next-out-of-range"])
+                                  "next-out-of-range", "huge-vertex-count"])
 def test_cli_malformed_input_is_one_line_usage_error(tmp_path, case):
     path = tmp_path / "bad.bin"
     algo = _malformed_input(path, case)
