@@ -250,13 +250,16 @@ def _make_run(cfg: BenchConfig, data) -> _Run:
     if algo in ("quicksort", "mergesort", "quicksort-relaxed", "mergesort-relaxed"):
         a = data.copy()
         ref = np.sort(data) if cfg.verify else None
+        sink: list = []
         fn = {
             "quicksort": lambda: strong.quicksort_strong(a, rng),
             "mergesort": lambda: strong.mergesort_strong(a),
-            "quicksort-relaxed": lambda: relaxed.quicksort_relaxed(a, rng, budget),
+            "quicksort-relaxed": lambda: relaxed.quicksort_relaxed(
+                a, rng, budget, stats_sink=sink),
             "mergesort-relaxed": lambda: relaxed.mergesort_relaxed(a, budget),
         }[algo]
-        return _Run(fn, lambda: np.array_equal(a, ref))
+        return _Run(fn, lambda: np.array_equal(a, ref),
+                    lambda: sum(s.rounds for s in sink))
 
     if algo in ("merge", "merge-relaxed"):
         a = data.copy()

@@ -246,12 +246,18 @@ def partition_relaxed(a: np.ndarray, pred, budget: EpsilonConfig = DEFAULT_BUDGE
     """Unstable partition; displaced non-matching elements swap into the
     scanned tail each round, preserving the multiset."""
     as_words(a)
+    return _partition_rounds(a, pred, budget.prefix_words(len(a)), stats_sink)
+
+
+def _partition_rounds(a: np.ndarray, pred, b: int,
+                      stats_sink: list | None) -> int:
+    """Partition ``a`` by ``pred`` in rounds of ``b`` words through one
+    buffer of min(b, len(a)) words; return the number of matches."""
     n = len(a)
     if n == 0:
         return 0
-    b = budget.prefix_words(n)
     state = {"m": 0, "pos": 0}
-    with aux(b) as buf:
+    with aux(min(b, n)) as buf:
         def step(hint: int) -> int:
             pos, m = state["pos"], state["m"]
             take = min(hint, n - pos)
@@ -261,10 +267,11 @@ def partition_relaxed(a: np.ndarray, pred, budget: EpsilonConfig = DEFAULT_BUDGE
             tc = int(np.count_nonzero(mask))
             nf = pos - m  # false prefix length so far
             d = min(tc, nf)
-            displaced = a[m:m + d].copy()
-            np.compress(mask, chunk, out=a[m:m + tc])
+            # the displaced falses move first: their destination lies in
+            # [pos, pos + take), already staged in buf, and m + d <= pos
             dst0 = max(pos, m + tc)
-            a[dst0:dst0 + d] = displaced
+            a[dst0:dst0 + d] = a[m:m + d]
+            np.compress(mask, chunk, out=a[m:m + tc])
             np.compress(~mask, chunk, out=a[dst0 + d:pos + take])
             state["m"] = m + tc
             state["pos"] = pos + take
@@ -276,21 +283,27 @@ def partition_relaxed(a: np.ndarray, pred, budget: EpsilonConfig = DEFAULT_BUDGE
     return state["m"]
 
 
-def quicksort_relaxed(a: np.ndarray, rng, budget: EpsilonConfig = DEFAULT_BUDGET) -> None:
-    """Quicksort over the relaxed partition; segments run one at a time, so
-    the peak footprint is a single partition's buffer."""
+def quicksort_relaxed(a: np.ndarray, rng, budget: EpsilonConfig = DEFAULT_BUDGET,
+                      stats_sink: list | None = None) -> None:
+    """Quicksort whose partitions run in b(n)-word rounds, for the whole
+    array's b(n); segments of at most max(SORT_BASE, b(n)) words are sorted
+    directly.  Segments run one at a time, so the peak footprint is a single
+    partition's buffer.  One RoundStats per partition goes to ``stats_sink``."""
     as_words(a)
     n = len(a)
     if n < 2:
         return
+    b = budget.prefix_words(n)
+    base = max(SORT_BASE, b)
     stack = [(0, n, 0)]
     while stack:
         lo, hi, salt = stack.pop()
-        while hi - lo > SORT_BASE:
+        while hi - lo > base:
             pv = int(a[lo + rng.word(((lo << 21) ^ hi) + salt) % (hi - lo)])
-            less = partition_relaxed(a[lo:hi], lambda blk: blk < WORD(pv), budget)
-            equal = partition_relaxed(a[lo + less:hi], lambda blk: blk == WORD(pv),
-                                      budget)
+            less = _partition_rounds(a[lo:hi], lambda blk: blk < WORD(pv), b,
+                                     stats_sink)
+            equal = _partition_rounds(a[lo + less:hi], lambda blk: blk == WORD(pv),
+                                      b, stats_sink)
             left_hi = lo + less
             right_lo = lo + less + equal
             if left_hi - lo < hi - right_lo:

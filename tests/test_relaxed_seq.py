@@ -104,6 +104,44 @@ def test_quicksort_relaxed_duplicates():
     assert np.array_equal(a, ref)
 
 
+def _edge_input(kind, n):
+    if kind == "all-equal":
+        return np.full(n, 12345, dtype=WORD)
+    if kind == "two-valued":
+        return rand_words(21, n) % WORD(2) + WORD(7)
+    a = np.sort(rand_words(22, n))
+    return a if kind == "sorted" else a[::-1].copy()
+
+
+@pytest.mark.parametrize("budget", [PURE(0.5), None], ids=["pure-0.5", "default"])
+@pytest.mark.parametrize("kind", ["all-equal", "two-valued", "sorted", "reverse"])
+def test_quicksort_relaxed_edge_inputs(kind, budget):
+    a = _edge_input(kind, 1 << 16)
+    ref = np.sort(a)
+    quicksort_relaxed(a, Rng(5), *([] if budget is None else [budget]))
+    assert np.array_equal(a, ref)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_quicksort_relaxed_partitions_in_top_level_rounds(seed):
+    n = 1 << 16
+    cfg = EpsilonConfig(0.5, POWER_ONLY_FRACTION)
+    b = cfg.prefix_words(n)
+    assert b == 256
+    a = rand_words(seed, n)
+    ref = np.sort(a)
+    sink = []
+    quicksort_relaxed(a, Rng(seed), cfg, stats_sink=sink)
+    assert np.array_equal(a, ref)
+    assert sink
+    for stats in sink:
+        *full, last = stats.committed_per_round
+        assert all(done == b for done in full)
+        assert 1 <= last <= b
+    total = sum(stats.rounds for stats in sink)
+    assert total <= 4 * (n // b) * int(np.log2(n // b))
+
+
 # ---------------------------------------------------------------------------
 # merge / mergesort
 
@@ -154,9 +192,10 @@ def test_relaxed_seq_ops_within_budget(eps):
     n = 65_536
     cfg = PURE(eps)
     b = cfg.prefix_words(n)
-    for run in ("filter", "partition", "merge", "qsort"):
+    seeds = {"filter": 11, "partition": 12, "merge": 13, "qsort": 14}
+    for run in seeds:
         meter = SpaceMeter()
-        a = rand_words(hash(run) % 1000, n)
+        a = rand_words(seeds[run], n)
         if run == "merge":
             a[:n // 2].sort()
             a[n // 2:].sort()
