@@ -258,8 +258,7 @@ class _RankClient:
 def list_contract(lst: LinkedList, p: np.ndarray,
                   on_splice=None,
                   budget: EpsilonConfig = DEFAULT_BUDGET,
-                  trace: list | None = None,
-                  validate: bool = False) -> RoundStats:
+                  trace: list | None = None) -> RoundStats:
     """Splice out every element; per round the active-prefix local minima go.
 
     After the run each element's own (prev, next) slots hold the neighbor
@@ -270,8 +269,6 @@ def list_contract(lst: LinkedList, p: np.ndarray,
     n = len(lst)
     if len(p) != n:
         raise ValueError("priorities length mismatch")
-    if validate:
-        validate_linked_list(lst)
     if n == 0:
         return RoundStats()
     prefix = budget.prefix_words(n)
@@ -317,7 +314,6 @@ def _distribute_ranks(parent: np.ndarray, dist: np.ndarray) -> np.ndarray:
 def list_rank(lst: LinkedList, p: np.ndarray,
               budget: EpsilonConfig = DEFAULT_BUDGET,
               trace: list | None = None,
-              validate: bool = False,
               stats_sink: list | None = None) -> np.ndarray:
     """Rank every element within its chain, in place over the list storage.
 
@@ -330,8 +326,6 @@ def list_rank(lst: LinkedList, p: np.ndarray,
         raise ValueError("priorities length mismatch")
     if n >= NIL32:
         raise ValueError("list ranking supports fewer than 2^32 - 1 elements")
-    if validate:
-        validate_linked_list(lst)
     if n == 0:
         return lst.prev
 
@@ -523,7 +517,6 @@ def tree_contract(tree: BinaryTree, p: np.ndarray, values: np.ndarray,
                   budget: EpsilonConfig = DEFAULT_BUDGET,
                   combine=np.add,
                   trace: list | None = None,
-                  validate: bool = False,
                   debug: bool = False) -> tuple[dict[int, int], RoundStats]:
     """Contract the forest; returns ({root id: folded value}, stats).
 
@@ -536,8 +529,6 @@ def tree_contract(tree: BinaryTree, p: np.ndarray, values: np.ndarray,
     n = len(tree)
     if len(p) != n or len(values) != n:
         raise ValueError("priorities/values length mismatch")
-    if validate:
-        validate_binary_tree(tree)
     if n == 0:
         return {}, RoundStats()
     prefix = budget.prefix_words(n)

@@ -34,6 +34,8 @@ from .strong import (
     SORT_BASE,
     _check_sorted_run,
     _merge_into,
+    _mergesort,
+    _quicksort,
     _split_point,
     merge_strong,
     rotate,
@@ -285,35 +287,15 @@ def _partition_rounds(a: np.ndarray, pred, b: int,
 
 def quicksort_relaxed(a: np.ndarray, rng, budget: EpsilonConfig = DEFAULT_BUDGET,
                       stats_sink: list | None = None) -> None:
-    """Quicksort whose partitions run in b(n)-word rounds, for the whole
-    array's b(n); segments of at most max(SORT_BASE, b(n)) words are sorted
-    directly.  Segments run one at a time, so the peak footprint is a single
-    partition's buffer.  One RoundStats per partition goes to ``stats_sink``."""
+    """The shared quicksort with partitions in b(n)-word rounds, for the
+    whole array's b(n); segments of at most max(SORT_BASE, b(n)) words are
+    sorted directly.  Segments run one at a time, so the peak footprint is a
+    single partition's buffer.  One RoundStats per partition goes to
+    ``stats_sink``."""
     as_words(a)
-    n = len(a)
-    if n < 2:
-        return
-    b = budget.prefix_words(n)
-    base = max(SORT_BASE, b)
-    stack = [(0, n, 0)]
-    while stack:
-        lo, hi, salt = stack.pop()
-        while hi - lo > base:
-            pv = int(a[lo + rng.word(((lo << 21) ^ hi) + salt) % (hi - lo)])
-            less = _partition_rounds(a[lo:hi], lambda blk: blk < WORD(pv), b,
-                                     stats_sink)
-            equal = _partition_rounds(a[lo + less:hi], lambda blk: blk == WORD(pv),
-                                      b, stats_sink)
-            left_hi = lo + less
-            right_lo = lo + less + equal
-            if left_hi - lo < hi - right_lo:
-                stack.append((right_lo, hi, salt))
-                hi = left_hi
-            else:
-                stack.append((lo, left_hi, salt))
-                lo = right_lo
-        if hi - lo > 1:
-            a[lo:hi].sort()
+    b = budget.prefix_words(len(a))
+    _quicksort(a, rng, lambda seg, pred: _partition_rounds(seg, pred, b, stats_sink),
+               max(SORT_BASE, b))
 
 
 # ---------------------------------------------------------------------------
@@ -545,20 +527,9 @@ def merge_relaxed(a: np.ndarray, split: int, budget: EpsilonConfig = DEFAULT_BUD
 
 
 def mergesort_relaxed(a: np.ndarray, budget: EpsilonConfig = DEFAULT_BUDGET) -> None:
-    """Mergesort over merge_relaxed; sibling segments run sequentially so the
-    peak footprint is the final merge's."""
+    """The shared mergesort over merge_relaxed; segments of at most
+    max(SORT_BASE, b(n)) words are sorted directly, and siblings run in
+    order, so the peak footprint is the final merge's."""
     as_words(a)
-    n = len(a)
-    base = max(SORT_BASE, budget.prefix_words(n))
-
-    def rec(lo: int, hi: int) -> None:
-        if hi - lo <= base:
-            a[lo:hi].sort()
-            return
-        mid = lo + (hi - lo) // 2
-        rec(lo, mid)
-        rec(mid, hi)
-        merge_relaxed(a[lo:hi], mid - lo, budget)
-
-    if n > 1:
-        rec(0, n)
+    _mergesort(a, lambda seg, split: merge_relaxed(seg, split, budget),
+               max(SORT_BASE, budget.prefix_words(len(a))))

@@ -222,10 +222,6 @@ class Rng:
         z = (idx.astype(WORD) + WORD(1)) * WORD(GOLDEN) + WORD(self.seed)
         return _mix64(z)
 
-    def below(self, i: int, bound: int) -> int:
-        # modulo bias is < bound / 2^64, irrelevant at desk scale
-        return self.word(i) % bound
-
     def derive(self, tag: int) -> "Rng":
         return Rng(_mix64_scalar(self.seed ^ _mix64_scalar(tag)))
 

@@ -115,13 +115,16 @@ def _up_sweep_add(a: np.ndarray, s: int, t: int, base: int) -> None:
     a[t] = WORD((int(a[t]) + int(a[mid])) & M64)
 
 
+def _shift_exclusive(seg: np.ndarray, offset: int) -> None:
+    """Turn an inclusive scan of seg into an exclusive one plus offset
+    (numpy builds the right-hand sum before it assigns)."""
+    seg[1:] = seg[:-1] + WORD(offset)
+    seg[0] = WORD(offset)
+
+
 def _down_sweep_add(a: np.ndarray, s: int, t: int, p: int, base: int) -> None:
     if t - s + 1 <= base:
-        block = a[s:t + 1]
-        tmp = block.copy()
-        block[0] = WORD(p)
-        if t > s:
-            block[1:] = tmp[:-1] + WORD(p)
+        _shift_exclusive(a[s:t + 1], p)
         return
     mid = (s + t) // 2
     left_sum = int(a[mid])
@@ -148,17 +151,16 @@ def _down_sweep_op(a: np.ndarray, s: int, t: int, p: int, op) -> None:
               lambda: _down_sweep_op(a, mid + 1, t, op(p, left_sum), op))
 
 
-def scan(a: np.ndarray, op=None, identity: int = 0,
-         base: int = SCAN_BASE) -> ScanResult:
+def scan(a: np.ndarray, op=None, identity: int = 0) -> ScanResult:
     """Exclusive in-place scan; returns the rewritten array and the total."""
     as_words(a)
     n = len(a)
     if n == 0:
         return ScanResult(a, identity & M64 if op is None else identity)
     if op is None:
-        _up_sweep_add(a, 0, n - 1, base)
+        _up_sweep_add(a, 0, n - 1, SCAN_BASE)
         total = int(a[n - 1])
-        _down_sweep_add(a, 0, n - 1, 0, base)
+        _down_sweep_add(a, 0, n - 1, 0, SCAN_BASE)
         return ScanResult(a, total)
     _up_sweep_op(a, 0, n - 1, op)
     total = int(a[n - 1])
@@ -180,22 +182,18 @@ def _ex_scan_view(v: np.ndarray) -> int:
     return (tl + tr) & M64
 
 
-def scan_blocked(a: np.ndarray, op=None, identity: int = 0,
-                 block: int = SCAN_BASE) -> ScanResult:
+def scan_blocked(a: np.ndarray, op=None, identity: int = 0) -> ScanResult:
     """Blocked scan: sequential per-block pass, scan over block sums, offset add.
 
-    Same contract as :func:`scan`; for the generic-op path it simply defers
-    to :func:`scan` with base case 1.
+    Same contract as :func:`scan`, to which the generic-op path and arrays
+    of at most one block defer.
     """
     as_words(a)
     n = len(a)
-    if n == 0:
-        return ScanResult(a, identity & M64 if op is None else identity)
-    if op is not None:
-        return scan(a, op, identity, base=1)
-    if n <= block:
-        return scan(a, base=block)
+    if op is not None or n <= SCAN_BASE:
+        return scan(a, op, identity)
 
+    block = SCAN_BASE
     nfull = n // block
 
     def sweep(bs: int, be: int) -> None:
@@ -216,11 +214,7 @@ def scan_blocked(a: np.ndarray, op=None, identity: int = 0,
         for b in range(bs, be):
             s = b * block
             seg = a[s:s + block]
-            basev = int(seg[-1])
-            tmp = seg.copy()
-            seg[0] = WORD(basev)
-            seg[1:] = tmp[:-1] + WORD(basev)
-        return
+            _shift_exclusive(seg, int(seg[-1]))
 
     parallel_blocks(0, nfull, offsets)
 
@@ -228,10 +222,7 @@ def scan_blocked(a: np.ndarray, op=None, identity: int = 0,
     if tail < n:
         seg = a[tail:]
         tail_total = int(seg[-1])
-        tmp = seg.copy()
-        seg[0] = WORD(full_total)
-        if len(seg) > 1:
-            seg[1:] = tmp[:-1] + WORD(full_total)
+        _shift_exclusive(seg, full_total)
         total = (full_total + tail_total) & M64
     return ScanResult(a, total)
 
@@ -267,7 +258,7 @@ def _copy_forward(a: np.ndarray, src: int, dst: int, cnt: int) -> None:
 _FILTER_BATCH = SCRATCH_WORDS  # chunks moved together in one parallel step
 
 
-def filter_kway(a: np.ndarray, pred, n: int | None = None) -> int:
+def filter_kway(a: np.ndarray, pred) -> int:
     """Stable in-place filter: kept elements end up in a[0:m); returns m.
 
     Splits the array into ~sqrt(n) chunks handled one batch at a time; all
@@ -275,7 +266,7 @@ def filter_kway(a: np.ndarray, pred, n: int | None = None) -> int:
     in one parallel step.
     """
     as_words(a)
-    n = len(a) if n is None else n
+    n = len(a)
     if n == 0:
         return 0
     k = math.isqrt(n)
@@ -361,41 +352,20 @@ def _swap_ranges(a: np.ndarray, p: int, q: int, cnt: int) -> None:
         i = j
 
 
-def _partition_range(a: np.ndarray, lo: int, hi: int, pred) -> int:
-    """Unstable in-place partition of a[lo:hi); returns count of true elements."""
-    w = lo
-    s = lo
-    while s < hi:
-        e = min(s + SCRATCH_WORDS, hi)
-        t = _block_partition(a, s, e, pred)
-        if t:
-            if w + t <= s:
-                _swap_ranges(a, w, s, t)
-            elif w < s:
-                rotate(a[w:s + t], s - w)
-            w += t
-        s = e
-    return w - lo
+def partition_unstable(a: np.ndarray, pred) -> int:
+    """Unstable partition: pred-true elements first, multiset preserved.
 
-
-def partition_unstable(a: np.ndarray, pred, n: int | None = None) -> int:
-    """Unstable partition: pred-true elements first, multiset preserved."""
+    Each scratch block is partitioned on its own, then its true-prefix is
+    folded leftward: swapped past the false run when they are disjoint,
+    rotated in otherwise (the rotation spans under two blocks).
+    """
     as_words(a)
-    n = len(a) if n is None else n
-    if n == 0:
-        return 0
-    k = math.isqrt(n)
-    if k * k < n:
-        k += 1
-    chunk = max((n + k - 1) // k, SCRATCH_WORDS)
-
-    # chunks partitioned with intra-chunk parallelism is pointless below a
-    # chunk's size; partition each chunk, then fold its true-prefix leftward
+    n = len(a)
     m = 0
     s = 0
     while s < n:
-        e = min(s + chunk, n)
-        t = _partition_range(a, s, e, pred)
+        e = min(s + SCRATCH_WORDS, n)
+        t = _block_partition(a, s, e, pred)
         if t:
             if m + t <= s:
                 _swap_ranges(a, m, s, t)
@@ -406,26 +376,28 @@ def partition_unstable(a: np.ndarray, pred, n: int | None = None) -> int:
     return m
 
 
-def quicksort_strong(a: np.ndarray, rng) -> None:
-    """In-place quicksort over unstable partition with random pivots.
+def _quicksort(a: np.ndarray, rng, partition, base: int) -> None:
+    """Quicksort shared by both space models.
 
-    Recursion depth is capped at 4*log2(n); a segment exceeding the cap
-    restarts with a fresh pivot stream.
+    ``partition(seg, pred)`` moves seg's pred-true elements first and returns
+    their count; segments of at most ``base`` words are sorted directly.  The
+    smaller side recurses and the larger one loops, so the recursion depth is
+    at most log2(n).  After 4*log2(n) partitions on one path the pivot
+    stream restarts, which bounds a path against a run of bad pivots.
     """
-    as_words(a)
     n = len(a)
     if n < 2:
         return
     limit = 4 * max(1, math.ceil(math.log2(n)))
 
     def sort_segment(lo: int, hi: int, depth: int, attempt: int) -> None:
-        while hi - lo > SORT_BASE:
+        while hi - lo > base:
             if depth > limit:
                 attempt += 1
                 depth = 0
             pv = int(a[lo + rng.word(((lo << 21) ^ hi) + attempt * 0x9E37) % (hi - lo)])
-            less = partition_unstable(a[lo:hi], lambda b: b < WORD(pv))
-            equal = partition_unstable(a[lo + less:hi], lambda b: b == WORD(pv))
+            less = partition(a[lo:hi], lambda b: b < WORD(pv))
+            equal = partition(a[lo + less:hi], lambda b: b == WORD(pv))
             left_hi = lo + less
             right_lo = lo + less + equal
             depth += 1
@@ -441,6 +413,16 @@ def quicksort_strong(a: np.ndarray, rng) -> None:
             a[lo:hi].sort()
 
     sort_segment(0, n, 0, 0)
+
+
+def quicksort_strong(a: np.ndarray, rng) -> None:
+    """In-place quicksort over unstable partition with random pivots.
+
+    Recursion depth is at most log2(n) (the smaller side recurses); after
+    4*log2(n) partitions on one path the pivot stream restarts.
+    """
+    as_words(a)
+    _quicksort(a, rng, partition_unstable, SORT_BASE)
 
 
 # ---------------------------------------------------------------------------
@@ -510,19 +492,27 @@ def merge_strong(a: np.ndarray, split: int, debug: bool = False) -> None:
     rec(0, split, n)
 
 
-def mergesort_strong(a: np.ndarray) -> None:
-    """Mergesort over merge_strong (O(n log^2 n) work, not work-efficient)."""
-    as_words(a)
+def _mergesort(a: np.ndarray, merge, base: int) -> None:
+    """Mergesort shared by both space models: ``merge(seg, split)`` merges
+    seg's two sorted runs in place; segments of at most ``base`` words are
+    sorted directly.  Siblings fork through fork_join, which runs them in
+    order, so one merge's scratch is live at a time."""
 
     def rec(lo: int, hi: int) -> None:
-        if hi - lo <= SORT_BASE:
+        if hi - lo <= base:
             a[lo:hi].sort()
             return
         mid = lo + (hi - lo) // 2
         fork_join(lambda: rec(lo, mid), lambda: rec(mid, hi))
-        merge_strong(a[lo:hi], mid - lo)
+        merge(a[lo:hi], mid - lo)
 
     rec(0, len(a))
+
+
+def mergesort_strong(a: np.ndarray) -> None:
+    """Mergesort over merge_strong (O(n log^2 n) work, not work-efficient)."""
+    as_words(a)
+    _mergesort(a, merge_strong, SORT_BASE)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from pipal import runtime
@@ -13,6 +12,3 @@ def single_thread_default():
     yield
     runtime.set_num_threads(1)
 
-
-def random_words(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.integers(0, 1 << 64, size=n, dtype=np.uint64)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,48 @@ def test_quicksort_relaxed_partitions_in_top_level_rounds(seed):
         assert 1 <= last <= b
     total = sum(stats.rounds for stats in sink)
     assert total <= 4 * (n // b) * int(np.log2(n // b))
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+class _FirstPivotRng:
+    """Draws 0 every time, so each pivot is its segment's first word, and
+    records the Python stack depth at each draw."""
+
+    def __init__(self):
+        self.depths = []
+
+    def word(self, i):
+        self.depths.append(_stack_depth())
+        return 0
+
+
+@pytest.mark.parametrize("model", ["strong", "relaxed"])
+def test_worst_case_pivots_keep_shared_quicksort_shallow(model):
+    n = 1 << 10
+    log2n = 10
+    a = np.sort(rand_words(31, n))
+    ref = a.copy()
+    rng = _FirstPivotRng()
+    cfg = PURE(0.5)
+    b = cfg.prefix_words(n)
+    meter = SpaceMeter()
+    entry = _stack_depth()
+    if model == "strong":
+        report = meter_scope(meter, 0, lambda: strong.quicksort_strong(a, rng))
+    else:
+        report = meter_scope(meter, b, lambda: quicksort_relaxed(a, rng, cfg))
+    assert np.array_equal(a, ref)
+    assert report.peak_words <= (0 if model == "strong" else b)
+    # every partition peels one word off one path, so the path passes the
+    # 4*log2(n) partition limit and the pivot stream restarts
+    assert len(rng.depths) > 4 * log2n + 1
+    assert max(rng.depths) - entry <= 4 * log2n
 
 
 # ---------------------------------------------------------------------------

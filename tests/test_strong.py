@@ -339,13 +339,13 @@ def test_strong_ops_deterministic_across_threads(threads):
     set_num_threads(threads)
     a = rand_words(77, 30_000)
     res = strong.scan(a)
-    m = strong.filter_kway(a, EVEN, n=len(a))
+    m = strong.filter_kway(a, EVEN)
     strong.quicksort_strong(a, Rng(9))
     state = (res.total, m, a.tolist())
 
     set_num_threads(1)
     b = rand_words(77, 30_000)
     res2 = strong.scan(b)
-    m2 = strong.filter_kway(b, EVEN, n=len(b))
+    m2 = strong.filter_kway(b, EVEN)
     strong.quicksort_strong(b, Rng(9))
     assert state == (res2.total, m2, b.tolist())
