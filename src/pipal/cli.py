@@ -282,28 +282,14 @@ def _make_run(cfg: BenchConfig, data) -> _Run:
         return _Run(lambda: state.__setitem__("m", fn(a, split)),
                     lambda: a[:state["m"]].tolist() == sorted(ref))
 
-    if algo == "rp":
+    if algo in ("rp", "rp-fullres"):
         h = data
         a = np.arange(len(h), dtype=WORD)
         state = {}
 
         def body():
-            state["stats"] = relaxed.random_permutation(a, h, budget=budget)
-
-        def verify():
-            ref = np.arange(len(h), dtype=WORD)
-            bl.seq_knuth_shuffle(ref, h)
-            return np.array_equal(a, ref)
-
-        return _Run(body, verify, lambda: state["stats"].rounds)
-
-    if algo == "rp-fullres":
-        h = data
-        a = np.arange(len(h), dtype=WORD)
-        state = {}
-
-        def body():
-            state["rounds"] = bl.fullres_shuffle(a, h)
+            state["rounds"] = (relaxed.random_permutation(a, h, budget=budget).rounds
+                               if algo == "rp" else bl.fullres_shuffle(a, h))
 
         def verify():
             ref = np.arange(len(h), dtype=WORD)

@@ -175,7 +175,8 @@ def _active(ids: np.ndarray, nbr: np.ndarray) -> np.ndarray:
 class _ListClient:
     """Plain contraction: live links stay mutually inverse pointers."""
 
-    def __init__(self, lst: LinkedList, p: np.ndarray, prefix: int, on_splice):
+    def __init__(self, lst: LinkedList, p: np.ndarray, prefix: int,
+                 on_splice=None):
         self.nxt = lst.next
         self.prv = lst.prev
         self.p = p
@@ -185,11 +186,14 @@ class _ListClient:
     def release(self) -> None:
         release(self.elig)
 
+    def _pred(self, ids: np.ndarray) -> np.ndarray:
+        return self.prv[ids]
+
     def reserve(self, view) -> None:
         ids = view.ids
         pv = self.p[ids]
         ok = np.ones(len(ids), dtype=bool)
-        for nbr in (self.nxt[ids], self.prv[ids]):
+        for nbr in (self.nxt[ids], self._pred(ids)):
             m = _active(ids, nbr)
             ok[m] &= pv[m] < self.p[nbr[m]]
         self.elig[:len(ids)] = ok
@@ -212,26 +216,11 @@ class _ListClient:
         pass
 
 
-class _RankClient:
+class _RankClient(_ListClient):
     """Weighted contraction: prev packs (pointer, incoming distance)."""
 
-    def __init__(self, lst: LinkedList, p: np.ndarray, prefix: int):
-        self.nxt = lst.next
-        self.prv = lst.prev
-        self.p = p
-        self.elig = alloc_bool(prefix)
-
-    def release(self) -> None:
-        release(self.elig)
-
-    def reserve(self, view) -> None:
-        ids = view.ids
-        pv = self.p[ids]
-        ok = np.ones(len(ids), dtype=bool)
-        for nbr in (self.nxt[ids], self.prv[ids] >> WORD(32)):
-            m = _active(ids, nbr)
-            ok[m] &= pv[m] < self.p[nbr[m]]
-        self.elig[:len(ids)] = ok
+    def _pred(self, ids: np.ndarray) -> np.ndarray:
+        return self.prv[ids] >> WORD(32)
 
     def commit(self, view) -> None:
         c = self.elig[:len(view.ids)]
@@ -250,9 +239,6 @@ class _RankClient:
         # dead slots: (parent, distance to parent)
         self.nxt[v] = np.where(um, u, _NILW)
         self.prv[v] = w_uv
-
-    def clean(self, view) -> None:
-        pass
 
 
 def list_contract(lst: LinkedList, p: np.ndarray,

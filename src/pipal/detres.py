@@ -1,9 +1,14 @@
-"""Deterministic-reservations round engine and write-max reservation table.
+"""The round driver, the deterministic-reservations engine and the write-max
+reservation table.
 
-Rounds proceed over a packed prefix of pending iterates: reserve phase,
-barrier, commit phase, barrier, cleaning phase, then failure packing and
-prefix refill.  Phase callbacks receive the whole active prefix at once and
-operate on it with array operations; write-max claims go through
+:func:`decompose_driver` is the one round loop behind every relaxed
+algorithm: it retires a budget-sized prefix per round until nothing is
+left, and raises :class:`LivelockError` after :data:`LIVELOCK_ROUNDS`
+rounds in a row that retire nothing.  :func:`run_rounds` is one step of
+that loop over a packed prefix of pending iterates: refill from the id
+source, reserve phase, barrier, commit phase, barrier, cleaning phase, then
+failure packing.  Phase callbacks receive the whole active prefix at once
+and operate on it with array operations; write-max claims go through
 :class:`ReservationTable`, whose batch updates are linearizable per key by
 construction, so results are independent of thread count.
 """
@@ -24,8 +29,8 @@ from .runtime import (
     release,
 )
 
-__all__ = ["ReservationTable", "RoundStats", "RoundView", "run_rounds",
-           "LivelockError", "arange_source"]
+__all__ = ["ReservationTable", "RoundStats", "RoundView", "decompose_driver",
+           "run_rounds", "LIVELOCK_ROUNDS", "LivelockError", "arange_source"]
 
 LIVELOCK_ROUNDS = 64
 
@@ -238,13 +243,47 @@ def arange_source(n: int):
     return source
 
 
+def decompose_driver(n: int, budget_words: int, step) -> RoundStats:
+    """Run ``step(count_hint) -> retired`` rounds until all ``n`` are retired.
+
+    This is the one round loop: every round retires part of a budget-sized
+    prefix (``count_hint`` is ``min(budget_words, remaining)``).  It raises
+    :class:`LivelockError` after :data:`LIVELOCK_ROUNDS` consecutive rounds
+    that retire nothing, and ``RuntimeError`` if the steps retire more than
+    ``n`` in total.
+    """
+    if budget_words < 1:
+        raise ValueError("budget must be >= 1")
+    stats = RoundStats()
+    remaining = n
+    zero_rounds = 0
+    while remaining > 0:
+        done = int(step(min(budget_words, remaining)))
+        stats.rounds += 1
+        stats.committed_per_round.append(done)
+        if done <= 0:
+            zero_rounds += 1
+            if zero_rounds >= LIVELOCK_ROUNDS:
+                raise LivelockError(
+                    f"no iterate retired for {LIVELOCK_ROUNDS} rounds "
+                    f"({remaining} remain); the step cannot make progress")
+        else:
+            zero_rounds = 0
+        remaining -= done
+    if remaining < 0:
+        raise RuntimeError(f"steps retired {n - remaining} of {n} iterates")
+    return stats
+
+
 def run_rounds(n_iterates: int, prefix_size: int, reserve, commit, clean,
                id_source=None, trace: list | None = None) -> RoundStats:
     """Drive reserve/commit/clean rounds until all iterates are retired.
 
     ``reserve``/``clean`` receive a :class:`RoundView`; ``commit`` must fill
     ``view.committed`` for the active prefix.  Failures are packed in order
-    and the prefix is refilled from ``id_source`` (default: ascending ids).
+    and the prefix is refilled from ``id_source`` (default: ascending ids),
+    which must yield exactly ``n_iterates`` ids, each committing once;
+    ``RuntimeError`` reports a source that yields too few or too many.
     """
     if prefix_size < 1:
         raise ValueError("prefix size must be >= 1")
@@ -253,38 +292,34 @@ def run_rounds(n_iterates: int, prefix_size: int, reserve, commit, clean,
 
     ids = alloc(prefix)
     committed = alloc_bool(prefix)
-    stats = RoundStats()
+    state = {"fill": 0, "round": 0}
+
+    def step(_hint: int) -> int:
+        fill = state["fill"]
+        fresh = source(prefix - fill)
+        if len(fresh):
+            ids[fill:fill + len(fresh)] = fresh
+            fill += len(fresh)
+        if fill == 0:
+            raise RuntimeError("id source ran dry before every iterate "
+                               "committed")
+        view = RoundView(ids=ids[:fill], committed=committed[:fill],
+                         round_index=state["round"])
+        view.committed[:] = False
+        reserve(view)
+        commit(view)
+        clean(view)
+        if trace is not None:
+            trace.append(view.ids[view.committed].copy())
+        state["round"] += 1
+        state["fill"] = compact_by_mask(ids, lambda s, e: ~committed[s:e], 0, fill)
+        return fill - state["fill"]
+
     try:
-        fill = 0
-        zero_rounds = 0
-        while True:
-            fresh = source(prefix - fill)
-            if len(fresh):
-                ids[fill:fill + len(fresh)] = fresh
-                fill += len(fresh)
-            if fill == 0:
-                break
-            view = RoundView(ids=ids[:fill], committed=committed[:fill],
-                             round_index=stats.rounds)
-            view.committed[:] = False
-            reserve(view)
-            commit(view)
-            clean(view)
-            ncommit = int(np.count_nonzero(view.committed))
-            stats.rounds += 1
-            stats.committed_per_round.append(ncommit)
-            if trace is not None:
-                trace.append(view.ids[view.committed].copy())
-            if ncommit == 0:
-                zero_rounds += 1
-                if zero_rounds >= LIVELOCK_ROUNDS:
-                    raise LivelockError(
-                        f"no iterate committed for {LIVELOCK_ROUNDS} rounds "
-                        f"({fill} active); the client's commit rule cannot "
-                        "make progress")
-            else:
-                zero_rounds = 0
-                fill = compact_by_mask(ids, lambda s, e: ~committed[s:e], 0, fill)
+        stats = decompose_driver(n_iterates, prefix, step)
+        if state["fill"] or len(source(1)):
+            raise RuntimeError(f"id source yielded more than {n_iterates} "
+                               "iterates")
     finally:
         release(committed)
         release(ids)

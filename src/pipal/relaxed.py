@@ -4,8 +4,9 @@ Each operation takes an :class:`~pipal.runtime.EpsilonConfig` budget and
 keeps its charged auxiliary footprint within a small constant times
 ``budget.prefix_words(n)``.  Random permutation runs on the deterministic
 reservations engine with one target-keyed reservation table; filter,
-partition and quicksort retire one budget-sized prefix per round; merging
-works on budget-sized chunks.
+partition and quicksort retire one budget-sized prefix per round.  All of
+them run on :func:`pipal.detres.decompose_driver`, the one round loop, with
+its one livelock rule; merging works on budget-sized chunks.
 """
 
 from __future__ import annotations
@@ -13,10 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from .detres import (
-    LIVELOCK_ROUNDS,
-    LivelockError,
     ReservationTable,
     RoundStats,
+    decompose_driver,
     run_rounds,
 )
 from .runtime import (
@@ -181,34 +181,6 @@ def random_permutation(a: np.ndarray, h: np.ndarray, variant: str = "final",
     finally:
         client.release()
     stats.peak_table_load = client.rtable.peak_load
-    return stats
-
-
-# ---------------------------------------------------------------------------
-# Decomposable-property driver
-
-def decompose_driver(n: int, budget_words: int, step,
-                     trace: list | None = None) -> RoundStats:
-    """Iterate ``step(count_hint) -> retired`` until the problem is empty."""
-    if budget_words < 1:
-        raise ValueError("budget must be >= 1")
-    stats = RoundStats()
-    remaining = n
-    zero_rounds = 0
-    while remaining > 0:
-        done = int(step(min(budget_words, remaining)))
-        stats.rounds += 1
-        stats.committed_per_round.append(done)
-        if trace is not None:
-            trace.append(done)
-        if done <= 0:
-            zero_rounds += 1
-            if zero_rounds >= LIVELOCK_ROUNDS:
-                raise LivelockError(
-                    f"step retired nothing for {LIVELOCK_ROUNDS} rounds")
-        else:
-            zero_rounds = 0
-        remaining -= done
     return stats
 
 

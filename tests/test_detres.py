@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -159,7 +161,6 @@ def test_conservation_and_packing_order():
     def commit(view):
         ids = view.ids
         # commit only even ids on their first try; everything on retry
-        first_try = ids >= np.uint64(len(seen_rounds) * 0)  # always true
         ok = (ids % np.uint64(2) == 0) | retried[ids]
         view.committed[:] = ok
         seen.extend(ids[ok].tolist())
@@ -169,7 +170,6 @@ def test_conservation_and_packing_order():
         # packed order respected: active prefix must be ascending
         assert np.all(np.diff(view.ids.astype(np.int64)) > 0)
 
-    seen_rounds: list[int] = []
     retried = np.zeros(n, dtype=bool)
     stats = run_rounds(n, 128, reserve, commit, clean)
     assert sorted(seen) == list(range(n))
@@ -202,3 +202,17 @@ def test_trace_collects_committed_ids():
     run_rounds(9, 9, other, commit, other, trace=trace)
     assert sorted(trace[0].tolist()) == [1, 2, 4, 5, 7, 8]
     assert sorted(trace[1].tolist()) == [0, 3, 6]
+
+
+@pytest.mark.parametrize("yielded", [list(range(5)), list(range(10)) + [3]],
+                         ids=["short", "surplus"])
+def test_source_must_yield_exactly_n_iterates(yielded):
+    pending = iter(yielded)
+
+    def source(count):
+        return np.fromiter(itertools.islice(pending, count), dtype=np.uint64)
+
+    r, c, cl = _client_all_succeed()
+    with pytest.raises(RuntimeError) as err:
+        run_rounds(10, 5, r, c, cl, id_source=source)
+    assert not isinstance(err.value, LivelockError)

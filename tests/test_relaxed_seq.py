@@ -59,6 +59,11 @@ def test_driver_livelock_guard():
         decompose_driver(5, 2, lambda hint: 0)
 
 
+def test_driver_rejects_retiring_more_than_remains():
+    with pytest.raises(RuntimeError, match="retired 6 of 5"):
+        decompose_driver(5, 2, lambda hint: 3)
+
+
 # ---------------------------------------------------------------------------
 # filter / partition / quicksort
 
