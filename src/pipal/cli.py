@@ -314,7 +314,7 @@ def _make_run(cfg: BenchConfig, data) -> _Run:
         return _Run(lambda: state.__setitem__(
                         "r", list_rank(lst, p, budget, stats_sink=state["s"])),
                     lambda: np.array_equal(state["r"], ref),
-                    lambda: state["s"][0].rounds)
+                    lambda: sum(s.rounds for s in state["s"]))
 
     if algo == "tree-contract":
         tree = BinaryTree(data.parent.copy(), data.left.copy(), data.right.copy())

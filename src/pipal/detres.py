@@ -10,7 +10,9 @@ source, reserve phase, barrier, commit phase, barrier, cleaning phase, then
 failure packing.  Phase callbacks receive the whole active prefix at once
 and operate on it with array operations; write-max claims go through
 :class:`ReservationTable`, whose batch updates are linearizable per key by
-construction, so results are independent of thread count.
+construction, so results are independent of thread count.  The table holds
+exactly the slots it is sized for, and one probe walker serves its
+reservations, lookups and deletions.
 """
 
 from __future__ import annotations
@@ -45,22 +47,24 @@ class LivelockError(RuntimeError):
 class ReservationTable:
     """Open-addressed, linear-probed word->word map with write-max semantics.
 
-    Capacity is rounded up to a power of two; the caller must keep the load
-    factor at or below one half (the engine pre-sizes tables so that a
-    round's keys always fit).  Batch updates apply, per key, the maximum of
-    all written values, which is exactly the effect of concurrent
-    compare-and-swap max loops.
+    The table holds exactly ``max(capacity, MIN_CAPACITY)`` slots (below
+    2^32).  A key's home slot is its 32-bit Fibonacci hash scaled to the
+    capacity by multiply-shift, ``(h * capacity) >> 32`` (Lemire, ACM TOMACS
+    2019), and probes wrap by compare, so no capacity is rounded up.  The
+    caller must keep the load factor at or below one half (the engine
+    pre-sizes tables so that a round's keys always fit).  Batch updates
+    apply, per key, the maximum of the stored and all written values, which
+    is exactly the effect of concurrent compare-and-swap max loops.
     """
 
     MIN_CAPACITY = 8
 
     def __init__(self, capacity: int) -> None:
-        cap = self.MIN_CAPACITY
-        while cap < capacity:
-            cap <<= 1
+        cap = max(int(capacity), self.MIN_CAPACITY)
+        if cap >= 1 << 32:
+            raise ValueError(f"reservation table capacity {cap} must be "
+                             "below 2^32")
         self.capacity = cap
-        self._mask = WORD(cap - 1)
-        self._shift = WORD(64 - cap.bit_length() + 1)
         self.keys = alloc(cap, fill=NIL)
         self.vals = alloc(cap)
         self.count = 0
@@ -70,101 +74,62 @@ class ReservationTable:
         release(self.keys)
         release(self.vals)
 
-    def _home(self, keys: np.ndarray) -> np.ndarray:
-        return (keys * WORD(GOLDEN)) >> self._shift
-
-    def _note_load(self) -> None:
-        load = self.count / self.capacity
-        if load > self.peak_load:
-            self.peak_load = load
-        if 2 * self.count > self.capacity:
-            raise RuntimeError("reservation table overfull; presize the table")
-
-    def reserve_max(self, keys: np.ndarray, values: np.ndarray,
-                    values_max_first: bool = False) -> None:
-        """Per key, set slot value to the max of existing and written values.
-
-        ``values_max_first`` is a caller promise that duplicate keys carry
-        their maximum value at the earliest position (true when values
-        arrive in descending order), which saves a sort key.
-        """
-        if len(keys) == 0:
-            return
-        if values_max_first:
-            order = np.argsort(keys, kind="stable")
-            ks = keys[order]
-            vs = values[order]
-            pick = np.empty(len(ks), dtype=bool)
-            pick[0] = True
-            pick[1:] = ks[1:] != ks[:-1]
-        else:
-            order = np.lexsort((values, keys))
-            ks = keys[order]
-            vs = values[order]
-            pick = np.empty(len(ks), dtype=bool)
-            pick[:-1] = ks[1:] != ks[:-1]
-            pick[-1] = True
-        uk = ks[pick]
-        uv = vs[pick]
-
-        slot = self._home(uk)
+    def _probe(self, keys: np.ndarray, slot: np.ndarray | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """Walk each key from its home slot (or from ``slot``, which is
+        advanced in place) to the key or to the first empty slot; return
+        (slot, found)."""
+        cap = WORD(self.capacity)
+        if slot is None:
+            slot = (((keys * WORD(GOLDEN)) >> WORD(32)) * cap) >> WORD(32)
+        cur = self.keys[slot]
+        pending = np.flatnonzero((cur != keys) & (cur != WORD(NIL)))
         steps = 0
-        while True:
-            empty = self.keys[slot] == WORD(NIL)
-            if empty.any():
-                # claim by write-min on the key word itself: the empty
-                # sentinel is the maximum word, so contending distinct keys
-                # resolve to the smallest, deterministically
-                es = slot[empty]
-                np.minimum.at(self.keys, es, uk[empty])
-                won = self.keys[es] == uk[empty]
-                ws = es[won]
-                self.vals[ws] = uv[empty][won]
-                self.count += len(ws)
-                self._note_load()
-            hit = self.keys[slot] == uk
-            hs = slot[hit]
-            self.vals[hs] = np.maximum(self.vals[hs], uv[hit])
-            if hit.all():
-                return
-            miss = ~hit
-            uk = uk[miss]
-            uv = uv[miss]
-            slot = (slot[miss] + WORD(1)) & self._mask
+        while len(pending):
             steps += 1
             if steps > self.capacity:
                 raise RuntimeError("reservation table probe overflow")
+            ps = slot[pending]
+            ps += WORD(1)
+            ps[ps == cap] = 0
+            slot[pending] = ps
+            cur = self.keys[ps]
+            pending = pending[(cur != keys[pending]) & (cur != WORD(NIL))]
+        return slot, self.keys[slot] == keys
+
+    def reserve_max(self, keys: np.ndarray, values: np.ndarray) -> None:
+        """Per key, set the slot value to the max of the stored and written
+        values.
+
+        Each pass probes the keys; keys that stopped on an empty slot claim
+        it by write-min on the key word (the empty sentinel is the maximum
+        word, so contending distinct keys resolve to the smallest,
+        deterministically) and the claimed slots' values start at zero.
+        Every key now at its own slot writes its value by write-max; the
+        losers probe on from the slot where they stopped.
+        """
+        slot = None
+        while len(keys):
+            slot, found = self._probe(keys, slot)
+            empty = ~found
+            if empty.any():
+                claim = slot[empty]
+                np.minimum.at(self.keys, claim, keys[empty])
+                self.vals[claim] = 0
+                self.count = int(np.count_nonzero(self.keys != WORD(NIL)))
+                self.peak_load = max(self.peak_load, self.count / self.capacity)
+                if 2 * self.count > self.capacity:
+                    raise RuntimeError("reservation table overfull; "
+                                       "presize the table")
+            own = self.keys[slot] == keys
+            np.maximum.at(self.vals, slot[own], values[own])
+            lost = ~own
+            keys, values, slot = keys[lost], values[lost], slot[lost]
 
     def lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Return (values, found) for a batch of keys; absent keys get NIL."""
-        out = np.full(len(keys), NIL, dtype=WORD)
-        found = np.zeros(len(keys), dtype=bool)
-        if len(keys) == 0 or self.count == 0:
-            return out, found
-        slot = self._home(keys)
-        cur = self.keys[slot]
-        hit = cur == keys
-        if hit.any():
-            out[hit] = self.vals[slot[hit]]
-            found[hit] = True
-        pending = np.flatnonzero(~(hit | (cur == WORD(NIL))))
-        pslot = slot[pending]
-        steps = 0
-        while len(pending):
-            pslot = (pslot + WORD(1)) & self._mask
-            cur = self.keys[pslot]
-            hit = cur == keys[pending]
-            if hit.any():
-                idx = pending[hit]
-                out[idx] = self.vals[pslot[hit]]
-                found[idx] = True
-            live = ~(hit | (cur == WORD(NIL)))
-            pending = pending[live]
-            pslot = pslot[live]
-            steps += 1
-            if steps > self.capacity:
-                raise RuntimeError("reservation table probe overflow")
-        return out, found
+        slot, found = self._probe(keys)
+        return np.where(found, self.vals[slot], WORD(NIL)), found
 
     def delete(self, keys: np.ndarray) -> None:
         """Clear the given keys' slots.
@@ -172,39 +137,13 @@ class ReservationTable:
         Only valid as part of a cleaning phase that removes every key
         inserted since the last clear, so probe chains need not be repaired.
         """
-        if len(keys) == 0 or self.count == 0:
-            return
-        slot = self._home(keys)
-        located: list[np.ndarray] = []
-        steps = 0
-        pend_keys = keys
-        while len(pend_keys):
-            cur = self.keys[slot]
-            hit = cur == pend_keys
-            if hit.any():
-                located.append(slot[hit])
-            live = ~(hit | (cur == WORD(NIL)))
-            pend_keys = pend_keys[live]
-            slot = (slot[live] + WORD(1)) & self._mask
-            steps += 1
-            if steps > self.capacity:
-                raise RuntimeError("reservation table probe overflow")
-        if located:
-            slots = np.unique(np.concatenate(located))
-            self.keys[slots] = WORD(NIL)
-            self.count -= len(slots)
+        slot, found = self._probe(keys)
+        self.keys[slot[found]] = WORD(NIL)
+        self.count = int(np.count_nonzero(self.keys != WORD(NIL)))
 
     def clear(self) -> None:
         self.keys.fill(NIL)
         self.count = 0
-
-    # scalar conveniences
-    def put_max(self, key: int, value: int) -> None:
-        self.reserve_max(np.array([key], dtype=WORD), np.array([value], dtype=WORD))
-
-    def get(self, key: int) -> int | None:
-        vals, found = self.lookup(np.array([key], dtype=WORD))
-        return int(vals[0]) if found[0] else None
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from .detres import (
     run_rounds,
 )
 from .runtime import (
-    NIL,
     SCRATCH_WORDS,
     WORD,
     EpsilonConfig,
@@ -96,9 +95,7 @@ class _RpClient:
     after each round.
     """
 
-    def __init__(self, a: np.ndarray, h: np.ndarray, prefix: int,
-                 debug_sweep: bool = False):
-        self.debug_sweep = debug_sweep
+    def __init__(self, a: np.ndarray, h: np.ndarray, prefix: int):
         self.a = a
         self.h = h
         self.rtable = ReservationTable(2 * prefix)
@@ -129,7 +126,7 @@ class _RpClient:
         ids = view.ids
         hv = self.hcache[:len(ids)]
         np.take(self.h, ids, out=hv)
-        self.rtable.reserve_max(hv, ids, values_max_first=True)
+        self.rtable.reserve_max(hv, ids)
 
     def commit(self, view) -> None:
         ids = view.ids
@@ -147,16 +144,11 @@ class _RpClient:
 
     def clean(self, view) -> None:
         self.rtable.clear()
-        if self.debug_sweep:
-            # every slot touched this round must read as empty again
-            assert self.rtable.count == 0
-            assert bool(np.all(self.rtable.keys == WORD(NIL)))
 
 
 def random_permutation(a: np.ndarray, h: np.ndarray, variant: str = "final",
                        budget: EpsilonConfig = DEFAULT_BUDGET,
-                       trace: list | None = None,
-                       debug: bool = False) -> RoundStats:
+                       trace: list | None = None) -> RoundStats:
     """Apply the swap sequence in parallel rounds, in place.
 
     The output equals the sequential shuffle with the same ``h``: rounds
@@ -174,7 +166,7 @@ def random_permutation(a: np.ndarray, h: np.ndarray, variant: str = "final",
     if n_iterates == 0:
         return RoundStats()
 
-    client = _RpClient(a, h, prefix, debug_sweep=debug)
+    client = _RpClient(a, h, prefix)
     try:
         stats = run_rounds(n_iterates, prefix, client.reserve, client.commit,
                            client.clean, id_source=client.next_ids, trace=trace)

@@ -12,7 +12,7 @@ from pipal.detres import (
     ReservationTable,
     run_rounds,
 )
-from pipal.runtime import NIL, SpaceMeter, WORD, metered
+from pipal.runtime import GOLDEN, SpaceMeter, metered
 
 
 def words(vals):
@@ -22,21 +22,26 @@ def words(vals):
 # ---------------------------------------------------------------------------
 # ReservationTable
 
+def get(t, key):
+    vals, found = t.lookup(words([key]))
+    return int(vals[0]) if found[0] else None
+
+
 def test_put_then_get():
     t = ReservationTable(16)
-    t.put_max(3, 7)
-    assert t.get(3) == 7
-    assert t.get(4) is None
+    t.reserve_max(words([3]), words([7]))
+    assert get(t, 3) == 7
+    assert get(t, 4) is None
 
 
 def test_max_semantics_batched_duplicates():
     t = ReservationTable(16)
     t.reserve_max(words([5, 5, 5]), words([3, 9, 5]))
-    assert t.get(5) == 9
-    t.put_max(5, 4)
-    assert t.get(5) == 9
-    t.put_max(5, 11)
-    assert t.get(5) == 11
+    assert get(t, 5) == 9
+    t.reserve_max(words([5]), words([4]))
+    assert get(t, 5) == 9
+    t.reserve_max(words([5]), words([11]))
+    assert get(t, 5) == 11
 
 
 def test_table_matches_sequential_max_map():
@@ -47,15 +52,17 @@ def test_table_matches_sequential_max_map():
     for k, v in zip(keys.tolist(), vals.tolist()):
         ref[k] = max(ref.get(k, 0), v)
 
-    t = ReservationTable(2048)
-    for s in range(0, 10_000, 700):  # several batches, arbitrary cuts
-        t.reserve_max(keys[s:s + 700], vals[s:s + 700])
-    got, found = t.lookup(np.arange(500, dtype=np.uint64))
-    for k in range(500):
-        if k in ref:
-            assert found[k] and int(got[k]) == ref[k]
-        else:
-            assert not found[k]
+    for capacity in (2048, 1000, 41942):  # exact sizes, not rounded up
+        t = ReservationTable(capacity)
+        assert t.capacity == capacity
+        for s in range(0, 10_000, 700):  # several batches, arbitrary cuts
+            t.reserve_max(keys[s:s + 700], vals[s:s + 700])
+        got, found = t.lookup(np.arange(500, dtype=np.uint64))
+        for k in range(500):
+            if k in ref:
+                assert found[k] and int(got[k]) == ref[k]
+            else:
+                assert not found[k]
 
 
 def test_load_factor_capped_at_half():
@@ -97,10 +104,11 @@ def test_clear_resets_all_slots():
     assert not found.any()
 
 
-@given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 1000)), max_size=200))
+@given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 1000)), max_size=200),
+       st.sampled_from([256, 100, 1000, 41942]))
 @settings(max_examples=80, deadline=None)
-def test_table_property_vs_dict(pairs):
-    t = ReservationTable(256)
+def test_table_property_vs_dict(pairs, capacity):
+    t = ReservationTable(capacity)
     ref: dict[int, int] = {}
     if pairs:
         ks = words([k for k, _ in pairs])
@@ -109,7 +117,29 @@ def test_table_property_vs_dict(pairs):
         for k, v in pairs:
             ref[k] = max(ref.get(k, 0), v)
     for k in range(41):
-        assert t.get(k) == ref.get(k)
+        assert get(t, k) == ref.get(k)
+
+
+def test_probe_wraps_past_the_last_slot():
+    t = ReservationTable(100)
+
+    def home(k):
+        return ((k * GOLDEN) % (1 << 64) >> 32) * t.capacity >> 32
+
+    last = [k for k in range(100_000) if home(k) == t.capacity - 1][:3]
+    t.reserve_max(words(last), words([10, 20, 30]))
+    # the first key stays home; the other two wrap to slots 0 and 1
+    assert t.keys[-1] == last[0]
+    assert t.keys[:2].tolist() == last[1:]
+    assert [get(t, k) for k in last] == [10, 20, 30]
+
+
+def test_capacity_beyond_32_bits_rejected_before_allocating():
+    meter = SpaceMeter()
+    with metered(meter):
+        with pytest.raises(ValueError, match="2\\^32"):
+            ReservationTable(1 << 32)
+    assert meter.peak_words == 0
 
 
 def test_table_charges_meter():

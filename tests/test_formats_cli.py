@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import pipal
 from pipal import cli, formats
@@ -199,3 +204,53 @@ def test_cli_malformed_input_is_one_line_usage_error(tmp_path, case):
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+
+
+_FUZZ_ALGOS = {"ints": ["rp", "scan"], "list": ["list-rank", "list-contract"],
+               "tree": ["tree-contract"], "graph": ["connectivity", "msf"]}
+_WRITERS = {"ints": formats.write_ints, "list": formats.write_list,
+            "tree": formats.write_tree, "graph": formats.write_graph}
+
+
+@st.composite
+def _mutated_input(draw):
+    """A valid small input file of one of the four formats, then flipped,
+    truncated or extended a few times."""
+    kind = draw(st.sampled_from(sorted(_WRITERS)))
+    n = draw(st.integers(1, 64))
+    data = generate_input("perm" if kind == "ints" else kind,
+                          (n - 1) | 1 if kind == "tree" else n,
+                          seed=draw(st.integers(1, 4)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "valid.bin"
+        _WRITERS[kind](path, data)
+        raw = bytearray(path.read_bytes())
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["flip", "truncate", "extend"]))
+        if op == "flip" and raw:
+            # past the magic when there is a body: truncation covers the
+            # magic, and flips there only ever read as an unknown kind
+            pos = draw(st.integers(8 if len(raw) > 8 else 0, len(raw) - 1))
+            raw[pos] ^= draw(st.integers(1, 255))
+        elif op == "truncate":
+            del raw[draw(st.integers(0, len(raw))):]
+        else:
+            raw += draw(st.binary(min_size=1, max_size=32))
+    return draw(st.sampled_from(_FUZZ_ALGOS[kind])), bytes(raw)
+
+
+@given(_mutated_input())
+@example(("list-rank", formats.MAGIC["list"] + struct.pack("<Q", 0)))  # empty list
+@settings(max_examples=120, deadline=None)
+def test_cli_mutated_input_fails_with_one_line(case):
+    algo, raw = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.bin"
+        path.write_bytes(raw)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["run", "--algo", algo, "--input", str(path),
+                             "--verify"])
+    assert code in (0, 1), err.getvalue()
+    if code == 1:
+        assert len(err.getvalue().strip().splitlines()) == 1, err.getvalue()

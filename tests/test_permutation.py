@@ -138,13 +138,19 @@ def test_traced_peak_is_sublinear():
     assert np.array_equal(a, seq_result(n, h))
 
 
-def test_debug_sweep_verifies_clean_slots():
-    n = 4000
-    h = make_swap_sequence(n, Rng(91))
-    for variant in RP_VARIANTS:
-        a = np.arange(n, dtype=np.uint64)
-        random_permutation(a, h, variant=variant, debug=True)
-        assert np.array_equal(a, seq_result(n, h))
+@pytest.mark.parametrize("n", [10**6, 1 << 20])
+def test_default_budget_charges_at_most_8b(n):
+    # the default budget has the 2% floor (b = 20000 at n = 10^6), where the
+    # table's 2b slots are not a power of two
+    budget = EpsilonConfig(0.5)
+    b = budget.prefix_words(n)
+    assert b == n // 50
+    h = make_swap_sequence(n, Rng(1))
+    a = np.arange(n, dtype=np.uint64)
+    meter = SpaceMeter()
+    report = meter_scope(meter, 8 * b, lambda: random_permutation(a, h, budget=budget))
+    assert report.peak_words <= 8 * b, report.peak_words / b
+    assert meter.current_words == 0
 
 
 def test_round_stats_conservation():
