@@ -387,6 +387,8 @@ ALGORITHMS = sorted(ALGO_KIND)
 
 
 def generate_input(kind: str, n: int, seed: int):
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     rng = Rng(seed)
     if kind == "ints":
         return gen_ints(n, rng)
@@ -504,6 +506,17 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _check_numbers(epsilons, prefix_frac: float, threads, reps: int) -> None:
+    """Raise ``ValueError`` for an out-of-range numeric option, through the
+    library's own checks (``run_bench`` sets the thread count again per row)."""
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
+    for eps in epsilons:
+        EpsilonConfig(eps, prefix_frac)
+    for t in threads:
+        set_num_threads(t)
+
+
 def _load_input(algo: str, path) -> object:
     kind = ALGO_KIND[algo]
     file_kind = formats.kind_of_path(path)
@@ -531,6 +544,12 @@ def _cmd_run(args) -> int:
     algo = _normalize_algo(args.algo)
     if algo not in ALGO_KIND:
         print(f"pipal run: unknown algorithm {args.algo!r}", file=sys.stderr)
+        return 1
+    try:
+        _check_numbers([args.epsilon], args.prefix_frac, [args.threads],
+                       args.reps)
+    except ValueError as exc:
+        print(f"pipal run: {exc}", file=sys.stderr)
         return 1
     try:
         data = _load_input(algo, args.input)
@@ -563,6 +582,11 @@ def _cmd_sweep(args) -> int:
     algo = _normalize_algo(args.algo)
     if algo not in ALGO_KIND:
         print(f"pipal sweep: unknown algorithm {args.algo!r}", file=sys.stderr)
+        return 1
+    try:
+        _check_numbers(args.epsilon, args.prefix_frac, args.threads, args.reps)
+    except ValueError as exc:
+        print(f"pipal sweep: {exc}", file=sys.stderr)
         return 1
     kind = ALGO_KIND[algo]
     failed = False

@@ -8,7 +8,9 @@ contraction forest needs no storage beyond the input links.
 List ranking runs a weighted variant: each live element's ``prev`` slot
 packs (predecessor pointer, incoming edge weight) as two 32-bit halves,
 which caps ranking inputs at 2^32 - 2 elements; a spliced element keeps
-(parent, distance) and ranks are distributed along the forest afterwards.
+(parent, distance), and ranks come from pointer doubling over that forest,
+rank(v) = dist(v) + rank(parent(v)) (Wyllie 1979).  The same pointer walk
+checks that list and tree inputs are free of cycles.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .runtime import (
     WORD,
     EpsilonConfig,
     alloc,
-    alloc_bool,
     as_words,
     release,
 )
@@ -38,7 +39,6 @@ DEFAULT_BUDGET = EpsilonConfig(epsilon=0.5)
 
 NIL32 = (1 << 32) - 1
 _NILW = WORD(NIL)
-_DONE = WORD(NIL - 1)  # ranking: "rank finalized" marker, never a node id
 
 
 @dataclass
@@ -111,7 +111,7 @@ def validate_linked_list(lst: LinkedList) -> None:
         raise ValueError("prev/next are not mutually inverse")
     # with inverse links the list is disjoint chains and cycles; a node is
     # on a chain exactly when walking prev reaches NIL
-    if not _links_reach_nil(prv):
+    if not _jump(prv.copy()):
         raise ValueError("list contains a cycle")
 
 
@@ -137,23 +137,29 @@ def validate_binary_tree(tree: BinaryTree) -> None:
         raise ValueError("child/parent links inconsistent")
     # with consistent links every node has one parent, so a node is
     # reachable from a root exactly when walking parent reaches NIL
-    if not _links_reach_nil(pa):
+    if not _jump(pa.copy()):
         raise ValueError("tree contains a cycle or unreachable nodes")
 
 
-def _links_reach_nil(up: np.ndarray) -> bool:
-    """Whether every node's ``up`` chain ends in NIL, by pointer doubling.
+def _jump(up: np.ndarray, dist: np.ndarray | None = None) -> bool:
+    """Pointer-double every ``up`` chain to NIL in place; return whether
+    every chain got there.
 
     A chain of at most n links reaches NIL within ceil(log2 n) + 1
-    doublings; a node still live after that lies on or above a cycle.
+    doublings; a node still live after that lies on or above a cycle.  With
+    ``dist``, each node adds the ``dist`` of the node it jumps to, so a node
+    that reaches NIL holds the sum of ``dist`` along its chain.
     """
-    jump = up.copy()
+    live = np.flatnonzero(up != _NILW)
     for _ in range(len(up).bit_length() + 1):
-        live = np.flatnonzero(jump != _NILW)
         if not len(live):
             return True
-        jump[live] = jump[jump[live]]
-    return not bool(np.any(jump != _NILW))
+        hop = up[live]
+        if dist is not None:
+            dist[live] += dist[hop]
+        up[live] = up[hop]
+        live = live[up[live] != _NILW]
+    return not len(live)
 
 
 # ---------------------------------------------------------------------------
@@ -175,16 +181,10 @@ def _active(ids: np.ndarray, nbr: np.ndarray) -> np.ndarray:
 class _ListClient:
     """Plain contraction: live links stay mutually inverse pointers."""
 
-    def __init__(self, lst: LinkedList, p: np.ndarray, prefix: int,
-                 on_splice=None):
+    def __init__(self, lst: LinkedList, p: np.ndarray):
         self.nxt = lst.next
         self.prv = lst.prev
         self.p = p
-        self.on_splice = on_splice
-        self.elig = alloc_bool(prefix)
-
-    def release(self) -> None:
-        release(self.elig)
 
     def _pred(self, ids: np.ndarray) -> np.ndarray:
         return self.prv[ids]
@@ -192,24 +192,20 @@ class _ListClient:
     def reserve(self, view) -> None:
         ids = view.ids
         pv = self.p[ids]
-        ok = np.ones(len(ids), dtype=bool)
+        ok = view.committed
+        ok[:] = True
         for nbr in (self.nxt[ids], self._pred(ids)):
             m = _active(ids, nbr)
             ok[m] &= pv[m] < self.p[nbr[m]]
-        self.elig[:len(ids)] = ok
 
     def commit(self, view) -> None:
-        c = self.elig[:len(view.ids)]
-        view.committed[:] = c
-        v = view.ids[c]
+        v = view.ids[view.committed]
         u = self.prv[v]
         x = self.nxt[v]
         um = u != _NILW
         xm = x != _NILW
         self.nxt[u[um]] = x[um]
         self.prv[x[xm]] = u[xm]
-        if self.on_splice is not None:
-            self.on_splice(v, u, x)
         # v's own slots keep (u, x): the forest context costs nothing extra
 
     def clean(self, view) -> None:
@@ -223,9 +219,7 @@ class _RankClient(_ListClient):
         return self.prv[ids] >> WORD(32)
 
     def commit(self, view) -> None:
-        c = self.elig[:len(view.ids)]
-        view.committed[:] = c
-        v = view.ids[c]
+        v = view.ids[view.committed]
         packed = self.prv[v]
         u = packed >> WORD(32)
         w_uv = packed & WORD(NIL32)
@@ -242,14 +236,12 @@ class _RankClient(_ListClient):
 
 
 def list_contract(lst: LinkedList, p: np.ndarray,
-                  on_splice=None,
                   budget: EpsilonConfig = DEFAULT_BUDGET,
                   trace: list | None = None) -> RoundStats:
     """Splice out every element; per round the active-prefix local minima go.
 
     After the run each element's own (prev, next) slots hold the neighbor
-    pair it saw when spliced; ``on_splice(ids, prevs, nexts)`` observes each
-    batch as it commits.
+    pair it saw when spliced.
     """
     as_words(p)
     n = len(lst)
@@ -257,54 +249,20 @@ def list_contract(lst: LinkedList, p: np.ndarray,
         raise ValueError("priorities length mismatch")
     if n == 0:
         return RoundStats()
-    prefix = budget.prefix_words(n)
-    client = _ListClient(lst, p, prefix, on_splice)
-    try:
-        return run_rounds(n, prefix, client.reserve, client.commit,
-                          client.clean, trace=trace)
-    finally:
-        client.release()
-
-
-def _distribute_ranks(parent: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """Resolve rank(v) = rank(parent) + dist along the contraction forest.
-
-    Processes the forest in dependence waves (a node is ready once its
-    parent is final); wave count is the forest height, O(log n) with random
-    priorities.  ``dist`` is overwritten with the ranks.
-    """
-    n = len(parent)
-    pending = parent != _DONE
-    while True:
-        ids = np.flatnonzero(pending)
-        if not len(ids):
-            break
-        par = parent[ids]
-        rooted = par == _NILW
-        pm = ~rooted
-        ready = rooted.copy()
-        ready[pm] = parent[par[pm]] == _DONE
-        if not ready.any():
-            raise RuntimeError("ranking forest contains a dependence cycle")
-        take = ids[ready]
-        ptake = par[ready]
-        base = np.zeros(len(take), dtype=WORD)
-        m = ptake != _NILW
-        base[m] = dist[ptake[m]]
-        dist[take] = dist[take] + base
-        parent[take] = _DONE
-        pending[take] = False
-    return dist
+    client = _ListClient(lst, p)
+    return run_rounds(n, budget.prefix_words(n), client.reserve,
+                      client.commit, client.clean, trace=trace)
 
 
 def list_rank(lst: LinkedList, p: np.ndarray,
               budget: EpsilonConfig = DEFAULT_BUDGET,
-              trace: list | None = None,
               stats_sink: list | None = None) -> np.ndarray:
     """Rank every element within its chain, in place over the list storage.
 
-    Consumes ``lst``: afterwards ``lst.prev`` holds the 0-based ranks (and
-    is also the returned array) and ``lst.next`` holds bookkeeping marks.
+    Consumes ``lst``: contraction leaves each element's (parent, distance)
+    in its own slots, and pointer doubling turns them into ranks.
+    Afterwards ``lst.prev`` holds the 0-based ranks (and is also the
+    returned array) and ``lst.next`` is all NIL.
     """
     as_words(p)
     n = len(lst)
@@ -321,16 +279,14 @@ def list_rank(lst: LinkedList, p: np.ndarray,
     prv[:] = np.where(heads, WORD(NIL32), prv) << WORD(32)
     prv[~heads] |= WORD(1)
 
-    prefix = budget.prefix_words(n)
-    client = _RankClient(lst, p, prefix)
-    try:
-        stats = run_rounds(n, prefix, client.reserve, client.commit,
-                           client.clean, trace=trace)
-    finally:
-        client.release()
+    client = _RankClient(lst, p)
+    stats = run_rounds(n, budget.prefix_words(n), client.reserve,
+                       client.commit, client.clean)
     if stats_sink is not None:
         stats_sink.append(stats)
-    return _distribute_ranks(nxt, prv)
+    if not _jump(nxt, prv):
+        raise RuntimeError("ranking forest contains a cycle")
+    return prv
 
 
 # ---------------------------------------------------------------------------
@@ -352,42 +308,29 @@ class _TreeClient:
     """
 
     def __init__(self, tree: BinaryTree, p: np.ndarray, values: np.ndarray,
-                 prefix: int, combine, debug: bool):
+                 prefix: int, debug: bool):
         self.pa = tree.parent
         self.lf = tree.left
         self.rt = tree.right
         self.n = len(tree)
         self.p = p
         self.values = values
-        self.combine = combine
         self.debug = debug
         self.violations = 0
         self.roots: dict[int, int] = {}
         self.prefix = prefix
-        self.elig = alloc_bool(prefix)
-        self.qcap = 2 * prefix + 8
-        self.queue = alloc(self.qcap)
-        self.qhead = 0
+        # packed frontier: queue[:qsize], oldest first
+        self.queue = alloc(2 * prefix + 8)
         self.qsize = 0
         self.cursor = 0
 
-    def release(self) -> None:
-        release(self.queue)
-        release(self.elig)
-
     # -- frontier queue
     def _push(self, ids: np.ndarray) -> None:
-        cnt = len(ids)
-        if cnt == 0:
-            return
-        if self.qsize + cnt > self.qcap:
+        end = self.qsize + len(ids)
+        if end > len(self.queue):
             raise RuntimeError("tree contraction frontier overflow")
-        tail = (self.qhead + self.qsize) % self.qcap
-        first = min(cnt, self.qcap - tail)
-        self.queue[tail:tail + first] = ids[:first]
-        if first < cnt:
-            self.queue[:cnt - first] = ids[first:]
-        self.qsize += cnt
+        self.queue[self.qsize:end] = ids
+        self.qsize = end
 
     def _scan_fill(self) -> None:
         while self.qsize < self.prefix and self.cursor < self.n:
@@ -411,15 +354,9 @@ class _TreeClient:
     def next_ids(self, count: int) -> np.ndarray:
         self._scan_fill()
         cnt = min(count, self.qsize)
-        if cnt <= 0:
-            return np.empty(0, dtype=WORD)
-        first = min(cnt, self.qcap - self.qhead)
-        out = np.empty(cnt, dtype=WORD)
-        out[:first] = self.queue[self.qhead:self.qhead + first]
-        if first < cnt:
-            out[first:] = self.queue[:cnt - first]
-        self.qhead = (self.qhead + cnt) % self.qcap
+        out = self.queue[:cnt].copy()
         self.qsize -= cnt
+        self.queue[:self.qsize] = self.queue[cnt:cnt + self.qsize]
         return out
 
     # -- phases
@@ -430,17 +367,14 @@ class _TreeClient:
         pa = self.pa[ids]
         lf = self.lf[ids]
         rt = self.rt[ids]
-        zero = (lf == _NILW) & (rt == _NILW)
-        ok = zero | (pa != _NILW)
+        ok = view.committed
+        ok[:] = ((lf == _NILW) & (rt == _NILW)) | (pa != _NILW)
         for nbr in (pa, lf, rt):
             m = _active(order, nbr)
             ok[m] &= pv[m] < self.p[nbr[m]]
-        self.elig[:len(ids)] = ok
 
     def commit(self, view) -> None:
-        c = self.elig[:len(view.ids)]
-        view.committed[:] = c
-        v = view.ids[c]
+        v = view.ids[view.committed]
         if not len(v):
             return
         pa = self.pa[v]
@@ -450,12 +384,9 @@ class _TreeClient:
         has_child = child != _NILW
         has_parent = pa != _NILW
 
-        if self.debug and len(v) > 1:
-            vs = np.sort(v)
-            hits = np.searchsorted(vs, pa[has_parent])
-            hits = np.minimum(hits, len(vs) - 1)
+        if self.debug:
             self.violations += int(np.count_nonzero(
-                vs[hits] == pa[has_parent]))
+                _active(np.sort(v), pa[has_parent])))
 
         # pre-round state of rake parents, read before any surgery: a parent
         # becoming contractible is discovered here (unless the cursor will
@@ -470,7 +401,7 @@ class _TreeClient:
         # value folding: rakes into the parent, compresses into the child
         targets = np.concatenate([rp, child[has_child]])
         amounts = np.concatenate([self.values[v[rake]], self.values[v[has_child]]])
-        self.combine.at(self.values, targets.astype(np.int64), amounts)
+        np.add.at(self.values, targets.astype(np.int64), amounts)
 
         # pointer surgery (reads gathered above, writes disjoint per commit)
         pw = has_parent
@@ -501,14 +432,12 @@ class _TreeClient:
 
 def tree_contract(tree: BinaryTree, p: np.ndarray, values: np.ndarray,
                   budget: EpsilonConfig = DEFAULT_BUDGET,
-                  combine=np.add,
-                  trace: list | None = None,
                   debug: bool = False) -> tuple[dict[int, int], RoundStats]:
     """Contract the forest; returns ({root id: folded value}, stats).
 
-    ``values`` is caller storage and is folded in place; ``combine`` must be
-    a commutative, associative ufunc (default: sum mod 2^64).  In debug mode
-    every round asserts that no parent-child pair contracts together.
+    ``values`` is caller storage and is folded in place by sum mod 2^64.
+    In debug mode every round asserts that no parent-child pair contracts
+    together.
     """
     as_words(p)
     as_words(values)
@@ -518,12 +447,12 @@ def tree_contract(tree: BinaryTree, p: np.ndarray, values: np.ndarray,
     if n == 0:
         return {}, RoundStats()
     prefix = budget.prefix_words(n)
-    client = _TreeClient(tree, p, values, prefix, combine, debug)
+    client = _TreeClient(tree, p, values, prefix, debug)
     try:
         stats = run_rounds(n, prefix, client.reserve, client.commit,
-                           client.clean, id_source=client.next_ids, trace=trace)
+                           client.clean, id_source=client.next_ids)
     finally:
-        client.release()
+        release(client.queue)
     if debug and client.violations:
         raise AssertionError(
             f"{client.violations} parent-child pairs contracted together")

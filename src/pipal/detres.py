@@ -165,8 +165,8 @@ class RoundView:
     """State handed to the phase callbacks for one round."""
 
     ids: np.ndarray        # active iterates, packed order (failures first)
-    committed: np.ndarray  # bool, filled by the commit callback
-    round_index: int
+    committed: np.ndarray  # bool, all False on entry; reserve may fill it,
+                           # commit leaves the committed iterates set
 
 
 def arange_source(n: int):
@@ -218,11 +218,12 @@ def run_rounds(n_iterates: int, prefix_size: int, reserve, commit, clean,
                id_source=None, trace: list | None = None) -> RoundStats:
     """Drive reserve/commit/clean rounds until all iterates are retired.
 
-    ``reserve``/``clean`` receive a :class:`RoundView`; ``commit`` must fill
-    ``view.committed`` for the active prefix.  Failures are packed in order
-    and the prefix is refilled from ``id_source`` (default: ascending ids),
-    which must yield exactly ``n_iterates`` ids, each committing once;
-    ``RuntimeError`` reports a source that yields too few or too many.
+    Each phase receives a :class:`RoundView` whose ``committed`` mask starts
+    all False; ``reserve`` may fill it, and ``commit`` leaves it holding the
+    iterates that committed.  Failures are packed in order and the prefix
+    is refilled from ``id_source`` (default: ascending ids), which must
+    yield exactly ``n_iterates`` ids, each committing once; ``RuntimeError``
+    reports a source that yields too few or too many.
     """
     if prefix_size < 1:
         raise ValueError("prefix size must be >= 1")
@@ -231,7 +232,7 @@ def run_rounds(n_iterates: int, prefix_size: int, reserve, commit, clean,
 
     ids = alloc(prefix)
     committed = alloc_bool(prefix)
-    state = {"fill": 0, "round": 0}
+    state = {"fill": 0}
 
     def step(_hint: int) -> int:
         fill = state["fill"]
@@ -242,15 +243,13 @@ def run_rounds(n_iterates: int, prefix_size: int, reserve, commit, clean,
         if fill == 0:
             raise RuntimeError("id source ran dry before every iterate "
                                "committed")
-        view = RoundView(ids=ids[:fill], committed=committed[:fill],
-                         round_index=state["round"])
+        view = RoundView(ids=ids[:fill], committed=committed[:fill])
         view.committed[:] = False
         reserve(view)
         commit(view)
         clean(view)
         if trace is not None:
             trace.append(view.ids[view.committed].copy())
-        state["round"] += 1
         state["fill"] = compact_by_mask(ids, lambda s, e: ~committed[s:e], 0, fill)
         return fill - state["fill"]
 

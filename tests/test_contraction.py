@@ -198,19 +198,13 @@ def test_contract_forest_context_is_splice_time_neighbors():
     order = [3, 1, 4, 0, 2]
     lst = chain_list(order)
     p = words([4, 0, 3, 2, 1])  # node 1 is the global minimum
-    observed = {}
-
-    def on_splice(v, u, x):
-        for vi, ui, xi in zip(v.tolist(), u.tolist(), x.tolist()):
-            observed[vi] = (ui, xi)
-
-    list_contract(lst, p, on_splice=on_splice, budget=FULL)
-    # node 1 sits between 3 and 4 originally and is the first to go
-    assert observed[1] == (3, 4)
-    # every element spliced exactly once, context kept in its own slots
-    assert set(observed) == {0, 1, 2, 3, 4}
-    for v, (u, x) in observed.items():
-        assert lst.prev[v] == u and lst.next[v] == x
+    stats = list_contract(lst, p, budget=FULL)
+    # rounds splice {1, 2}, then 4, 3 and 0; node 1 goes first, between 3
+    # and 4, and every element keeps its splice-time (prev, next) pair
+    assert stats.committed_per_round == [2, 1, 1, 1]
+    context = {1: (3, 4), 2: (0, NIL), 4: (3, 0), 3: (NIL, 0), 0: (NIL, NIL)}
+    for v, (u, x) in context.items():
+        assert (int(lst.prev[v]), int(lst.next[v])) == (u, x)
 
 
 def test_every_node_spliced_exactly_once_random():
@@ -273,6 +267,36 @@ def test_rank_budget_metered():
     assert np.array_equal(out["r"], ref)
 
 
+@pytest.mark.parametrize("op", ["list_contract", "list_rank", "tree_contract"])
+def test_default_budget_charges_only_engine_state(op):
+    """Near n = 2^20 the list ops charge only the engine's prefix and commit
+    mask, b + ceil(b/8) words; tree contraction adds its 2b + 8 word
+    frontier queue."""
+    n = (1 << 20) - (op == "tree_contract")  # a full binary tree has odd n
+    b = contraction.DEFAULT_BUDGET.prefix_words(n)
+    p = make_priorities(n, Rng(4))
+    ids = np.arange(n, dtype=np.uint64)
+    if op == "tree_contract":
+        # heap layout: node i's children are 2i+1 and 2i+2
+        kids = lambda k: np.where(k < n, k, NIL).astype(np.uint64)
+        tree = BinaryTree(np.where(ids > 0, (ids - 1) // 2, NIL).astype(np.uint64),
+                          kids(2 * ids + 1), kids(2 * ids + 2))
+        body = lambda: tree_contract(tree, p, np.ones(n, dtype=np.uint64))
+        limit = 3 * b + 8 + -(-b // 8)
+    else:
+        order = np.random.default_rng(4).permutation(ids)
+        lst = LinkedList(np.full(n, NIL, dtype=np.uint64),
+                         np.full(n, NIL, dtype=np.uint64))
+        lst.next[order[:-1]] = order[1:]
+        lst.prev[order[1:]] = order[:-1]
+        body = lambda: getattr(contraction, op)(lst, p)
+        limit = b + -(-b // 8)
+    meter = SpaceMeter()
+    report = meter_scope(meter, limit, body)
+    assert report.peak_words <= limit
+    assert meter.current_words == 0
+
+
 # ---------------------------------------------------------------------------
 # tree contraction
 
@@ -310,6 +334,20 @@ def test_tree_forest_of_many_roots():
     t = BinaryTree(words([None, None, None]), words([None] * 3), words([None] * 3))
     roots, _ = tree_contract(t, words([2, 0, 1]), words([5, 6, 7]), budget=FULL)
     assert roots == {0: 5, 1: 6, 2: 7}
+
+
+def test_tree_frontier_is_fifo_and_overflow_raises():
+    t = BinaryTree(words([None]), words([None]), words([None]))
+    client = contraction._TreeClient(t, words([0]), words([0]), 1, False)
+    client.cursor = client.n  # nothing left to sweep
+    client._push(np.arange(10, dtype=np.uint64))  # capacity 2 * 1 + 8
+    assert client.next_ids(3).tolist() == [0, 1, 2]
+    client._push(words([10, 11, 12]))
+    assert client.next_ids(4).tolist() == [3, 4, 5, 6]
+    client._push(words([13, 14, 15, 16]))
+    with pytest.raises(RuntimeError, match="frontier overflow"):
+        client._push(words([17]))
+    assert client.next_ids(20).tolist() == list(range(7, 17))
 
 
 def test_tree_budget_metered():

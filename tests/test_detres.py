@@ -222,9 +222,12 @@ def test_livelock_guard_aborts():
 
 def test_trace_collects_committed_ids():
     trace: list[np.ndarray] = []
+    rounds = 0
 
     def commit(view):
-        view.committed[:] = (view.ids % np.uint64(3) != 0) | (view.round_index > 0)
+        nonlocal rounds
+        view.committed[:] = (view.ids % np.uint64(3) != 0) | (rounds > 0)
+        rounds += 1
 
     def other(view):
         pass

@@ -170,6 +170,37 @@ def test_cli_sweep_rows(tmp_path):
     assert peaks == sorted(peaks, reverse=True)  # nonincreasing in epsilon
 
 
+_OUT_OF_RANGE = {
+    "gen-graph-n": ["gen", "--kind", "graph", "--n", "-2"],
+    "gen-ints-n": ["gen", "--kind", "ints", "--n", "-4"],
+    "sweep-n": ["sweep", "--algo", "rp", "--n", "-3"],
+    "sweep-threads": ["sweep", "--algo", "rp", "--n", "16", "--threads", "0"],
+    "sweep-epsilon": ["sweep", "--algo", "rp", "--n", "16", "--epsilon", "1.5"],
+    "sweep-prefix-frac": ["sweep", "--algo", "rp", "--n", "16",
+                          "--prefix-frac", "0"],
+    "run-threads": ["run", "--algo", "scan", "--threads", "0"],
+    "run-epsilon": ["run", "--algo", "scan", "--epsilon", "1.5"],
+    "run-prefix-frac": ["run", "--algo", "scan", "--prefix-frac", "0"],
+    "run-reps": ["run", "--algo", "scan", "--reps", "0"],
+}
+
+
+@pytest.mark.parametrize("argv", _OUT_OF_RANGE.values(), ids=_OUT_OF_RANGE)
+def test_cli_out_of_range_number_is_one_line_usage_error(tmp_path, argv):
+    inp = tmp_path / "a.u64"
+    formats.write_ints(inp, generate_input("ints", 16, 1))
+    out = tmp_path / "out"
+    argv = argv + {"gen": ["--out", str(out)], "sweep": ["--csv", str(out)],
+                   "run": ["--input", str(inp), "--csv", str(out)]}[argv[0]]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    lines = err.getvalue().strip().splitlines()
+    assert code == 1, err.getvalue()
+    assert len(lines) == 1 and lines[0].startswith(f"pipal {argv[0]}: ")
+    assert not out.exists()
+
+
 def _malformed_input(path, case):
     nil = int(NIL)
     if case == "truncated-header":
