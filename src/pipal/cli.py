@@ -506,11 +506,15 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _check_numbers(epsilons, prefix_frac: float, threads, reps: int) -> None:
+def _check_numbers(sizes, epsilons, prefix_frac: float, threads, reps: int) -> None:
     """Raise ``ValueError`` for an out-of-range numeric option, through the
-    library's own checks (``run_bench`` sets the thread count again per row)."""
+    library's own checks (``run_bench`` sets the thread count again per row),
+    before any row is written."""
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
+    for n in sizes:
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
     for eps in epsilons:
         EpsilonConfig(eps, prefix_frac)
     for t in threads:
@@ -546,7 +550,7 @@ def _cmd_run(args) -> int:
         print(f"pipal run: unknown algorithm {args.algo!r}", file=sys.stderr)
         return 1
     try:
-        _check_numbers([args.epsilon], args.prefix_frac, [args.threads],
+        _check_numbers((), [args.epsilon], args.prefix_frac, [args.threads],
                        args.reps)
     except ValueError as exc:
         print(f"pipal run: {exc}", file=sys.stderr)
@@ -584,7 +588,8 @@ def _cmd_sweep(args) -> int:
         print(f"pipal sweep: unknown algorithm {args.algo!r}", file=sys.stderr)
         return 1
     try:
-        _check_numbers(args.epsilon, args.prefix_frac, args.threads, args.reps)
+        _check_numbers(args.n, args.epsilon, args.prefix_frac, args.threads,
+                       args.reps)
     except ValueError as exc:
         print(f"pipal sweep: {exc}", file=sys.stderr)
         return 1

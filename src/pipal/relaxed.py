@@ -20,7 +20,6 @@ from .detres import (
     run_rounds,
 )
 from .runtime import (
-    SCRATCH_WORDS,
     WORD,
     EpsilonConfig,
     alloc,
@@ -34,6 +33,7 @@ from .strong import (
     _check_sorted_run,
     _merge_into,
     _mergesort,
+    _move,
     _quicksort,
     _split_point,
     merge_strong,
@@ -433,14 +433,6 @@ def _merge_chunked(a: np.ndarray, split: int, k: int) -> None:
     release(dest)
 
 
-def _copy_backward(a: np.ndarray, src: int, dst: int, cnt: int) -> None:
-    i = cnt
-    while i > 0:
-        j = max(i - SCRATCH_WORDS, 0)
-        a[dst + j:dst + i] = a[src + j:src + i].copy()
-        i = j
-
-
 def _merge_back_tail(a: np.ndarray, n1: int, p: int) -> None:
     """Merge the sorted suffix a[n1:n1+p] into the sorted prefix a[:n1]."""
     with aux(p) as buf:
@@ -450,7 +442,7 @@ def _merge_back_tail(a: np.ndarray, n1: int, p: int) -> None:
             s0 = int(ins[t - 1])
             s1 = int(ins[t]) if t < p else n1
             if s1 > s0:
-                _copy_backward(a, s0, s0 + t, s1 - s0)
+                _move(a, s0, s0 + t, s1 - s0)
         a[ins.astype(np.int64) + np.arange(p)] = buf
 
 

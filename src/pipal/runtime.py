@@ -1,4 +1,4 @@
-"""Shared runtime: sequential fork-join, auxiliary-space metering, splittable RNG.
+"""Shared runtime: sequential ``fork_join``, space metering, splittable RNG.
 
 Every algorithm in this package operates in place on 1-D contiguous numpy
 arrays of unsigned 64-bit words.  Auxiliary heap space is counted in 64-bit
@@ -28,7 +28,7 @@ SCRATCH_WORDS = 256
 __all__ = [
     "WORD", "M64", "NIL", "SCRATCH_WORDS",
     "as_words",
-    "set_num_threads", "num_threads", "parallel_blocks", "fork_join",
+    "set_num_threads", "num_threads", "fork_join",
     "SpaceMeter", "MeterReport", "meter_scope", "metered", "alloc",
     "alloc_bool", "release", "aux",
     "Rng", "EpsilonConfig", "POWER_ONLY_FRACTION",
@@ -51,12 +51,13 @@ def as_words(a: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Fork-join
 #
-# The algorithms are written in the binary fork-join model; these two
-# helpers mark where they fork and run the children sequentially, in order.
-# Children must still write disjoint locations, as the model requires.
-# Threads do not pay here: a thread pool behind them ran at 0.87-1.10x from
-# 1 to 2 threads across 12 algorithms (n = 10^6, 2 vCPUs, Python 3.11,
-# numpy 2.4).  The thread count is only validated and recorded for reports.
+# The algorithms are written in the binary fork-join model; fork_join marks
+# where they fork and runs the children sequentially, in order.  Children
+# must still write disjoint locations, as the model requires.  Loops over
+# blocks are plain loops.  Threads do not pay here: a thread pool behind
+# fork_join ran at 0.87-1.10x from 1 to 2 threads across 12 algorithms
+# (n = 10^6, 2 vCPUs, Python 3.11, numpy 2.4).  The thread count is only
+# validated and recorded for reports.
 
 _threads = 1
 
@@ -71,12 +72,6 @@ def set_num_threads(n: int) -> None:
 
 def num_threads() -> int:
     return _threads
-
-
-def parallel_blocks(lo: int, hi: int, body) -> None:
-    """Run ``body(lo, hi)`` over the range [lo, hi) unless it is empty."""
-    if hi > lo:
-        body(lo, hi)
 
 
 def fork_join(*thunks):

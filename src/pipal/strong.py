@@ -1,14 +1,14 @@
 """Strong in-place algorithms: zero auxiliary heap, logarithmic recursion.
 
 Operations here never allocate through the space meter; per-call scratch is
-bounded by ``runtime.SCRATCH_WORDS`` and is treated as stack space.  The
-default element operation is addition mod 2^64 (``op=None``); any associative
-python callable may be supplied instead, at reduced speed.
+bounded by ``runtime.SCRATCH_WORDS`` and is treated as stack space.  Scan and
+reduce add mod 2^64.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +20,6 @@ from .runtime import (
     as_words,
     compact_by_mask,
     fork_join,
-    parallel_blocks,
 )
 
 __all__ = [
@@ -40,46 +39,30 @@ UNTAG = WORD(TAG ^ M64)
 # ---------------------------------------------------------------------------
 # Reduce and rotate
 
-def reduce(a: np.ndarray, op=None, identity: int = 0) -> int:
-    """Fold the array with an associative op; the array is not modified."""
+def reduce(a: np.ndarray) -> int:
+    """Sum of the array mod 2^64; the array is not modified."""
     as_words(a)
 
-    if op is None:
-        def rec(s: int, t: int) -> int:
-            if t - s <= REDUCE_GRAIN:
-                return int(np.sum(a[s:t], dtype=WORD)) if t > s else 0
-            mid = s + (t - s) // 2
-            left, right = fork_join(lambda: rec(s, mid), lambda: rec(mid, t))
-            return (left + right) & M64
-        return rec(0, len(a)) if len(a) else identity & M64
+    def rec(s: int, t: int) -> int:
+        if t - s <= REDUCE_GRAIN:
+            return int(np.sum(a[s:t], dtype=WORD))
+        mid = s + (t - s) // 2
+        left, right = fork_join(lambda: rec(s, mid), lambda: rec(mid, t))
+        return (left + right) & M64
 
-    def rec_op(s: int, t: int) -> int:
-        n = t - s
-        if n == 1:
-            return int(a[s])
-        mid = s + n // 2
-        left, right = fork_join(lambda: rec_op(s, mid), lambda: rec_op(mid, t))
-        return op(left, right)
-
-    return rec_op(0, len(a)) if len(a) else identity
+    return rec(0, len(a))
 
 
 def _reverse(a: np.ndarray, s: int, t: int) -> None:
     """Reverse a[s:t] in place with constant scratch per step."""
     half = (t - s) // 2
-
-    def body(ls: int, le: int) -> None:
-        i = ls
-        while i < le:
-            j = min(i + SCRATCH_WORDS, le)
-            left = a[s + i:s + j]
-            right = a[t - j:t - i]
-            tmp = left.copy()
-            left[:] = right[::-1]
-            right[:] = tmp[::-1]
-            i = j
-
-    parallel_blocks(0, half, body)
+    for i in range(0, half, SCRATCH_WORDS):
+        j = min(i + SCRATCH_WORDS, half)
+        left = a[s + i:s + j]
+        right = a[t - j:t - i]
+        tmp = left.copy()
+        left[:] = right[::-1]
+        right[:] = tmp[::-1]
 
 
 def rotate(a: np.ndarray, o: int) -> None:
@@ -132,98 +115,48 @@ def _down_sweep_add(a: np.ndarray, s: int, t: int, p: int, base: int) -> None:
               lambda: _down_sweep_add(a, mid + 1, t, (p + left_sum) & M64, base))
 
 
-def _up_sweep_op(a: np.ndarray, s: int, t: int, op) -> None:
-    if s == t:
-        return
-    mid = (s + t) // 2
-    fork_join(lambda: _up_sweep_op(a, s, mid, op),
-              lambda: _up_sweep_op(a, mid + 1, t, op))
-    a[t] = WORD(op(int(a[mid]), int(a[t])) & M64)
+def _scan_add(v: np.ndarray) -> int:
+    """Exclusive add-scan of a 1-D (possibly strided) view in place; returns
+    its total."""
+    n = len(v)
+    if n == 0:
+        return 0
+    _up_sweep_add(v, 0, n - 1, SCAN_BASE)
+    total = int(v[n - 1])
+    _down_sweep_add(v, 0, n - 1, 0, SCAN_BASE)
+    return total
 
 
-def _down_sweep_op(a: np.ndarray, s: int, t: int, p: int, op) -> None:
-    if s == t:
-        a[s] = WORD(p & M64)
-        return
-    mid = (s + t) // 2
-    left_sum = int(a[mid])
-    fork_join(lambda: _down_sweep_op(a, s, mid, p, op),
-              lambda: _down_sweep_op(a, mid + 1, t, op(p, left_sum), op))
-
-
-def scan(a: np.ndarray, op=None, identity: int = 0) -> ScanResult:
+def scan(a: np.ndarray) -> ScanResult:
     """Exclusive in-place scan; returns the rewritten array and the total."""
     as_words(a)
-    n = len(a)
-    if n == 0:
-        return ScanResult(a, identity & M64 if op is None else identity)
-    if op is None:
-        _up_sweep_add(a, 0, n - 1, SCAN_BASE)
-        total = int(a[n - 1])
-        _down_sweep_add(a, 0, n - 1, 0, SCAN_BASE)
-        return ScanResult(a, total)
-    _up_sweep_op(a, 0, n - 1, op)
-    total = int(a[n - 1])
-    _down_sweep_op(a, 0, n - 1, identity, op)
-    return ScanResult(a, total)
+    return ScanResult(a, _scan_add(a))
 
 
-def _ex_scan_view(v: np.ndarray) -> int:
-    """In-place exclusive scan of a (possibly strided) view; returns its total."""
-    n = len(v)
-    if n == 1:
-        total = int(v[0])
-        v[0] = 0
-        return total
-    mid = n // 2
-    tl = _ex_scan_view(v[:mid])
-    tr = _ex_scan_view(v[mid:])
-    v[mid:] += WORD(tl)
-    return (tl + tr) & M64
-
-
-def scan_blocked(a: np.ndarray, op=None, identity: int = 0) -> ScanResult:
+def scan_blocked(a: np.ndarray) -> ScanResult:
     """Blocked scan: sequential per-block pass, scan over block sums, offset add.
 
-    Same contract as :func:`scan`, to which the generic-op path and arrays
-    of at most one block defer.
+    Same contract as :func:`scan`.
     """
     as_words(a)
     n = len(a)
-    if op is not None or n <= SCAN_BASE:
-        return scan(a, op, identity)
-
     block = SCAN_BASE
-    nfull = n // block
-
-    def sweep(bs: int, be: int) -> None:
-        for b in range(bs, be):
-            s = b * block
-            np.cumsum(a[s:s + block], dtype=WORD, out=a[s:s + block])
-
-    parallel_blocks(0, nfull, sweep)
-
-    tail = nfull * block
-    if tail < n:
-        np.cumsum(a[tail:], dtype=WORD, out=a[tail:])
+    for s in range(0, n, block):
+        np.cumsum(a[s:s + block], dtype=WORD, out=a[s:s + block])
 
     # exclusive scan over the last element of each full block, in place
-    full_total = _ex_scan_view(a[block - 1::block][:nfull])
+    total = _scan_add(a[block - 1::block])
 
-    def offsets(bs: int, be: int) -> None:
-        for b in range(bs, be):
-            s = b * block
-            seg = a[s:s + block]
-            _shift_exclusive(seg, int(seg[-1]))
+    tail = n - n % block
+    for s in range(0, tail, block):
+        seg = a[s:s + block]
+        _shift_exclusive(seg, int(seg[-1]))
 
-    parallel_blocks(0, nfull, offsets)
-
-    total = full_total
     if tail < n:
         seg = a[tail:]
         tail_total = int(seg[-1])
-        _shift_exclusive(seg, full_total)
-        total = (full_total + tail_total) & M64
+        _shift_exclusive(seg, total)
+        total = (total + tail_total) & M64
     return ScanResult(a, total)
 
 
@@ -244,15 +177,18 @@ def _compact_pred(a: np.ndarray, s: int, t: int, pred) -> int:
     return compact_by_mask(a, lambda bs, be: pred(a[bs:be]), s, t)
 
 
-def _copy_forward(a: np.ndarray, src: int, dst: int, cnt: int) -> None:
-    """Copy a[src:src+cnt] to a[dst:dst+cnt] where dst <= src (overlap-safe)."""
-    if dst == src or cnt == 0:
+def _move(a: np.ndarray, src: int, dst: int, cnt: int) -> None:
+    """Copy a[src:src+cnt] to a[dst:dst+cnt], the ranges may overlap.
+
+    Blocks of SCRATCH_WORDS words go in the order that reads each block
+    before it is overwritten; numpy buffers the overlap within one block.
+    """
+    if dst == src:
         return
-    i = 0
-    while i < cnt:
+    starts = range(0, cnt, SCRATCH_WORDS)
+    for i in starts if dst < src else reversed(starts):
         j = min(i + SCRATCH_WORDS, cnt)
         a[dst + i:dst + j] = a[src + i:src + j]
-        i = j
 
 
 _FILTER_BATCH = SCRATCH_WORDS  # chunks moved together in one parallel step
@@ -278,50 +214,19 @@ def filter_kway(a: np.ndarray, pred) -> int:
     m = 0
     c = 0
     while c < nchunks:
-        jcap = min(_FILTER_BATCH, nchunks - c)
-        counts = [0] * jcap
+        csum = [0]
+        for t in range(min(_FILTER_BATCH, nchunks - c)):
+            s = (c + t) * chunk
+            csum.append(csum[-1] + _count_pred(a, s, min(s + chunk, n), pred))
 
-        def count_body(i0: int, i1: int) -> None:
-            for t in range(i0, i1):
-                s = (c + t) * chunk
-                counts[t] = _count_pred(a, s, min(s + chunk, n), pred)
-
-        parallel_blocks(0, jcap, count_body)
-
-        csum = [0] * (jcap + 1)
-        for t in range(jcap):
-            csum[t + 1] = csum[t] + counts[t]
-
-        first_src = c * chunk
-        # binary search: largest j with every batched destination left of the
-        # batch's first source element
-        lo_j, hi_j = 1, jcap
-        while lo_j < hi_j:
-            mid = (lo_j + hi_j + 1) // 2
-            if m + csum[mid] <= first_src:
-                lo_j = mid
-            else:
-                hi_j = mid - 1
-        j = lo_j if m + csum[lo_j] <= first_src else 0
-
-        if j == 0:
-            # lone chunk, ordered overlap-safe move
-            s = c * chunk
-            e = min(s + chunk, n)
-            cnt = _compact_pred(a, s, e, pred) - s
-            _copy_forward(a, s, m, cnt)
-            m += cnt
-            c += 1
-            continue
-
-        def move_body(i0: int, i1: int) -> None:
-            for t in range(i0, i1):
-                s = (c + t) * chunk
-                e = min(s + chunk, n)
-                cnt = _compact_pred(a, s, e, pred) - s
-                _copy_forward(a, s, m + csum[t], cnt)
-
-        parallel_blocks(0, j, move_body)
+        # largest j with every batched destination left of the batch's first
+        # source element; a lone chunk that overlaps its destination moves
+        # on its own, in the overlap-safe order
+        j = max(1, bisect_right(csum, c * chunk - m) - 1)
+        for t in range(j):
+            s = (c + t) * chunk
+            cnt = _compact_pred(a, s, min(s + chunk, n), pred) - s
+            _move(a, s, m + csum[t], cnt)
         m += csum[j]
         c += j
     return m
@@ -537,59 +442,50 @@ def _tag_filter(a: np.ndarray, n: int) -> int:
     return m
 
 
-def set_union(a: np.ndarray, split: int, debug: bool = False) -> int:
-    """Union of two sorted duplicate-free runs; result in a[0:m), returns m."""
+def _set_args(a: np.ndarray, split: int, debug: bool) -> int:
+    """Check a set operation's arguments; returns n."""
     as_words(a)
     n = len(a)
+    if not 0 <= split <= n:
+        raise ValueError("split out of range")
     if debug:
         _check_set_run(a, 0, split)
         _check_set_run(a, split, n)
-    if n == 0:
-        return 0
+    return n
+
+
+def set_union(a: np.ndarray, split: int, debug: bool = False) -> int:
+    """Union of two sorted duplicate-free runs; result in a[0:m), returns m."""
+    n = _set_args(a, split, debug)
     merge_strong(a, split)
-
-    def tag_first(s: int, e: int) -> None:
-        while s < e:
-            t = min(s + SCRATCH_WORDS, e)
-            block = a[s:t]
-            vals = block & UNTAG
-            keep = np.empty(t - s, dtype=bool)
-            keep[0] = s == 0 or vals[0] != (int(a[s - 1]) & ~TAG)
-            keep[1:] = vals[1:] != vals[:-1]
-            block |= keep.astype(WORD) << WORD(63)
-            s = t
-
     # sequential left-to-right so the cross-block predecessor is final; the
     # comparison masks tags, so ordering only matters for determinism
-    tag_first(0, n)
+    for s in range(0, n, SCRATCH_WORDS):
+        block = a[s:s + SCRATCH_WORDS]
+        vals = block & UNTAG
+        keep = np.empty(len(block), dtype=bool)
+        keep[0] = s == 0 or vals[0] != (int(a[s - 1]) & ~TAG)
+        keep[1:] = vals[1:] != vals[:-1]
+        block |= keep.astype(WORD) << WORD(63)
     return _tag_filter(a, n)
 
 
 def _tag_matches(a: np.ndarray, probe_lo: int, probe_hi: int,
                  run_lo: int, run_hi: int, keep_found: bool) -> None:
+    """Tag each probe element found (keep_found) or not found in the
+    nonempty sorted run a[run_lo:run_hi)."""
     run = a[run_lo:run_hi]
-
-    def body(s: int, e: int) -> None:
-        while s < e:
-            t = min(s + SCRATCH_WORDS, e)
-            block = a[probe_lo + s:probe_lo + t]
-            idx = np.searchsorted(run, block)
-            found = (idx < len(run)) & (run[np.minimum(idx, max(len(run) - 1, 0))] == block) \
-                if len(run) else np.zeros(t - s, dtype=bool)
-            keep = found if keep_found else ~found
-            block |= keep.astype(WORD) << WORD(63)
-            s = t
-
-    parallel_blocks(0, probe_hi - probe_lo, body)
+    for s in range(probe_lo, probe_hi, SCRATCH_WORDS):
+        block = a[s:min(s + SCRATCH_WORDS, probe_hi)]
+        idx = np.searchsorted(run, block)
+        found = (idx < len(run)) & (run[np.minimum(idx, len(run) - 1)] == block)
+        keep = found if keep_found else ~found
+        block |= keep.astype(WORD) << WORD(63)
 
 
 def set_intersect(a: np.ndarray, split: int, debug: bool = False) -> int:
     """Intersection of two sorted duplicate-free runs; returns result length."""
-    as_words(a)
-    n = len(a)
-    if debug:
-        _check_set_run(a, 0, split)
-        _check_set_run(a, split, n)
+    n = _set_args(a, split, debug)
     if split == 0 or split == n:
         return 0
     # probe the smaller run against the larger
@@ -602,12 +498,8 @@ def set_intersect(a: np.ndarray, split: int, debug: bool = False) -> int:
 
 def set_difference(a: np.ndarray, split: int, debug: bool = False) -> int:
     """a[0:split) minus a[split:n); result in a[0:m), returns m."""
-    as_words(a)
-    n = len(a)
-    if debug:
-        _check_set_run(a, 0, split)
-        _check_set_run(a, split, n)
-    if split == 0:
-        return 0
+    n = _set_args(a, split, debug)
+    if split == 0 or split == n:
+        return split
     _tag_matches(a, 0, split, split, n, keep_found=False)
     return _tag_filter(a, n)

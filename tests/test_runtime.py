@@ -17,46 +17,9 @@ from pipal.runtime import (
     fork_join,
     meter_scope,
     metered,
-    parallel_blocks,
     release,
     set_num_threads,
 )
-
-
-@pytest.mark.parametrize("threads", [1, 2, 4])
-def test_parallel_for_identity_fill(threads):
-    set_num_threads(threads)
-    a = np.zeros(4, dtype=np.uint64)
-
-    def body(s, t):
-        for i in range(s, t):
-            a[i] = i
-
-    parallel_blocks(0, 4, body)
-    assert a.tolist() == [0, 1, 2, 3]
-
-
-def test_parallel_for_empty_range():
-    calls = []
-    parallel_blocks(0, 0, lambda s, t: calls.append((s, t)))
-    parallel_blocks(5, 3, lambda s, t: calls.append((s, t)))
-    assert calls == []
-
-
-@pytest.mark.parametrize("threads", [1, 2, 4])
-def test_parallel_for_matches_sequential_loop(threads):
-    n = 100_000
-    rng = np.random.default_rng(7)
-    base = rng.integers(0, 1 << 64, size=n, dtype=np.uint64)
-
-    expected = base.copy()
-    for s in range(0, n, 1000):
-        expected[s:s + 1000] += np.uint64(1)
-
-    set_num_threads(threads)
-    got = base.copy()
-    parallel_blocks(0, n, lambda s, t: got.__setitem__(slice(s, t), got[s:t] + np.uint64(1)))
-    assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("threads", [1, 3])
@@ -182,5 +145,6 @@ def test_determinism_across_thread_counts(threads):
     n = 50_000
     a = Rng(5).words(0, n)
     out = np.zeros(n, dtype=np.uint64)
-    parallel_blocks(0, n, lambda s, t: out.__setitem__(slice(s, t), a[s:t] * np.uint64(3)))
+    fork_join(lambda: out.__setitem__(slice(0, n // 2), a[:n // 2] * np.uint64(3)),
+              lambda: out.__setitem__(slice(n // 2, n), a[n // 2:] * np.uint64(3)))
     assert int(out.sum(dtype=np.uint64)) == int((a * np.uint64(3)).sum(dtype=np.uint64))

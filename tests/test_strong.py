@@ -2,12 +2,20 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pipal import baselines as bl
 from pipal import strong
-from pipal.runtime import M64, Rng, SpaceMeter, WORD, meter_scope, set_num_threads
+from pipal.runtime import (
+    M64,
+    SCRATCH_WORDS,
+    WORD,
+    Rng,
+    SpaceMeter,
+    meter_scope,
+    set_num_threads,
+)
 
 
 def words(vals):
@@ -32,12 +40,6 @@ def test_reduce_identity_and_analytic():
 def test_reduce_matches_sequential_fold():
     a = rand_words(1, 100_000)
     assert strong.reduce(a) == int(np.sum(a, dtype=np.uint64))
-
-
-def test_reduce_generic_op():
-    a = words([3, 9, 1, 7])
-    assert strong.reduce(a, op=max, identity=0) == 9
-    assert strong.reduce(a, op=lambda x, y: x ^ y, identity=0) == (3 ^ 9 ^ 1 ^ 7)
 
 
 def test_rotate_examples():
@@ -99,12 +101,6 @@ def test_scan_matches_oracle_sizes(n):
     ref, total = bl.seq_scan(a)
     res = strong.scan(a)
     assert np.array_equal(a, ref) and res.total == total
-
-
-def test_scan_generic_op_max():
-    a = words([2, 9, 1, 5])
-    res = strong.scan(a, op=max, identity=0)
-    assert a.tolist() == [0, 2, 9, 9] and res.total == 9
 
 
 def test_scan_reconstruction_recovers_input():
@@ -184,6 +180,22 @@ def test_filter_kway_stability_random_cases():
         ref = bl.seq_filter(a, lambda b: (b & WORD(1)) == 1)
         m = strong.filter_kway(a, lambda b: (b & WORD(1)) == 1)
         assert a[:m].tolist() == ref.tolist()
+
+
+@given(st.integers(0, 2**32), st.integers(0, 3 * SCRATCH_WORDS),
+       st.integers(0, 2 * SCRATCH_WORDS), st.integers(0, 3), st.booleans())
+@example(seed=1, cnt=3 * SCRATCH_WORDS, gap=SCRATCH_WORDS - 1, lo=0, up=True)
+@example(seed=2, cnt=3 * SCRATCH_WORDS, gap=SCRATCH_WORDS - 1, lo=0, up=False)
+@example(seed=3, cnt=3 * SCRATCH_WORDS, gap=SCRATCH_WORDS + 1, lo=2, up=True)
+@example(seed=4, cnt=3 * SCRATCH_WORDS, gap=SCRATCH_WORDS + 1, lo=2, up=False)
+@settings(max_examples=60, deadline=None)
+def test_move_matches_buffered_copy(seed, cnt, gap, lo, up):
+    a = rand_words(seed, lo + gap + cnt + 3)
+    src, dst = (lo, lo + gap) if up else (lo + gap, lo)
+    expected = a.copy()
+    expected[dst:dst + cnt] = expected[src:src + cnt].copy()
+    strong._move(a, src, dst, cnt)
+    assert np.array_equal(a, expected)
 
 
 def test_partition_unstable_counts_and_multiset():
@@ -303,6 +315,13 @@ def test_set_ops_debug_rejects_unsorted():
     a = words([2, 1, 3, 4])
     with pytest.raises(ValueError, match="unsorted input run"):
         strong.set_union(a, 2, debug=True)
+
+
+@pytest.mark.parametrize("op", ["set_union", "set_intersect", "set_difference"])
+@pytest.mark.parametrize("split", [-1, 6])
+def test_set_ops_reject_split_out_of_range(op, split):
+    with pytest.raises(ValueError, match="split out of range"):
+        getattr(strong, op)(words([1, 3, 5, 2, 3]), split)
 
 
 # ---------------------------------------------------------------------------
