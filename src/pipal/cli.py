@@ -85,10 +85,17 @@ def gen_list(n: int, rng: Rng) -> LinkedList:
     return LinkedList(nxt, prv)
 
 
-def gen_tree(n: int, rng: Rng) -> BinaryTree:
-    if n % 2 == 0:
+def _check_size(kind: str, n: int) -> None:
+    """Raise ``ValueError`` when no ``kind`` input has ``n`` elements."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if kind == "tree" and n % 2 == 0:
         raise ValueError("tree inputs need an odd node count "
                          "(internal nodes have exactly two children)")
+
+
+def gen_tree(n: int, rng: Rng) -> BinaryTree:
+    _check_size("tree", n)
     ids = np.arange(n, dtype=WORD)
     if n > 1:
         relaxed.random_permutation(ids, relaxed.make_swap_sequence(n, rng))
@@ -387,8 +394,7 @@ ALGORITHMS = sorted(ALGO_KIND)
 
 
 def generate_input(kind: str, n: int, seed: int):
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _check_size(kind, n)
     rng = Rng(seed)
     if kind == "ints":
         return gen_ints(n, rng)
@@ -506,15 +512,15 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _check_numbers(sizes, epsilons, prefix_frac: float, threads, reps: int) -> None:
+def _check_numbers(kind: str, sizes, epsilons, prefix_frac: float, threads,
+                   reps: int) -> None:
     """Raise ``ValueError`` for an out-of-range numeric option, through the
     library's own checks (``run_bench`` sets the thread count again per row),
     before any row is written."""
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     for n in sizes:
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
+        _check_size(kind, n)
     for eps in epsilons:
         EpsilonConfig(eps, prefix_frac)
     for t in threads:
@@ -550,8 +556,8 @@ def _cmd_run(args) -> int:
         print(f"pipal run: unknown algorithm {args.algo!r}", file=sys.stderr)
         return 1
     try:
-        _check_numbers((), [args.epsilon], args.prefix_frac, [args.threads],
-                       args.reps)
+        _check_numbers(ALGO_KIND[algo], (), [args.epsilon], args.prefix_frac,
+                       [args.threads], args.reps)
     except ValueError as exc:
         print(f"pipal run: {exc}", file=sys.stderr)
         return 1
@@ -587,13 +593,13 @@ def _cmd_sweep(args) -> int:
     if algo not in ALGO_KIND:
         print(f"pipal sweep: unknown algorithm {args.algo!r}", file=sys.stderr)
         return 1
+    kind = ALGO_KIND[algo]
     try:
-        _check_numbers(args.n, args.epsilon, args.prefix_frac, args.threads,
-                       args.reps)
+        _check_numbers(kind, args.n, args.epsilon, args.prefix_frac,
+                       args.threads, args.reps)
     except ValueError as exc:
         print(f"pipal sweep: {exc}", file=sys.stderr)
         return 1
-    kind = ALGO_KIND[algo]
     failed = False
     for n in args.n:
         try:

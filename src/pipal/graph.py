@@ -2,12 +2,13 @@
 
 Vertices are sampled as centers with probability 1/k (k = m^epsilon); only
 per-center state is stored, and queries run local searches instead of
-reading stored labels.  Connectivity labels come from truncated
-breadth-first searches between neighboring centers plus hook-and-contract
-rounds over the tiny center graph; the minimum spanning forest runs
-Boruvka rounds over the decomposition's clusters and stores only the
-committed inter-center forest edges.  Effective edge weights are the pairs
-(weight, edge id), so ties are impossible and the MSF is unique.
+reading stored labels.  Connectivity labels come from one breadth-first
+search per center, covering the whole non-center region around it, to its
+neighboring centers, plus hook-and-contract rounds over the tiny center
+graph; the minimum spanning forest runs Boruvka rounds over the
+decomposition's clusters and stores only the committed inter-center forest
+edges.  Effective edge weights are the pairs (weight, edge id), so ties are
+impossible and the MSF is unique.
 """
 
 from __future__ import annotations
@@ -31,9 +32,6 @@ __all__ = [
     "GraphEdges", "ImplicitDecomposition", "ConnectivityOracle", "MsfOracle",
     "build_connectivity", "query_connectivity", "build_msf", "query_msf_edge",
 ]
-
-SEARCH_CAP_FACTOR = 8  # searches visit up to 8k vertices before falling back
-
 
 # ---------------------------------------------------------------------------
 # Graph representation
@@ -106,10 +104,9 @@ class ConnectivityOracle:
 
 
 def _bfs_to_centers(g: GraphEdges, dec: ImplicitDecomposition, start: int,
-                    visited: np.ndarray, cap: int):
-    """BFS from a center through non-center vertices; returns (neighbor
-    centers, touched vertices).  Past the cap it keeps going (the
-    whole-component fallback), which desk-scale graphs tolerate."""
+                    visited: np.ndarray):
+    """BFS from a center through the whole non-center region around it;
+    returns (neighbor centers, touched vertices)."""
     touched = [start]
     visited[start] = True
     frontier = np.array([start], dtype=np.int64)
@@ -132,11 +129,11 @@ def _bfs_to_centers(g: GraphEdges, dec: ImplicitDecomposition, start: int,
 
 
 def build_connectivity(g: GraphEdges, epsilon: float, seed: int) -> ConnectivityOracle:
-    """Center graph by truncated searches, then hook-and-contract labels."""
+    """Center graph by one search per center over the whole non-center
+    region around it, then hook-and-contract labels."""
     dec = ImplicitDecomposition.sample(g, epsilon, seed)
     centers = dec.center_ids
     cidx = {int(c): i for i, c in enumerate(centers.tolist())}
-    cap = SEARCH_CAP_FACTOR * dec.k
 
     visited = alloc_bool(g.n)
     visited[:] = False
@@ -144,7 +141,7 @@ def build_connectivity(g: GraphEdges, epsilon: float, seed: int) -> Connectivity
     eb: list[int] = []
     try:
         for c in centers.tolist():
-            found, touched = _bfs_to_centers(g, dec, int(c), visited, cap)
+            found, touched = _bfs_to_centers(g, dec, int(c), visited)
             for other in found:
                 ea.append(cidx[int(c)])
                 eb.append(cidx[other])

@@ -6,7 +6,9 @@ keeps its charged auxiliary footprint within a small constant times
 reservations engine with one target-keyed reservation table; filter,
 partition and quicksort retire one budget-sized prefix per round.  All of
 them run on :func:`pipal.detres.decompose_driver`, the one round loop, with
-its one livelock rule; merging works on budget-sized chunks.
+its one livelock rule.  Merging works on budget-sized chunks and shares the
+strong merge's bisection recursion; mergesort merges every segment in
+chunks of the whole array's budget.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .detres import (
     run_rounds,
 )
 from .runtime import (
+    SCRATCH_WORDS,
     WORD,
     EpsilonConfig,
     alloc,
@@ -31,11 +34,10 @@ from .runtime import (
 from .strong import (
     SORT_BASE,
     _check_sorted_run,
+    _merge,
     _merge_into,
     _mergesort,
-    _move,
     _quicksort,
-    _split_point,
     merge_strong,
     rotate,
 )
@@ -271,23 +273,6 @@ def _merge_buffered(a: np.ndarray, split: int) -> None:
         a[:] = buf
 
 
-def _merge_bisect(a: np.ndarray, split: int, k: int) -> None:
-    """Median split by dual binary search + rotation until a subproblem fits
-    the three-chunk buffer (the batched regime for small chunk sizes)."""
-    n = len(a)
-    if split == 0 or split == n:
-        return
-    if n <= 3 * k:
-        _merge_buffered(a, split)
-        return
-    h = n // 2
-    i = _split_point(a, 0, split, n, h)
-    j = h - i
-    rotate(a[i:split + j], split - i)
-    _merge_bisect(a[:h], i, k)
-    _merge_bisect(a[h:], split + j - h, k)
-
-
 class _ChunkStream:
     """Streaming phase over chunk-permuted bodies: two staged input chunks
     plus one output chunk; a full output chunk flushes to the front."""
@@ -434,16 +419,18 @@ def _merge_chunked(a: np.ndarray, split: int, k: int) -> None:
 
 
 def _merge_back_tail(a: np.ndarray, n1: int, p: int) -> None:
-    """Merge the sorted suffix a[n1:n1+p] into the sorted prefix a[:n1]."""
+    """Merge the sorted suffix a[n1:n1+p] into the sorted prefix a[:n1]: body
+    blocks of SCRATCH_WORDS words, from the back, shift right past the
+    parked words at or below them, then the parked run fills the gaps."""
     with aux(p) as buf:
         buf[:] = a[n1:n1 + p]
         ins = np.searchsorted(a[:n1], buf, side="left")
-        for t in range(p, 0, -1):
-            s0 = int(ins[t - 1])
-            s1 = int(ins[t]) if t < p else n1
-            if s1 > s0:
-                _move(a, s0, s0 + t, s1 - s0)
-        a[ins.astype(np.int64) + np.arange(p)] = buf
+        lo = int(ins[0])
+        for hi in range(n1, lo, -SCRATCH_WORDS):
+            s = max(lo, hi - SCRATCH_WORDS)
+            blk = a[s:hi].copy()
+            a[np.arange(s, hi) + np.searchsorted(buf, blk, side="right")] = blk
+        a[ins + np.arange(p)] = buf
 
 
 def merge_relaxed(a: np.ndarray, split: int, budget: EpsilonConfig = DEFAULT_BUDGET,
@@ -456,15 +443,18 @@ def merge_relaxed(a: np.ndarray, split: int, budget: EpsilonConfig = DEFAULT_BUD
     if debug:
         _check_sorted_run(a, 0, split)
         _check_sorted_run(a, split, n)
-    if split == 0 or split == n or n == 0:
+    _merge_words(a, split, budget.prefix_words(n))
+
+
+def _merge_words(a: np.ndarray, split: int, k: int) -> None:
+    """Merge in chunks of ``k`` words: the shared bisection down to 3k-word
+    buffered merges when the input fits three chunks or has more than k
+    chunks, the chunk permutation and stream otherwise."""
+    n = len(a)
+    if split == 0 or split == n:
         return
-    k = budget.prefix_words(n)
-    if n <= 3 * k:
-        _merge_buffered(a, split)
-        return
-    nchunks = (n + k - 1) // k
-    if nchunks > k:
-        _merge_bisect(a, split, k)
+    if n <= 3 * k or (n + k - 1) // k > k:
+        _merge(a, split, 3 * k, _merge_buffered)
         return
 
     sx = split % k
@@ -483,9 +473,10 @@ def merge_relaxed(a: np.ndarray, split: int, budget: EpsilonConfig = DEFAULT_BUD
 
 
 def mergesort_relaxed(a: np.ndarray, budget: EpsilonConfig = DEFAULT_BUDGET) -> None:
-    """The shared mergesort over merge_relaxed; segments of at most
-    max(SORT_BASE, b(n)) words are sorted directly, and siblings run in
-    order, so the peak footprint is the final merge's."""
+    """The shared mergesort, every merge in chunks of the whole array's b(n);
+    segments of at most max(SORT_BASE, b(n)) words are sorted directly, and
+    siblings run in order, so the peak footprint is the final merge's."""
     as_words(a)
-    _mergesort(a, lambda seg, split: merge_relaxed(seg, split, budget),
-               max(SORT_BASE, budget.prefix_words(len(a))))
+    k = budget.prefix_words(len(a))
+    _mergesort(a, lambda seg, split: _merge_words(seg, split, k),
+               max(SORT_BASE, k))

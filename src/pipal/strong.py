@@ -331,7 +331,7 @@ def quicksort_strong(a: np.ndarray, rng) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Merging and mergesort (dual binary search + rotation)
+# Merging and mergesort (dual binary search + rotation, shared by both models)
 
 def _merge_into(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
     """Stable merge of sorted x, y into out; equal keys taken from x first."""
@@ -341,22 +341,20 @@ def _merge_into(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
     out[py] = y
 
 
-def _merge_base(a: np.ndarray, lo: int, mid: int, hi: int) -> None:
-    scratch = a[lo:hi].copy()
-    _merge_into(scratch[:mid - lo], scratch[mid - lo:], a[lo:hi])
+def _merge_base(a: np.ndarray, split: int) -> None:
+    scratch = a.copy()
+    _merge_into(scratch[:split], scratch[split:], a)
 
 
-def _split_point(a: np.ndarray, lo: int, mid: int, hi: int, h: int) -> int:
+def _split_point(a: np.ndarray, split: int, h: int) -> int:
     """Smallest i with i + (h-i) = h low elements, equal keys taken from the left."""
-    na = mid - lo
-    nb = hi - mid
-    ilo = max(0, h - nb)
-    ihi = min(na, h)
+    ilo = max(0, h - (len(a) - split))
+    ihi = min(split, h)
     while ilo < ihi:
         im = (ilo + ihi) // 2
         jm = h - im
         # i too small iff the right run still holds an element that must be low
-        if jm > 0 and im < na and a[mid + jm - 1] >= a[lo + im]:
+        if jm > 0 and im < split and a[split + jm - 1] >= a[im]:
             ilo = im + 1
         else:
             ihi = im
@@ -368,6 +366,24 @@ def _check_sorted_run(a: np.ndarray, lo: int, hi: int) -> None:
         raise ValueError("unsorted input run")
 
 
+def _merge(a: np.ndarray, split: int, base: int, leaf) -> None:
+    """Merge recursion shared by both space models: split at the midpoint by
+    dual binary search, rotate, recurse through fork_join; a subproblem of
+    at most ``base`` words goes to ``leaf(seg, split)``."""
+    n = len(a)
+    if split == 0 or split == n:
+        return
+    if n <= base:
+        leaf(a, split)
+        return
+    h = n // 2
+    i = _split_point(a, split, h)
+    j = h - i
+    rotate(a[i:split + j], split - i)
+    fork_join(lambda: _merge(a[:h], i, base, leaf),
+              lambda: _merge(a[h:], split + j - h, base, leaf))
+
+
 def merge_strong(a: np.ndarray, split: int, debug: bool = False) -> None:
     """In-place merge of the sorted runs a[0:split) and a[split:n)."""
     as_words(a)
@@ -377,24 +393,7 @@ def merge_strong(a: np.ndarray, split: int, debug: bool = False) -> None:
     if debug:
         _check_sorted_run(a, 0, split)
         _check_sorted_run(a, split, n)
-
-    def rec(lo: int, mid: int, hi: int) -> None:
-        na = mid - lo
-        nb = hi - mid
-        if na == 0 or nb == 0:
-            return
-        if hi - lo <= SCRATCH_WORDS:
-            _merge_base(a, lo, mid, hi)
-            return
-        h = (hi - lo) // 2
-        i = _split_point(a, lo, mid, hi, h)
-        j = h - i
-        rotate(a[lo + i:mid + j], mid - (lo + i))
-        cut = lo + h
-        fork_join(lambda: rec(lo, lo + i, cut),
-                  lambda: rec(cut, mid + j, hi))
-
-    rec(0, split, n)
+    _merge(a, split, SCRATCH_WORDS, _merge_base)
 
 
 def _mergesort(a: np.ndarray, merge, base: int) -> None:

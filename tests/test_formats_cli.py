@@ -175,6 +175,7 @@ _OUT_OF_RANGE = {
     "gen-ints-n": ["gen", "--kind", "ints", "--n", "-4"],
     "sweep-n": ["sweep", "--algo", "rp", "--n", "-3"],
     "sweep-later-n": ["sweep", "--algo", "rp", "--n", "100", "-3"],
+    "sweep-later-even-tree": ["sweep", "--algo", "tree-contract", "--n", "101", "100"],
     "sweep-threads": ["sweep", "--algo", "rp", "--n", "16", "--threads", "0"],
     "sweep-epsilon": ["sweep", "--algo", "rp", "--n", "16", "--epsilon", "1.5"],
     "sweep-prefix-frac": ["sweep", "--algo", "rp", "--n", "16",

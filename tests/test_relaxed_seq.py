@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pipal import baselines as bl
-from pipal import strong
+from pipal import relaxed, strong
 from pipal.detres import LivelockError
 from pipal.relaxed import (
     decompose_driver,
@@ -208,11 +208,20 @@ def test_merge_relaxed_empty_run():
 
 
 @pytest.mark.parametrize("eps", [0.3, 0.5, 0.7])
-@pytest.mark.parametrize("sizes", [(1, 1), (9, 3), (1000, 1), (1, 1000),
-                                   (5000, 5000), (10_000, 3777), (999, 65_536)])
+@pytest.mark.parametrize("sizes", [
+    # (len x, len y, values drawn from [0, hi))
+    (1, 1, 2000), (9, 3, 2000), (1000, 1, 2000), (1, 1000, 2000),
+    (5000, 5000, 2000), (10_000, 3777, 2000), (999, 65_536, 2000),
+    # at eps = 0.5: n = 3k (buffered) and n = 3k + 1 (chunked), k = 4
+    (5, 7, 2000), (6, 7, 2000),
+    # at eps = 0.5: k = 265 and a parked run of 2k - 2 = 528 words, more
+    # than SCRATCH_WORDS, against a body of 272 back-walk blocks; with
+    # values in [0, 3) ties cross the block edges
+    (40_014, 30_209, 2000), (40_014, 30_209, 3), (10_000, 3777, 3),
+])
 def test_merge_relaxed_matches_oracle(sizes, eps):
-    na, nb = sizes
-    a, split = sorted_pair(na * 131 + nb, na, nb, hi=2000)
+    na, nb, hi = sizes
+    a, split = sorted_pair(na * 131 + nb, na, nb, hi=hi)
     ref = bl.seq_two_finger_merge(a[:split], a[split:])
     merge_relaxed(a, split, PURE(eps))
     assert np.array_equal(a, ref)
@@ -233,6 +242,25 @@ def test_mergesort_relaxed(n, eps):
     assert np.array_equal(a, ref)
 
 
+@pytest.mark.parametrize("eps", [0.3, 0.5, 0.7])
+def test_mergesort_relaxed_merges_in_top_level_chunks(monkeypatch, eps):
+    n = 65_537
+    cfg = PURE(eps)
+    ks = []
+    merge_words = relaxed._merge_words
+
+    def record(seg, split, k):
+        ks.append(k)
+        merge_words(seg, split, k)
+
+    monkeypatch.setattr(relaxed, "_merge_words", record)
+    a = rand_words(n, n)
+    ref = np.sort(a)
+    mergesort_relaxed(a, cfg)
+    assert np.array_equal(a, ref)
+    assert ks and set(ks) == {cfg.prefix_words(n)}
+
+
 # ---------------------------------------------------------------------------
 # space budgets
 
@@ -241,7 +269,8 @@ def test_relaxed_seq_ops_within_budget(eps):
     n = 65_536
     cfg = PURE(eps)
     b = cfg.prefix_words(n)
-    seeds = {"filter": 11, "partition": 12, "merge": 13, "qsort": 14}
+    seeds = {"filter": 11, "partition": 12, "merge": 13, "qsort": 14,
+             "msort": 15}
     for run in seeds:
         meter = SpaceMeter()
         a = rand_words(seeds[run], n)
@@ -256,6 +285,8 @@ def test_relaxed_seq_ops_within_budget(eps):
                 partition_relaxed(a, EVEN, cfg)
             elif run == "merge":
                 merge_relaxed(a, n // 2, cfg)
+            elif run == "msort":
+                mergesort_relaxed(a, cfg)
             else:
                 quicksort_relaxed(a, Rng(7), cfg)
 
