@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .runtime import M64, NIL, WORD, alloc, as_words, release
+from .runtime import M64, NIL, SCRATCH_WORDS, WORD, alloc, as_words, release
 
 __all__ = [
     "seq_scan", "seq_filter", "seq_knuth_shuffle", "seq_list_rank",
@@ -165,9 +165,6 @@ def kruskal_msf(n: int, edges_u: np.ndarray, edges_v: np.ndarray,
 # ---------------------------------------------------------------------------
 # Non-in-place comparators (metered, to demonstrate the Theta(n) contrast)
 
-_NONIP_BLOCK = 2048
-
-
 def nonip_scan(a: np.ndarray) -> tuple[np.ndarray, int]:
     """Two-pass blocked scan writing into a fresh output array.
 
@@ -179,11 +176,11 @@ def nonip_scan(a: np.ndarray) -> tuple[np.ndarray, int]:
     out = alloc(n)
     if n == 0:
         return out, 0
-    nblocks = (n + _NONIP_BLOCK - 1) // _NONIP_BLOCK
+    nblocks = (n + SCRATCH_WORDS - 1) // SCRATCH_WORDS
     sums = alloc(nblocks)
     for b in range(nblocks):
-        s = b * _NONIP_BLOCK
-        t = min(s + _NONIP_BLOCK, n)
+        s = b * SCRATCH_WORDS
+        t = min(s + SCRATCH_WORDS, n)
         np.cumsum(a[s:t], dtype=WORD, out=out[s:t])
         sums[b] = out[t - 1]
     total = 0
@@ -192,8 +189,8 @@ def nonip_scan(a: np.ndarray) -> tuple[np.ndarray, int]:
         sums[b] = total
         total = (total + block_total) & M64
     for b in range(nblocks):
-        s = b * _NONIP_BLOCK
-        t = min(s + _NONIP_BLOCK, n)
+        s = b * SCRATCH_WORDS
+        t = min(s + SCRATCH_WORDS, n)
         base = sums[b]
         out[s + 1:t] = out[s:t - 1] + base
         out[s] = base
@@ -209,8 +206,8 @@ def nonip_filter(a: np.ndarray, pred) -> np.ndarray:
     mask[:] = pred(a)
     out = alloc(int(np.count_nonzero(mask)))
     w = 0
-    for s in range(0, n, _NONIP_BLOCK):
-        t = min(s + _NONIP_BLOCK, n)
+    for s in range(0, n, SCRATCH_WORDS):
+        t = min(s + SCRATCH_WORDS, n)
         kept = a[s:t][mask[s:t]]
         out[w:w + len(kept)] = kept
         w += len(kept)

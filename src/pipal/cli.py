@@ -332,8 +332,7 @@ def _make_run(cfg: BenchConfig, data) -> _Run:
         state = {}
 
         def body():
-            state["roots"], state["s"] = tree_contract(tree, p, vals.copy(),
-                                                       budget)
+            state["roots"], state["s"] = tree_contract(tree, p, vals, budget)
 
         return _Run(body, lambda: state["roots"] == ref,
                     lambda: state["s"].rounds)

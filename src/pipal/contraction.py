@@ -22,6 +22,7 @@ import numpy as np
 from .detres import RoundStats, run_rounds
 from .runtime import (
     NIL,
+    SCRATCH_WORDS,
     WORD,
     EpsilonConfig,
     alloc,
@@ -292,9 +293,6 @@ def list_rank(lst: LinkedList, p: np.ndarray,
 # ---------------------------------------------------------------------------
 # Tree contraction
 
-_SCAN_BLOCK = 4096
-
-
 class _TreeClient:
     """Rake leaves into parents, compress unary nodes into their child.
 
@@ -334,7 +332,7 @@ class _TreeClient:
 
     def _scan_fill(self) -> None:
         while self.qsize < self.prefix and self.cursor < self.n:
-            hi = min(self.cursor + _SCAN_BLOCK, self.n)
+            hi = min(self.cursor + SCRATCH_WORDS, self.n)
             blk = slice(self.cursor, hi)
             zero = (self.lf[blk] == _NILW) & (self.rt[blk] == _NILW)
             unary = (self.lf[blk] == _NILW) | (self.rt[blk] == _NILW)

@@ -32,7 +32,6 @@ from .runtime import (
     release,
 )
 from .strong import (
-    SORT_BASE,
     _check_sorted_run,
     _merge,
     _merge_into,
@@ -113,7 +112,7 @@ class _RpClient:
         h = self.h
         while count > 0 and self.cursor >= 0:
             hi = self.cursor
-            lo = max(0, hi - max(count, 1024) + 1)
+            lo = max(0, hi - max(count, SCRATCH_WORDS) + 1)
             window = np.arange(hi, lo - 1, -1, dtype=np.int64)
             idx = np.flatnonzero(h[window] != window.astype(WORD))[:count]
             if len(idx):
@@ -254,14 +253,14 @@ def _partition_rounds(a: np.ndarray, pred, b: int,
 def quicksort_relaxed(a: np.ndarray, rng, budget: EpsilonConfig = DEFAULT_BUDGET,
                       stats_sink: list | None = None) -> None:
     """The shared quicksort with partitions in b(n)-word rounds, for the
-    whole array's b(n); segments of at most max(SORT_BASE, b(n)) words are
-    sorted directly.  Segments run one at a time, so the peak footprint is a
-    single partition's buffer.  One RoundStats per partition goes to
+    whole array's b(n); segments of at most max(SCRATCH_WORDS, b(n)) words
+    are sorted directly.  Segments run one at a time, so the peak footprint
+    is a single partition's buffer.  One RoundStats per partition goes to
     ``stats_sink``."""
     as_words(a)
     b = budget.prefix_words(len(a))
     _quicksort(a, rng, lambda seg, pred: _partition_rounds(seg, pred, b, stats_sink),
-               max(SORT_BASE, b))
+               max(SCRATCH_WORDS, b))
 
 
 # ---------------------------------------------------------------------------
@@ -474,9 +473,9 @@ def _merge_words(a: np.ndarray, split: int, k: int) -> None:
 
 def mergesort_relaxed(a: np.ndarray, budget: EpsilonConfig = DEFAULT_BUDGET) -> None:
     """The shared mergesort, every merge in chunks of the whole array's b(n);
-    segments of at most max(SORT_BASE, b(n)) words are sorted directly, and
-    siblings run in order, so the peak footprint is the final merge's."""
+    segments of at most max(SCRATCH_WORDS, b(n)) words are sorted directly,
+    and siblings run in order, so the peak footprint is the final merge's."""
     as_words(a)
     k = budget.prefix_words(len(a))
     _mergesort(a, lambda seg, split: _merge_words(seg, split, k),
-               max(SORT_BASE, k))
+               max(SCRATCH_WORDS, k))

@@ -8,7 +8,6 @@ reduce add mod 2^64.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +28,6 @@ __all__ = [
     "set_union", "set_intersect", "set_difference",
 ]
 
-SCAN_BASE = 256       # switch to a sequential in-place scan below this size
-SORT_BASE = 64
-REDUCE_GRAIN = 8192
 TAG = 1 << 63         # mark bit used by the set operations
 UNTAG = WORD(TAG ^ M64)
 
@@ -44,7 +40,7 @@ def reduce(a: np.ndarray) -> int:
     as_words(a)
 
     def rec(s: int, t: int) -> int:
-        if t - s <= REDUCE_GRAIN:
+        if t - s <= SCRATCH_WORDS:
             return int(np.sum(a[s:t], dtype=WORD))
         mid = s + (t - s) // 2
         left, right = fork_join(lambda: rec(s, mid), lambda: rec(mid, t))
@@ -121,9 +117,9 @@ def _scan_add(v: np.ndarray) -> int:
     n = len(v)
     if n == 0:
         return 0
-    _up_sweep_add(v, 0, n - 1, SCAN_BASE)
+    _up_sweep_add(v, 0, n - 1, SCRATCH_WORDS)
     total = int(v[n - 1])
-    _down_sweep_add(v, 0, n - 1, 0, SCAN_BASE)
+    _down_sweep_add(v, 0, n - 1, 0, SCRATCH_WORDS)
     return total
 
 
@@ -140,7 +136,7 @@ def scan_blocked(a: np.ndarray) -> ScanResult:
     """
     as_words(a)
     n = len(a)
-    block = SCAN_BASE
+    block = SCRATCH_WORDS
     for s in range(0, n, block):
         np.cumsum(a[s:s + block], dtype=WORD, out=a[s:s + block])
 
@@ -191,15 +187,13 @@ def _move(a: np.ndarray, src: int, dst: int, cnt: int) -> None:
         a[dst + i:dst + j] = a[src + i:src + j]
 
 
-_FILTER_BATCH = SCRATCH_WORDS  # chunks moved together in one parallel step
-
-
 def filter_kway(a: np.ndarray, pred) -> int:
     """Stable in-place filter: kept elements end up in a[0:m); returns m.
 
-    Splits the array into ~sqrt(n) chunks handled one batch at a time; all
-    chunks of a batch whose destinations precede the batch source are moved
-    in one parallel step.
+    Splits the array into ~sqrt(n) chunks handled in batches of at most
+    SCRATCH_WORDS chunks, whose kept counts fill one word block; all chunks
+    of a batch whose destinations precede the batch source are moved in one
+    parallel step.
     """
     as_words(a)
     n = len(a)
@@ -214,20 +208,22 @@ def filter_kway(a: np.ndarray, pred) -> int:
     m = 0
     c = 0
     while c < nchunks:
-        csum = [0]
-        for t in range(min(_FILTER_BATCH, nchunks - c)):
+        # ends[t]: end of chunk c + t's destination, relative to m
+        ends = np.empty(min(SCRATCH_WORDS, nchunks - c), dtype=np.int64)
+        for t in range(len(ends)):
             s = (c + t) * chunk
-            csum.append(csum[-1] + _count_pred(a, s, min(s + chunk, n), pred))
+            ends[t] = _count_pred(a, s, min(s + chunk, n), pred)
+        np.cumsum(ends, out=ends)
 
         # largest j with every batched destination left of the batch's first
         # source element; a lone chunk that overlaps its destination moves
         # on its own, in the overlap-safe order
-        j = max(1, bisect_right(csum, c * chunk - m) - 1)
+        j = max(1, int(np.searchsorted(ends, c * chunk - m, side="right")))
         for t in range(j):
             s = (c + t) * chunk
             cnt = _compact_pred(a, s, min(s + chunk, n), pred) - s
-            _move(a, s, m + csum[t], cnt)
-        m += csum[j]
+            _move(a, s, m + int(ends[t]) - cnt, cnt)
+        m += int(ends[j - 1])
         c += j
     return m
 
@@ -327,7 +323,7 @@ def quicksort_strong(a: np.ndarray, rng) -> None:
     4*log2(n) partitions on one path the pivot stream restarts.
     """
     as_words(a)
-    _quicksort(a, rng, partition_unstable, SORT_BASE)
+    _quicksort(a, rng, partition_unstable, SCRATCH_WORDS)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +412,7 @@ def _mergesort(a: np.ndarray, merge, base: int) -> None:
 def mergesort_strong(a: np.ndarray) -> None:
     """Mergesort over merge_strong (O(n log^2 n) work, not work-efficient)."""
     as_words(a)
-    _mergesort(a, merge_strong, SORT_BASE)
+    _mergesort(a, merge_strong, SCRATCH_WORDS)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ import pipal
 from pipal import cli, formats
 from pipal.cli import ALGORITHMS, BenchConfig, generate_input, run_bench
 from pipal.contraction import LinkedList, validate_binary_tree, validate_linked_list
-from pipal.runtime import NIL, WORD
+from pipal.runtime import NIL, SCRATCH_WORDS, WORD
 
 
 def test_ints_file_roundtrip_and_size(tmp_path):
@@ -87,7 +88,8 @@ def test_csv_schema_and_checker(tmp_path):
 @pytest.mark.parametrize("algo", ALGORITHMS)
 def test_every_algorithm_runs_and_verifies(algo):
     kind = cli.ALGO_KIND[algo]
-    n = 1001 if kind == "tree" else (200 if kind == "graph" else 3000)
+    # ints span two sort leaves, so the relaxed sorts partition in rounds
+    n = {"tree": 1001, "graph": 200}.get(kind, 2 * SCRATCH_WORDS)
     data = generate_input(kind, n, seed=4)
     cfg = BenchConfig(algo=algo, n=cli.input_size(kind, data), verify=True,
                       seed=4)
@@ -106,6 +108,23 @@ def test_nonip_scan_charges_linear_space():
     cfg = BenchConfig(algo="nonip-scan", n=4096, verify=True)
     rows = run_bench(cfg, data)
     assert rows[0]["peak_heap_words"] >= 4096
+
+
+def test_tree_contract_body_does_not_copy_the_values():
+    # the values are fresh for each rep, so the timed body folds them in
+    # place; a copy alone would take 8n bytes
+    n = (1 << 16) + 1
+    data = generate_input("tree", n, seed=3)
+    run = cli._make_run(BenchConfig(algo="tree-contract", n=n, verify=True,
+                                    seed=3), data)
+    tracemalloc.start()
+    try:
+        run.body()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.verify()
+    assert peak < 8 * n, peak
 
 
 def test_cli_end_to_end(tmp_path):

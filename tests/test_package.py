@@ -32,3 +32,20 @@ def test_no_unused_imports(name):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = imported - used - set(getattr(module, "__all__", ()))
     assert sorted(unused) == []
+
+
+BLOCK_SUFFIXES = ("_BASE", "_BLOCK", "_GRAIN", "_BATCH")
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "pipal.runtime"])
+def test_block_sizes_come_from_scratch_words(name):
+    # runtime.SCRATCH_WORDS is the one block, leaf, grain and batch constant
+    tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+    targets = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets += node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets.append(node.target)
+    names = {t.id for t in targets if isinstance(t, ast.Name)}
+    assert sorted(n for n in names if n.endswith(BLOCK_SUFFIXES)) == []

@@ -18,6 +18,7 @@ from pipal.relaxed import (
 )
 from pipal.runtime import (
     POWER_ONLY_FRACTION,
+    SCRATCH_WORDS,
     EpsilonConfig,
     Rng,
     SpaceMeter,
@@ -170,8 +171,11 @@ class _FirstPivotRng:
 
 @pytest.mark.parametrize("model", ["strong", "relaxed"])
 def test_worst_case_pivots_keep_shared_quicksort_shallow(model):
-    n = 1 << 10
-    log2n = 10
+    # segments of at most SCRATCH_WORDS words are leaves, so the input runs
+    # n - SCRATCH_WORDS partitions, more than the 4*log2(n) restart limit
+    log2n = SCRATCH_WORDS.bit_length()
+    n = SCRATCH_WORDS + 8 * log2n
+    assert log2n == (n - 1).bit_length()  # ceil(log2(n))
     a = np.sort(rand_words(31, n))
     ref = a.copy()
     rng = _FirstPivotRng()
@@ -214,9 +218,9 @@ def test_merge_relaxed_empty_run():
     (5000, 5000, 2000), (10_000, 3777, 2000), (999, 65_536, 2000),
     # at eps = 0.5: n = 3k (buffered) and n = 3k + 1 (chunked), k = 4
     (5, 7, 2000), (6, 7, 2000),
-    # at eps = 0.5: k = 265 and a parked run of 2k - 2 = 528 words, more
-    # than SCRATCH_WORDS, against a body of 272 back-walk blocks; with
-    # values in [0, 3) ties cross the block edges
+    # at eps = 0.5: k = 265 and a parked run of 2k - 2 = 528 words, within
+    # one block, against a body of about 17 back-walk blocks; with values in
+    # [0, 3) ties cross the block edges
     (40_014, 30_209, 2000), (40_014, 30_209, 3), (10_000, 3777, 3),
 ])
 def test_merge_relaxed_matches_oracle(sizes, eps):
@@ -224,6 +228,20 @@ def test_merge_relaxed_matches_oracle(sizes, eps):
     a, split = sorted_pair(na * 131 + nb, na, nb, hi=hi)
     ref = bl.seq_two_finger_merge(a[:split], a[split:])
     merge_relaxed(a, split, PURE(eps))
+    assert np.array_equal(a, ref)
+
+
+@pytest.mark.parametrize("hi", [2000, 3])
+def test_merge_relaxed_parked_run_longer_than_a_block(hi):
+    # at eps = 0.3, k = 2187: both runs end k - 1 words past a chunk edge,
+    # so the chunked path parks 2k - 2 words, more than one scratch block
+    na, nb = 11 * 2187 - 1, 16 * 2187 - 1
+    cfg = PURE(0.3)
+    k = cfg.prefix_words(na + nb)
+    assert na % k + nb % k > SCRATCH_WORDS and na + nb > 3 * k
+    a, split = sorted_pair(na * 131 + nb, na, nb, hi=hi)
+    ref = bl.seq_two_finger_merge(a[:split], a[split:])
+    merge_relaxed(a, split, cfg)
     assert np.array_equal(a, ref)
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -66,10 +68,12 @@ def test_rotate_matches_modular_index_oracle(seed, n):
 
 
 def test_rotate_inverse_property():
-    a = rand_words(3, 1000)
+    # long enough that each reversal walks several scratch blocks
+    n = 3 * SCRATCH_WORDS + 17
+    a = rand_words(3, n)
     ref = a.copy()
-    strong.rotate(a, 317)
-    strong.rotate(a, 1000 - 317)
+    strong.rotate(a, SCRATCH_WORDS + 317)
+    strong.rotate(a, n - SCRATCH_WORDS - 317)
     assert np.array_equal(a, ref)
 
 
@@ -95,7 +99,9 @@ def test_scan_matches_oracle_small():
     assert a.tolist() == ref.tolist() and res.total == total == 31
 
 
-@pytest.mark.parametrize("n", [2, 3, 255, 256, 257, 1000, 4096, 12345])
+@pytest.mark.parametrize("n", [2, 3, 255, 256, 257, 1000, SCRATCH_WORDS - 1,
+                               SCRATCH_WORDS, SCRATCH_WORDS + 1,
+                               3 * SCRATCH_WORDS + 57])
 def test_scan_matches_oracle_sizes(n):
     a = rand_words(n, n)
     ref, total = bl.seq_scan(a)
@@ -130,8 +136,8 @@ def _walk_upsweep_nodes(n, base):
     return nodes
 
 
-@pytest.mark.parametrize("base", [1, 256])
-@pytest.mark.parametrize("n", [1, 2, 7, 300, 2**12])
+@pytest.mark.parametrize("base", [1, 256, SCRATCH_WORDS])
+@pytest.mark.parametrize("n", [1, 2, 7, 300, 2**12, 2 * SCRATCH_WORDS + 3])
 def test_upsweep_midpoint_invariant(n, base):
     orig = rand_words(n * 7 + base, n)
     a = orig.copy()
@@ -141,7 +147,8 @@ def test_upsweep_midpoint_invariant(n, base):
         assert int(a[mid]) == int(np.sum(orig[s:mid + 1], dtype=np.uint64))
 
 
-@pytest.mark.parametrize("n", [1, 5, 255, 256, 1000, 65536, 100_001])
+@pytest.mark.parametrize("n", [1, 5, 255, 256, 1000, SCRATCH_WORDS - 1,
+                               SCRATCH_WORDS, 65536, 100_001])
 def test_scan_blocked_bit_identical_to_scan(n):
     a1 = rand_words(n, n)
     a2 = a1.copy()
@@ -257,8 +264,10 @@ def test_merge_strong_empty_run():
     assert np.array_equal(a, ref)
 
 
+# the last two split by bisection before their leaves
 @pytest.mark.parametrize("sizes", [(1, 1), (5, 3), (100, 1), (1, 100),
-                                   (1000, 1000), (4096, 999)])
+                                   (SCRATCH_WORDS, SCRATCH_WORDS + 1),
+                                   (4 * SCRATCH_WORDS, SCRATCH_WORDS - 1)])
 def test_merge_strong_matches_two_finger_oracle(sizes):
     na, nb = sizes
     rng = np.random.default_rng(na * 7919 + nb)
@@ -351,6 +360,41 @@ def test_every_strong_op_reports_zero_heap():
 
     report = meter_scope(meter, 0, body)
     assert report.peak_words == 0 and not report.exceeded
+
+
+# README's bound on any strong op's real footprint: four scratch blocks
+TRACED_BOUND_BYTES = 4 * SCRATCH_WORDS * 8
+STRONG_OPS = [op for op in strong.__all__ if op != "ScanResult"]
+
+
+def _strong_args(op, n):
+    a = rand_words(n, n)
+    half = n // 2
+    if op == "merge_strong":
+        a[:half].sort()
+        a[half:].sort()
+        return a, half
+    if op.startswith("set_"):
+        x = np.unique(a[:half] >> WORD(2))
+        y = np.unique(a[half:] >> WORD(2))
+        return np.concatenate([x, y]), len(x)
+    extra = {"rotate": (n // 3,), "filter_kway": (EVEN,),
+             "partition_unstable": (EVEN,), "quicksort_strong": (Rng(1),)}
+    return (a,) + extra.get(op, ())
+
+
+@pytest.mark.parametrize("n", [1 << 16, 1 << 20])
+@pytest.mark.parametrize("op", STRONG_OPS)
+def test_strong_traced_peak_is_a_constant(op, n):
+    args = _strong_args(op, n)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        getattr(strong, op)(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= TRACED_BOUND_BYTES, (op, n, peak)
 
 
 @pytest.mark.parametrize("threads", [1, 2, 4])
