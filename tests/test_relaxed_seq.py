@@ -222,26 +222,16 @@ def test_merge_relaxed_empty_run():
     # one block, against a body of about 17 back-walk blocks; with values in
     # [0, 3) ties cross the block edges
     (40_014, 30_209, 2000), (40_014, 30_209, 3), (10_000, 3777, 3),
+    # at eps = 0.3: k = 2187 and both runs end k - 1 words past a chunk
+    # edge, so the chunked path parks 2k - 2 = 4372 words, more than one
+    # scratch block
+    (11 * 2187 - 1, 16 * 2187 - 1, 2000), (11 * 2187 - 1, 16 * 2187 - 1, 3),
 ])
 def test_merge_relaxed_matches_oracle(sizes, eps):
     na, nb, hi = sizes
     a, split = sorted_pair(na * 131 + nb, na, nb, hi=hi)
     ref = bl.seq_two_finger_merge(a[:split], a[split:])
     merge_relaxed(a, split, PURE(eps))
-    assert np.array_equal(a, ref)
-
-
-@pytest.mark.parametrize("hi", [2000, 3])
-def test_merge_relaxed_parked_run_longer_than_a_block(hi):
-    # at eps = 0.3, k = 2187: both runs end k - 1 words past a chunk edge,
-    # so the chunked path parks 2k - 2 words, more than one scratch block
-    na, nb = 11 * 2187 - 1, 16 * 2187 - 1
-    cfg = PURE(0.3)
-    k = cfg.prefix_words(na + nb)
-    assert na % k + nb % k > SCRATCH_WORDS and na + nb > 3 * k
-    a, split = sorted_pair(na * 131 + nb, na, nb, hi=hi)
-    ref = bl.seq_two_finger_merge(a[:split], a[split:])
-    merge_relaxed(a, split, cfg)
     assert np.array_equal(a, ref)
 
 

@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pipal import runtime
 from pipal.runtime import (
     M64,
+    SCRATCH_WORDS,
     EpsilonConfig,
     Rng,
     SpaceMeter,
@@ -128,7 +129,12 @@ def test_epsilon_config_validation():
         EpsilonConfig(0.5, prefix_fraction=0.0)
 
 
-@given(st.lists(st.booleans(), max_size=600), st.integers(0, 2**32))
+# masks of up to three blocks and a bit, so kept runs cross block edges
+@given(st.lists(st.booleans(), max_size=3 * SCRATCH_WORDS + 17),
+       st.integers(0, 2**32))
+@example(mask=[True] * (SCRATCH_WORDS + 5) + [False, True] * SCRATCH_WORDS,
+         seed=0)
+@example(mask=[False, True, True] * SCRATCH_WORDS, seed=1)
 @settings(max_examples=60, deadline=None)
 def test_compact_by_mask_matches_boolean_indexing(mask, seed):
     rng = np.random.default_rng(seed)

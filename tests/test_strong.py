@@ -179,6 +179,20 @@ def test_filter_kway_matches_stable_oracle(n):
     assert np.array_equal(a[:m], ref)
 
 
+@pytest.mark.parametrize("n", [9999, 10_000, 10_001])
+@pytest.mark.parametrize("keep", ["even", "sparse"])
+def test_filter_kway_truncates_batches_at_the_block(monkeypatch, n, keep):
+    # a batch holds the counts of at most SCRATCH_WORDS chunks; with 8-word
+    # blocks, n ~ 10^4 (100 chunks) runs a dozen capped batches
+    monkeypatch.setattr(strong, "SCRATCH_WORDS", 8)
+    pred = EVEN if keep == "even" else (lambda b: b % WORD(10) == 0)
+    a = rand_words(n + 3, n)
+    ref = bl.seq_filter(a, pred)
+    m = strong.filter_kway(a, pred)
+    assert m == len(ref)
+    assert np.array_equal(a[:m], ref)
+
+
 def test_filter_kway_stability_random_cases():
     rng = np.random.default_rng(99)
     for _ in range(10_000):
@@ -235,9 +249,11 @@ def test_quicksort_strong_matches_sorted_oracle(n):
 
 
 def test_quicksort_strong_duplicates():
-    a = words([3, 1, 2] * 500)
+    # three leaves' worth of heavy duplicates, so the < pivot and == pivot
+    # partitions run before the leaves sort
+    a = words([3, 1, 2] * SCRATCH_WORDS)
     strong.quicksort_strong(a, Rng(5))
-    assert np.array_equal(a, np.sort(words([3, 1, 2] * 500)))
+    assert np.array_equal(a, np.sort(words([3, 1, 2] * SCRATCH_WORDS)))
 
 
 # ---------------------------------------------------------------------------
