@@ -496,6 +496,10 @@ def _cmd_gen(args) -> int:
     except ValueError as exc:
         print(f"pipal gen: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print(f"pipal gen: no memory for an input of n = {args.n}",
+              file=sys.stderr)
+        return 1
     try:
         if args.kind in ("ints", "perm"):
             formats.write_ints(args.out, data)
@@ -605,6 +609,10 @@ def _cmd_sweep(args) -> int:
             data = generate_input(kind, n, args.seed)
         except ValueError as exc:
             print(f"pipal sweep: {exc}", file=sys.stderr)
+            return 1
+        except MemoryError:
+            print(f"pipal sweep: no memory for an input of n = {n}",
+                  file=sys.stderr)
             return 1
         for eps in args.epsilon:
             for threads in args.threads:

@@ -24,7 +24,7 @@ M64 = (1 << 64) - 1
 NIL = M64  # shared sentinel for "no pointer" / empty table slot
 GOLDEN = 0x9E3779B97F4A7C15
 # The one block constant (32 KiB): it sizes every block loop, sort leaf,
-# reduce grain, filter batch and id window.  Any fixed value is O(1)
+# reduce grain, compaction block and id window.  Any fixed value is O(1)
 # scratch; 4096 is the knee of measured times at 2^18-2^20, and 8192
 # doubles the strong ops' traced peak for little gain.
 SCRATCH_WORDS = 4096

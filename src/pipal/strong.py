@@ -159,73 +159,20 @@ def scan_blocked(a: np.ndarray) -> ScanResult:
 # ---------------------------------------------------------------------------
 # Filter / partition / quicksort
 
-def _count_pred(a: np.ndarray, s: int, t: int, pred) -> int:
-    cnt = 0
-    while s < t:
-        e = min(s + SCRATCH_WORDS, t)
-        cnt += int(np.count_nonzero(pred(a[s:e])))
-        s = e
-    return cnt
-
-
 def _compact_pred(a: np.ndarray, s: int, t: int, pred) -> int:
     """Stable in-place compaction of a[s:t] by pred; returns the kept run's end."""
     return compact_by_mask(a, lambda bs, be: pred(a[bs:be]), s, t)
 
 
-def _move(a: np.ndarray, src: int, dst: int, cnt: int) -> None:
-    """Copy a[src:src+cnt] to a[dst:dst+cnt], the ranges may overlap.
-
-    Blocks of SCRATCH_WORDS words go in the order that reads each block
-    before it is overwritten; numpy buffers the overlap within one block.
-    """
-    if dst == src:
-        return
-    starts = range(0, cnt, SCRATCH_WORDS)
-    for i in starts if dst < src else reversed(starts):
-        j = min(i + SCRATCH_WORDS, cnt)
-        a[dst + i:dst + j] = a[src + i:src + j]
-
-
 def filter_kway(a: np.ndarray, pred) -> int:
     """Stable in-place filter: kept elements end up in a[0:m); returns m.
 
-    Splits the array into ~sqrt(n) chunks handled in batches of at most
-    SCRATCH_WORDS chunks, whose kept counts fill one word block; all chunks
-    of a batch whose destinations precede the batch source are moved in one
-    parallel step.
+    One left-to-right block compaction.  The paper's sqrt(n)-chunk schedule
+    (count, compact and move chunks in parallel) is not kept: fork_join runs
+    in order, so the chunks would only add passes.
     """
     as_words(a)
-    n = len(a)
-    if n == 0:
-        return 0
-    k = math.isqrt(n)
-    if k * k < n:
-        k += 1
-    chunk = (n + k - 1) // k
-    nchunks = (n + chunk - 1) // chunk
-
-    m = 0
-    c = 0
-    while c < nchunks:
-        # ends[t]: end of chunk c + t's destination, relative to m
-        ends = np.empty(min(SCRATCH_WORDS, nchunks - c), dtype=np.int64)
-        for t in range(len(ends)):
-            s = (c + t) * chunk
-            ends[t] = _count_pred(a, s, min(s + chunk, n), pred)
-        np.cumsum(ends, out=ends)
-
-        # largest j with every batched destination left of the batch's first
-        # source element; a lone chunk that overlaps its destination moves
-        # on its own, in the overlap-safe order
-        j = max(1, int(np.searchsorted(ends, c * chunk - m, side="right")))
-        for t in range(j):
-            s = (c + t) * chunk
-            cnt = _compact_pred(a, s, min(s + chunk, n), pred) - s
-            _move(a, s, m + int(ends[t]) - cnt, cnt)
-        m += int(ends[j - 1])
-        c += j
-    return m
+    return _compact_pred(a, 0, len(a), pred)
 
 
 def _block_partition(a: np.ndarray, s: int, e: int, pred) -> int:
@@ -233,7 +180,7 @@ def _block_partition(a: np.ndarray, s: int, e: int, pred) -> int:
     seg = a[s:e]
     mask = np.asarray(pred(seg), dtype=bool)
     ti = np.flatnonzero(mask)
-    if len(ti) == e - s:
+    if len(ti) == 0 or len(ti) == e - s:
         return len(ti)
     fi = np.flatnonzero(~mask)
     tmp = seg.copy()

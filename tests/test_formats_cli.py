@@ -211,8 +211,12 @@ def test_cli_out_of_range_number_is_one_line_usage_error(tmp_path, argv):
     inp = tmp_path / "a.u64"
     formats.write_ints(inp, generate_input("ints", 16, 1))
     out = tmp_path / "out"
-    argv = argv + {"gen": ["--out", str(out)], "sweep": ["--csv", str(out)],
-                   "run": ["--input", str(inp), "--csv", str(out)]}[argv[0]]
+    _assert_one_line_usage_error(
+        argv + {"gen": ["--out", str(out)], "sweep": ["--csv", str(out)],
+                "run": ["--input", str(inp), "--csv", str(out)]}[argv[0]], out)
+
+
+def _assert_one_line_usage_error(argv, out):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = cli.main(argv)
@@ -220,6 +224,21 @@ def test_cli_out_of_range_number_is_one_line_usage_error(tmp_path, argv):
     assert code == 1, err.getvalue()
     assert len(lines) == 1 and lines[0].startswith(f"pipal {argv[0]}: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--kind", "ints", "--n", "1099511627776"],
+    ["sweep", "--algo", "scan", "--n", "1099511627776"],
+], ids=["gen", "sweep"])
+def test_cli_input_too_large_for_memory_is_one_line_usage_error(
+        tmp_path, monkeypatch, argv):
+    def no_memory(kind, n, seed):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "generate_input", no_memory)
+    out = tmp_path / "out"
+    _assert_one_line_usage_error(
+        argv + {"gen": ["--out", str(out)], "sweep": ["--csv", str(out)]}[argv[0]], out)
 
 
 def _malformed_input(path, case):

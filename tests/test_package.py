@@ -49,3 +49,23 @@ def test_block_sizes_come_from_scratch_words(name):
             targets.append(node.target)
     names = {t.id for t in targets if isinstance(t, ast.Name)}
     assert sorted(n for n in names if n.endswith(BLOCK_SUFFIXES)) == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_private_definition_is_referenced(name):
+    # a module-level _helper that nothing in the package names is dead code
+    trees = {m: ast.parse(inspect.getsource(importlib.import_module(m)))
+             for m in MODULES}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    defined = {node.name for node in trees[name].body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.ClassDef))}
+    assert sorted(n for n in defined if n.startswith("_") and n not in used) == []
