@@ -3,7 +3,8 @@
 Each operation takes an :class:`~pipal.runtime.EpsilonConfig` budget and
 keeps its charged auxiliary footprint within a small constant times
 ``budget.prefix_words(n)``.  Random permutation runs on the deterministic
-reservations engine with one target-keyed reservation table; filter,
+reservations engine with one target-keyed reservation table, a sorted
+write-max run built by one sort per round; filter,
 partition and quicksort retire one budget-sized prefix per round.  All of
 them run on :func:`pipal.detres.decompose_driver`, the one round loop, with
 its one livelock rule.  Merging works on budget-sized chunks and shares the
@@ -89,17 +90,17 @@ class _RpClient:
     """Round callbacks and storage for random permutation.
 
     Swap targets are staged in a prefix-sized array, and one reservation
-    table of 2 * prefix slots is keyed by target only: an iterate writes
-    its id at its target with write-max.  It commits when its target holds
-    its own id and its own position either holds its own id or was not
-    claimed as anyone's target this round.  The table is cleared wholesale
-    after each round.
+    table, a sorted run of at most prefix keys, is keyed by target only: an
+    iterate writes its id at its target with write-max.  It commits when
+    its target holds its own id and its own position either holds its own
+    id or was not claimed as anyone's target this round.  The run is
+    emptied after each round.
     """
 
     def __init__(self, a: np.ndarray, h: np.ndarray, prefix: int):
         self.a = a
         self.h = h
-        self.rtable = ReservationTable(2 * prefix)
+        self.rtable = ReservationTable(prefix)
         self.hcache = alloc(prefix)
         self.cursor = len(a) - 1
 
