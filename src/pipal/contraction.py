@@ -166,21 +166,15 @@ def _jump(up: np.ndarray, dist: np.ndarray | None = None) -> bool:
 # ---------------------------------------------------------------------------
 # List contraction
 
-def _active(ids: np.ndarray, nbr: np.ndarray) -> np.ndarray:
-    """Membership of neighbors in the (ascending) active prefix.
-
-    An element only defers to neighbors that are active in the same round;
-    pending-but-inactive and boundary neighbors count as priority infinity.
-    With a full prefix this is exactly the all-live local-minimum rule, and
-    with a partial prefix it keeps the round's priority-minimum committable,
-    so rounds always progress.
-    """
-    pos = np.minimum(np.searchsorted(ids, nbr), len(ids) - 1)
-    return ids[pos] == nbr
-
-
 class _ListClient:
-    """Plain contraction: live links stay mutually inverse pointers."""
+    """Plain contraction: live links stay mutually inverse pointers.
+
+    An element defers only to neighbors active in its round; the rest, and
+    NIL (above every id), count as priority infinity.  The ids ascend, since
+    failures pack in order ahead of counting fresh ids, and hold every
+    pending id up to the last; a live link points at a pending element, so
+    a neighbor is active exactly when it is at most ``ids[-1]``.
+    """
 
     def __init__(self, lst: LinkedList, p: np.ndarray):
         self.nxt = lst.next
@@ -196,7 +190,7 @@ class _ListClient:
         ok = view.committed
         ok[:] = True
         for nbr in (self.nxt[ids], self._pred(ids)):
-            m = _active(ids, nbr)
+            m = nbr <= ids[-1]
             ok[m] &= pv[m] < self.p[nbr[m]]
 
     def commit(self, view) -> None:
@@ -302,7 +296,9 @@ class _TreeClient:
     once, queueing nodes that are contractible when it passes, and a rake
     that drops an already-swept parent to one child queues that parent.
     Every pending contractible node is discovered exactly once, and the
-    queue plus in-flight failures never exceed twice the prefix.
+    queue plus in-flight failures never exceed twice the prefix.  A queued
+    node keeps at most one child, so each edge with both ends active is
+    found once, from its child; a tie fails both ends.
     """
 
     def __init__(self, tree: BinaryTree, p: np.ndarray, values: np.ndarray,
@@ -314,7 +310,6 @@ class _TreeClient:
         self.p = p
         self.values = values
         self.debug = debug
-        self.violations = 0
         self.roots: dict[int, int] = {}
         self.prefix = prefix
         # packed frontier: queue[:qsize], oldest first
@@ -358,18 +353,27 @@ class _TreeClient:
         return out
 
     # -- phases
+    @staticmethod
+    def _edges(ids: np.ndarray,
+               up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Positions in ``ids`` of the (child, parent) ends of every edge
+        with both ends in ``ids``, given ``up``, the parents of ``ids``."""
+        order = np.argsort(ids)
+        srt = ids[order]
+        pos = np.minimum(np.searchsorted(srt, up), len(ids) - 1)
+        kid = np.flatnonzero(srt[pos] == up)
+        return kid, order[pos[kid]]
+
     def reserve(self, view) -> None:
         ids = view.ids
-        order = np.sort(ids)
         pv = self.p[ids]
         pa = self.pa[ids]
-        lf = self.lf[ids]
-        rt = self.rt[ids]
         ok = view.committed
-        ok[:] = ((lf == _NILW) & (rt == _NILW)) | (pa != _NILW)
-        for nbr in (pa, lf, rt):
-            m = _active(order, nbr)
-            ok[m] &= pv[m] < self.p[nbr[m]]
+        ok[:] = (pa != _NILW) | ((self.lf[ids] == _NILW)
+                                 & (self.rt[ids] == _NILW))
+        kid, up = self._edges(ids, pa)
+        ok[kid] &= pv[kid] < pv[up]
+        ok[up] &= pv[up] < pv[kid]
 
     def commit(self, view) -> None:
         v = view.ids[view.committed]
@@ -382,9 +386,8 @@ class _TreeClient:
         has_child = child != _NILW
         has_parent = pa != _NILW
 
-        if self.debug:
-            self.violations += int(np.count_nonzero(
-                _active(np.sort(v), pa[has_parent])))
+        if self.debug and len(self._edges(v, pa)[0]):
+            raise AssertionError("a parent and its child contracted together")
 
         # pre-round state of rake parents, read before any surgery: a parent
         # becoming contractible is discovered here (unless the cursor will
@@ -434,8 +437,8 @@ def tree_contract(tree: BinaryTree, p: np.ndarray, values: np.ndarray,
     """Contract the forest; returns ({root id: folded value}, stats).
 
     ``values`` is caller storage and is folded in place by sum mod 2^64.
-    In debug mode every round asserts that no parent-child pair contracts
-    together.
+    In debug mode every round raises ``AssertionError`` if a parent and
+    its child contract together.
     """
     as_words(p)
     as_words(values)
@@ -451,7 +454,4 @@ def tree_contract(tree: BinaryTree, p: np.ndarray, values: np.ndarray,
                            client.clean, id_source=client.next_ids)
     finally:
         release(client.queue)
-    if debug and client.violations:
-        raise AssertionError(
-            f"{client.violations} parent-child pairs contracted together")
     return client.roots, stats

@@ -92,9 +92,9 @@ class _RpClient:
     Swap targets are staged in a prefix-sized array, and one reservation
     table, a sorted run of at most prefix keys, is keyed by target only: an
     iterate writes its id at its target with write-max.  It commits when
-    its target holds its own id and its own position either holds its own
-    id or was not claimed as anyone's target this round.  The run is
-    emptied after each round.
+    its target holds its own id and its own position was not claimed as
+    anyone's target this round (a claim there always comes from a larger
+    id, since h[j] < j).  The run is emptied after each round.
     """
 
     def __init__(self, a: np.ndarray, h: np.ndarray, prefix: int):
@@ -133,10 +133,9 @@ class _RpClient:
     def commit(self, view) -> None:
         ids = view.ids
         hv = self.hcache[:len(ids)]
-        own_vals, own_found = self.rtable.lookup(ids)
+        own_found = self.rtable.lookup(ids)[1]
         tgt_vals, tgt_found = self.rtable.lookup(hv)
-        view.committed[:] = (((~own_found) | (own_vals == ids))
-                             & tgt_found & (tgt_vals == ids))
+        view.committed[:] = ~own_found & tgt_found & (tgt_vals == ids)
 
         src = ids[view.committed]
         dst = hv[view.committed]

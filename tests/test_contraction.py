@@ -17,6 +17,7 @@ from pipal.contraction import (
     validate_binary_tree,
     validate_linked_list,
 )
+from pipal.detres import RoundView
 from pipal.runtime import (
     M64,
     NIL,
@@ -366,3 +367,168 @@ def test_tree_budget_metered():
         lambda: out.__setitem__("r", tree_contract(tree, p, vals, cfg, debug=True)))
     assert report.peak_words <= 8 * b
     assert out["r"][0] == ref
+
+
+# ---------------------------------------------------------------------------
+# round-by-round reference of the activity rule
+
+def capture_rounds(monkeypatch):
+    """Wrap ``contraction.run_rounds`` so that every round's active ids and
+    committed ids are appended to the returned list as an (ids, done) pair."""
+    rounds = []
+    real = contraction.run_rounds
+
+    def traced(n, prefix, reserve, commit, clean, **kwargs):
+        seen, done = [], []
+
+        def spy(view):
+            seen.append(view.ids.tolist())
+            reserve(view)
+
+        kwargs["trace"] = done
+        stats = real(n, prefix, spy, commit, clean, **kwargs)
+        rounds.extend(zip(seen, (d.tolist() for d in done)))
+        return stats
+
+    monkeypatch.setattr(contraction, "run_rounds", traced)
+    return rounds
+
+
+def local_minima(ids, p, neighbors, contractible=lambda v: True):
+    """The ids, in order, whose priority is below that of every neighbor
+    that is in this round's ids."""
+    active = set(ids)
+    return [v for v in ids if contractible(v)
+            and all(p[v] < p[u] for u in neighbors(v) if u in active)]
+
+
+def check_list_rounds(nxt, prv, p, prefix, rounds):
+    """Replay the list rounds in plain Python: each round's ids are the last
+    round's failures in order, then the next fresh ids up to the prefix, and
+    its committed ids are the local minima among them."""
+    nxt, prv, p = nxt.tolist(), prv.tolist(), p.tolist()
+    n = len(p)
+    fresh, pending = 0, []
+    for ids, done in rounds:
+        top = min(n, fresh + prefix - len(pending))
+        assert ids == pending + list(range(fresh, top))
+        fresh = top
+        expect = local_minima(ids, p, lambda v: (nxt[v], prv[v]))
+        assert done == expect
+        for v in done:
+            u, x = prv[v], nxt[v]
+            if u != NIL:
+                nxt[u] = x
+            if x != NIL:
+                prv[x] = u
+        gone = set(done)
+        pending = [v for v in ids if v not in gone]
+    assert fresh == n and not pending
+
+
+def check_tree_rounds(tree, p, rounds):
+    """Replay the tree rounds in plain Python: every id is pending, and the
+    committed ids are the contractible local minima among the round's ids
+    (a node is contractible when bare, or when it has a parent and one
+    child)."""
+    pa, lf, rt, p = (a.tolist() for a in (tree.parent, tree.left,
+                                          tree.right, p))
+    pending = set(range(len(p)))
+
+    def contractible(v):
+        kids = (lf[v] != NIL) + (rt[v] != NIL)
+        return kids == 0 or (kids == 1 and pa[v] != NIL)
+
+    for ids, done in rounds:
+        assert pending.issuperset(ids)
+        expect = local_minima(ids, p, lambda v: (pa[v], lf[v], rt[v]),
+                              contractible)
+        assert done == expect
+        for v in done:
+            q, c = pa[v], lf[v] if lf[v] != NIL else rt[v]
+            if q != NIL:
+                if lf[q] == v:
+                    lf[q] = c
+                else:
+                    rt[q] = c
+            if c != NIL:
+                pa[c] = q
+        pending.difference_update(done)
+    assert not pending
+
+
+REFERENCE_BUDGETS = [pytest.param(FULL, id="full"),
+                     pytest.param(contraction.DEFAULT_BUDGET, id="default"),
+                     pytest.param(PURE(0.5), id="power")]
+
+
+@pytest.mark.parametrize("budget", REFERENCE_BUDGETS)
+def test_list_rounds_match_reference(monkeypatch, budget):
+    n = 4000
+    rounds = capture_rounds(monkeypatch)
+    lst = random_chains(np.random.default_rng(11), n, 7)
+    nxt, prv = lst.next.copy(), lst.prev.copy()
+    p = make_priorities(n, Rng(12))
+    stats = list_contract(lst, p, budget=budget)
+    assert len(rounds) == stats.rounds
+    check_list_rounds(nxt, prv, p, budget.prefix_words(n), rounds)
+
+
+@pytest.mark.parametrize("budget", REFERENCE_BUDGETS)
+def test_rank_rounds_match_reference(monkeypatch, budget):
+    n = 4000
+    rounds = capture_rounds(monkeypatch)
+    lst = random_chains(np.random.default_rng(13), n, 7)
+    nxt, prv = lst.next.copy(), lst.prev.copy()
+    ref = bl.seq_list_rank(nxt, prv)
+    p = make_priorities(n, Rng(14))
+    assert np.array_equal(list_rank(lst, p, budget), ref)
+    check_list_rounds(nxt, prv, p, budget.prefix_words(n), rounds)
+
+
+@pytest.mark.parametrize("budget", REFERENCE_BUDGETS)
+def test_tree_rounds_match_reference(monkeypatch, budget):
+    n = 4001
+    rounds = capture_rounds(monkeypatch)
+    rng = np.random.default_rng(15)
+    tree = random_full_binary_tree(rng, n)
+    start = BinaryTree(tree.parent.copy(), tree.left.copy(), tree.right.copy())
+    vals = rng.integers(0, 1 << 64, size=n, dtype=np.uint64)
+    ref = bl.seq_tree_eval(tree.parent, tree.left, tree.right, vals)
+    p = make_priorities(n, Rng(16))
+    roots, stats = tree_contract(tree, p, vals, budget=budget)
+    assert roots == ref and len(rounds) == stats.rounds
+    check_tree_rounds(start, p, rounds)
+
+
+def test_list_reserve_tie_fails_both():
+    # chain 0-1-2-3: 0 and 1 tie, 2 sits above 1, 3 is a strict minimum
+    client = contraction._ListClient(chain_list([0, 1, 2, 3]),
+                                     words([3, 3, 9, 1]))
+    view = RoundView(ids=words([0, 1, 2, 3]), committed=np.zeros(4, bool))
+    client.reserve(view)
+    assert view.committed.tolist() == [False, False, False, True]
+
+
+def test_tree_reserve_tie_fails_both():
+    # root 0 with children 1 and 2; 1 has kept one child, the leaf 3.  The
+    # unary node 1 and its child 3 tie; 2's parent is not active.
+    tree = BinaryTree(words([None, 0, 0, 1]), words([1, 3, None, None]),
+                      words([2, None, None, None]))
+    client = contraction._TreeClient(tree, words([0, 4, 1, 4]),
+                                     words([0] * 4), 3, False)
+    view = RoundView(ids=words([3, 2, 1]), committed=np.zeros(3, bool))
+    client.reserve(view)
+    assert view.committed.tolist() == [False, True, False]
+
+
+def test_tree_debug_check_fires_on_co_contraction(monkeypatch):
+    def admit_all(self, view):
+        view.committed[:] = True
+
+    monkeypatch.setattr(contraction._TreeClient, "reserve", admit_all)
+    tree = caterpillar(8)
+    n = len(tree)
+    with pytest.raises(AssertionError, match="parent and its child"):
+        tree_contract(tree, make_priorities(n, Rng(1)),
+                      np.ones(n, dtype=np.uint64), budget=FULL, debug=True)
