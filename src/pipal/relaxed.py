@@ -7,9 +7,9 @@ reservations engine with one target-keyed reservation table, a sorted
 write-max run built by one sort per round; filter,
 partition and quicksort retire one budget-sized prefix per round.  All of
 them run on :func:`pipal.detres.decompose_driver`, the one round loop, with
-its one livelock rule.  Merging works on budget-sized chunks and shares the
-strong merge's bisection recursion; mergesort merges every segment in
-chunks of the whole array's budget.
+its one livelock rule.  Merging is the strong merge's bisection recursion
+with 3·b(n)-word buffered leaves, and mergesort merges every segment with
+the whole array's b(n), as quicksort partitions with it.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .runtime import (
     WORD,
     EpsilonConfig,
     alloc,
-    alloc_bool,
     as_words,
     aux,
     release,
@@ -42,11 +41,13 @@ from .strong import (
     rotate,
 )
 
+# merge_strong and rotate are unused here; perfbench's tracer patches them
+# by name in this module, so they stay importable from it
 __all__ = [
     "RP_VARIANTS", "make_swap_sequence", "validate_swap_sequence",
     "random_permutation", "decompose_driver",
     "filter_relaxed", "partition_relaxed", "quicksort_relaxed",
-    "merge_relaxed", "mergesort_relaxed",
+    "merge_relaxed", "mergesort_relaxed", "merge_strong", "rotate",
 ]
 
 DEFAULT_BUDGET = EpsilonConfig(epsilon=0.5)
@@ -272,169 +273,10 @@ def _merge_buffered(a: np.ndarray, split: int) -> None:
         a[:] = buf
 
 
-class _ChunkStream:
-    """Streaming phase over chunk-permuted bodies: two staged input chunks
-    plus one output chunk; a full output chunk flushes to the front."""
-
-    def __init__(self, a: np.ndarray, k: int, x_pos: np.ndarray, y_pos: np.ndarray):
-        self.a = a
-        self.k = k
-        self.x_pos = x_pos
-        self.y_pos = y_pos
-        self.bx = alloc(k)
-        self.by = alloc(k)
-        self.ob = alloc(k)
-        self.xi = 0
-        self.yi = 0
-        self.bx_lo = k
-        self.by_lo = k
-        self.out = 0
-        self.olen = 0
-
-    def release(self) -> None:
-        release(self.ob)
-        release(self.by)
-        release(self.bx)
-
-    def _load(self, side: str) -> None:
-        k = self.k
-        if side == "x":
-            p = int(self.x_pos[self.xi])
-            self.xi += 1
-            self.bx[:] = self.a[p * k:(p + 1) * k]
-            self.bx_lo = 0
-        else:
-            p = int(self.y_pos[self.yi])
-            self.yi += 1
-            self.by[:] = self.a[p * k:(p + 1) * k]
-            self.by_lo = 0
-
-    def _reload_empties(self) -> None:
-        # eager: a side is restaged the moment it empties, before any flush
-        if self.bx_lo == self.k and self.xi < len(self.x_pos):
-            self._load("x")
-        if self.by_lo == self.k and self.yi < len(self.y_pos):
-            self._load("y")
-
-    def _emit(self, vals: np.ndarray) -> None:
-        i = 0
-        k = self.k
-        while i < len(vals):
-            t = min(k - self.olen, len(vals) - i)
-            self.ob[self.olen:self.olen + t] = vals[i:i + t]
-            self.olen += t
-            i += t
-            if self.olen == k:
-                self.a[self.out:self.out + k] = self.ob
-                self.out += k
-                self.olen = 0
-
-    def run(self) -> None:
-        self._reload_empties()
-        k = self.k
-        while True:
-            x_live = self.bx_lo < k
-            y_live = self.by_lo < k
-            if x_live and y_live:
-                xs_all = self.bx[self.bx_lo:]
-                ys_all = self.by[self.by_lo:]
-                if int(xs_all[-1]) <= int(ys_all[-1]):
-                    q = int(np.searchsorted(ys_all, xs_all[-1], side="left"))
-                    xs = xs_all
-                    ys = ys_all[:q]
-                    self.bx_lo = k
-                    self.by_lo += q
-                else:
-                    pcut = int(np.searchsorted(xs_all, ys_all[-1], side="right"))
-                    xs = xs_all[:pcut]
-                    ys = ys_all
-                    self.bx_lo += pcut
-                    self.by_lo = k
-                merged = np.empty(len(xs) + len(ys), dtype=WORD)
-                _merge_into(xs, ys, merged)
-                self._reload_empties()
-                self._emit(merged)
-            elif x_live or y_live:
-                rest = (self.bx[self.bx_lo:] if x_live else self.by[self.by_lo:]).copy()
-                if x_live:
-                    self.bx_lo = k
-                else:
-                    self.by_lo = k
-                self._reload_empties()
-                self._emit(rest)
-            else:
-                break
-        if self.olen:
-            raise AssertionError("stream ended with a partial output chunk")
-
-
-def _merge_chunked(a: np.ndarray, split: int, k: int) -> None:
-    """Descriptor sort + whole-chunk permutation + 3-chunk streaming merge.
-
-    ``a`` must consist of two sorted runs whose lengths are multiples of k.
-    """
-    n = len(a)
-    cx = split // k
-    cy = (n - split) // k
-    total = cx + cy
-    xlasts = a[k - 1:split:k]
-    ylasts = a[split + k - 1:n:k]
-
-    dest = alloc(total)
-    dest[:cx] = np.arange(cx, dtype=WORD) + \
-        np.searchsorted(ylasts, xlasts, side="left").astype(WORD)
-    dest[cx:] = np.arange(cy, dtype=WORD) + \
-        np.searchsorted(xlasts, ylasts, side="right").astype(WORD)
-    inv = alloc(total)
-    inv[dest.astype(np.int64)] = np.arange(total, dtype=WORD)
-    visited = alloc_bool(total)
-    visited[:] = False
-
-    with aux(k) as buf:
-        for b0 in range(total):
-            if visited[b0]:
-                continue
-            visited[b0] = True
-            src = int(inv[b0])
-            if src == b0:
-                continue
-            buf[:] = a[b0 * k:(b0 + 1) * k]
-            b = b0
-            while src != b0:
-                a[b * k:(b + 1) * k] = a[src * k:(src + 1) * k]
-                visited[src] = True
-                b = src
-                src = int(inv[b])
-            a[b * k:(b + 1) * k] = buf
-    release(visited)
-    release(inv)
-
-    stream = _ChunkStream(a, k, x_pos=dest[:cx], y_pos=dest[cx:])
-    try:
-        stream.run()
-    finally:
-        stream.release()
-    release(dest)
-
-
-def _merge_back_tail(a: np.ndarray, n1: int, p: int) -> None:
-    """Merge the sorted suffix a[n1:n1+p] into the sorted prefix a[:n1]: body
-    blocks of SCRATCH_WORDS words, from the back, shift right past the
-    parked words at or below them, then the parked run fills the gaps."""
-    with aux(p) as buf:
-        buf[:] = a[n1:n1 + p]
-        ins = np.searchsorted(a[:n1], buf, side="left")
-        lo = int(ins[0])
-        for hi in range(n1, lo, -SCRATCH_WORDS):
-            s = max(lo, hi - SCRATCH_WORDS)
-            blk = a[s:hi].copy()
-            a[np.arange(s, hi) + np.searchsorted(buf, blk, side="right")] = blk
-        a[ins + np.arange(p)] = buf
-
-
 def merge_relaxed(a: np.ndarray, split: int, budget: EpsilonConfig = DEFAULT_BUDGET,
                   debug: bool = False) -> None:
-    """In-place merge of a[0:split) and a[split:n) within the chunk budget."""
+    """In-place merge of a[0:split) and a[split:n) with at most 3·b(n)
+    words of scratch."""
     as_words(a)
     n = len(a)
     if not 0 <= split <= n:
@@ -446,35 +288,18 @@ def merge_relaxed(a: np.ndarray, split: int, budget: EpsilonConfig = DEFAULT_BUD
 
 
 def _merge_words(a: np.ndarray, split: int, k: int) -> None:
-    """Merge in chunks of ``k`` words: the shared bisection down to 3k-word
-    buffered merges when the input fits three chunks or has more than k
-    chunks, the chunk permutation and stream otherwise."""
-    n = len(a)
-    if split == 0 or split == n:
-        return
-    if n <= 3 * k or (n + k - 1) // k > k:
-        _merge(a, split, 3 * k, _merge_buffered)
-        return
-
-    sx = split % k
-    sy = (n - split) % k
-    parked = sx + sy
-    xbody = split - sx
-    nbody = n - parked
-    if sx:
-        rotate(a[xbody:], sx)  # [X-tail | Y] becomes [Y | X-tail]
-    if parked:
-        merge_strong(a[nbody:], sy)
-    if 0 < xbody < nbody:
-        _merge_chunked(a[:nbody], xbody, k)
-    if parked:
-        _merge_back_tail(a, nbody, parked)
+    """Merge by the shared bisection recursion down to subproblems of at
+    most 3k words, each merged through one buffer of its own length, so the
+    peak is 3k words.  It moves O(n·log(n/k)) words: the bisection's
+    rotations move every word once per level."""
+    _merge(a, split, 3 * k, _merge_buffered)
 
 
 def mergesort_relaxed(a: np.ndarray, budget: EpsilonConfig = DEFAULT_BUDGET) -> None:
-    """The shared mergesort, every merge in chunks of the whole array's b(n);
-    segments of at most max(SCRATCH_WORDS, b(n)) words are sorted directly,
-    and siblings run in order, so the peak footprint is the final merge's."""
+    """The shared mergesort, every merge with 3·b(n)-word leaves for the
+    whole array's b(n); segments of at most max(SCRATCH_WORDS, b(n)) words
+    are sorted directly, and siblings run in order, so the peak footprint
+    is one merge leaf's buffer."""
     as_words(a)
     k = budget.prefix_words(len(a))
     _mergesort(a, lambda seg, split: _merge_words(seg, split, k),

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,15 +217,16 @@ def test_merge_relaxed_empty_run():
     # (len x, len y, values drawn from [0, hi))
     (1, 1, 2000), (9, 3, 2000), (1000, 1, 2000), (1, 1000, 2000),
     (5000, 5000, 2000), (10_000, 3777, 2000), (999, 65_536, 2000),
-    # at eps = 0.5: n = 3k (buffered) and n = 3k + 1 (chunked), k = 4
+    # at eps = 0.5, k = 4: n = 3k is one buffered leaf, and n = 3k + 1
+    # takes one bisection level above two leaves
     (5, 7, 2000), (6, 7, 2000),
-    # at eps = 0.5: k = 265 and a parked run of 2k - 2 = 528 words, within
-    # one block, against a body of about 17 back-walk blocks; with values in
-    # [0, 3) ties cross the block edges
+    # at eps = 0.5: k = 265, so 7 bisection levels above 128 leaves of 548
+    # or 549 words (k = 118 and 64 leaves for 10_000 + 3777); with values
+    # in [0, 3) runs of equal keys cross the leaf edges and split points
     (40_014, 30_209, 2000), (40_014, 30_209, 3), (10_000, 3777, 3),
-    # at eps = 0.3: k = 2187 and both runs end k - 1 words past a chunk
-    # edge, so the chunked path parks 2k - 2 = 4372 words, more than one
-    # scratch block
+    # at eps = 0.3: k = 2187 and 16 leaves of 3690 or 3691 words, close to
+    # one scratch block; at eps = 0.7: k = 27 and 1024 leaves of 57 or 58
+    # words; with values in [0, 3) ties cross the leaf edges
     (11 * 2187 - 1, 16 * 2187 - 1, 2000), (11 * 2187 - 1, 16 * 2187 - 1, 3),
 ])
 def test_merge_relaxed_matches_oracle(sizes, eps):
@@ -303,14 +305,57 @@ def test_relaxed_seq_ops_within_budget(eps):
         assert report.peak_words <= 8 * b, (run, eps, report.peak_words, 8 * b)
 
 
-def test_merge_relaxed_three_chunk_bound():
+MERGES = {
+    "merge_relaxed": lambda a, cfg: merge_relaxed(a, len(a) // 2, cfg),
+    "mergesort_relaxed": mergesort_relaxed,
+}
+
+
+def merge_input(op, seed, n):
+    if op == "merge_relaxed":
+        return sorted_pair(seed, n // 2, n - n // 2)[0]
+    return rand_words(seed, n)
+
+
+@pytest.mark.parametrize("eps", [0.3, 0.5, 0.7])
+@pytest.mark.parametrize("op", sorted(MERGES))
+def test_relaxed_merges_charge_at_most_3b(op, eps):
+    # the only charge is one buffered leaf of at most 3k words
     n = 65_536
-    cfg = PURE(0.5)
+    cfg = PURE(eps)
     k = cfg.prefix_words(n)
-    a, split = sorted_pair(41, n // 2, n // 2)
-    nchunks = (n + k - 1) // k
+    a = merge_input(op, 41, n)
+    ref = np.sort(a)
     meter = SpaceMeter()
-    report = meter_scope(meter, 0, lambda: merge_relaxed(a, split, cfg))
-    # two staged input chunks + one output chunk, plus descriptor tables
-    descriptor_words = 3 * nchunks + 64
-    assert report.peak_words <= 3 * k + descriptor_words
+    report = meter_scope(meter, 0, lambda: MERGES[op](a, cfg))
+    assert np.array_equal(a, ref)
+    assert meter.current_words == 0
+    assert report.peak_words <= 3 * k, (report.peak_words, k)
+
+
+# traced bytes per 8·b(n) beyond the rotation's fixed block copies
+MERGE_TRACED_C = 5
+
+
+@pytest.mark.parametrize("budget", [
+    EpsilonConfig(0.5),
+    EpsilonConfig(0.5, prefix_fraction=POWER_ONLY_FRACTION),
+], ids=["b5242", "b512"])
+@pytest.mark.parametrize("op", sorted(MERGES))
+def test_relaxed_merges_traced_peak_is_sublinear(op, budget):
+    # the real footprint, uncharged temporaries included, stays O(b), not O(n)
+    n = 1 << 18
+    b = budget.prefix_words(n)
+    assert b in (5242, 512)
+    a = merge_input(op, 43, n)
+    ref = np.sort(a)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        MERGES[op](a, budget)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(a, ref)
+    assert peak <= MERGE_TRACED_C * 8 * b + 4 * SCRATCH_WORDS * 8, peak / (8 * b)
