@@ -8,8 +8,9 @@ write-max run built by one sort per round; filter,
 partition and quicksort retire one budget-sized prefix per round.  All of
 them run on :func:`pipal.detres.decompose_driver`, the one round loop, with
 its one livelock rule.  Merging is the strong merge's bisection recursion
-with 3·b(n)-word buffered leaves, and mergesort merges every segment with
-the whole array's b(n), as quicksort partitions with it.
+with max(SCRATCH_WORDS, 3·b(n))-word leaves, each sorted in place, so the
+merges charge nothing; mergesort merges every segment with the whole
+array's b(n), as quicksort partitions with it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .runtime import (
 from .strong import (
     _check_sorted_run,
     _merge,
-    _merge_into,
+    _merge_base,
     _mergesort,
     _quicksort,
     merge_strong,
@@ -267,16 +268,11 @@ def quicksort_relaxed(a: np.ndarray, rng, budget: EpsilonConfig = DEFAULT_BUDGET
 # ---------------------------------------------------------------------------
 # Merging
 
-def _merge_buffered(a: np.ndarray, split: int) -> None:
-    with aux(len(a)) as buf:
-        _merge_into(a[:split], a[split:], buf)
-        a[:] = buf
-
-
 def merge_relaxed(a: np.ndarray, split: int, budget: EpsilonConfig = DEFAULT_BUDGET,
                   debug: bool = False) -> None:
-    """In-place merge of a[0:split) and a[split:n) with at most 3·b(n)
-    words of scratch."""
+    """In-place merge of a[0:split) and a[split:n) with no charged scratch:
+    the bisection runs down to leaves of max(SCRATCH_WORDS, 3·b(n)) words,
+    each sorted in place."""
     as_words(a)
     n = len(a)
     if not 0 <= split <= n:
@@ -289,17 +285,17 @@ def merge_relaxed(a: np.ndarray, split: int, budget: EpsilonConfig = DEFAULT_BUD
 
 def _merge_words(a: np.ndarray, split: int, k: int) -> None:
     """Merge by the shared bisection recursion down to subproblems of at
-    most 3k words, each merged through one buffer of its own length, so the
-    peak is 3k words.  It moves O(n·log(n/k)) words: the bisection's
-    rotations move every word once per level."""
-    _merge(a, split, 3 * k, _merge_buffered)
+    most max(SCRATCH_WORDS, 3k) words, each sorted in place (O(B log B)
+    work for a B-word leaf, no heap).  It moves O(n·log(n/k)) words: the
+    bisection's rotations move every word once per level."""
+    _merge(a, split, max(SCRATCH_WORDS, 3 * k), _merge_base)
 
 
 def mergesort_relaxed(a: np.ndarray, budget: EpsilonConfig = DEFAULT_BUDGET) -> None:
-    """The shared mergesort, every merge with 3·b(n)-word leaves for the
-    whole array's b(n); segments of at most max(SCRATCH_WORDS, b(n)) words
-    are sorted directly, and siblings run in order, so the peak footprint
-    is one merge leaf's buffer."""
+    """The shared mergesort, every merge with max(SCRATCH_WORDS, 3·b(n))-word
+    leaves for the whole array's b(n); segments of at most
+    max(SCRATCH_WORDS, b(n)) words are sorted directly.  Nothing is charged:
+    every leaf sorts in place and the rotations use stack scratch."""
     as_words(a)
     k = budget.prefix_words(len(a))
     _mergesort(a, lambda seg, split: _merge_words(seg, split, k),

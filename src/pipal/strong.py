@@ -2,7 +2,8 @@
 
 Operations here never allocate through the space meter; per-call scratch is
 bounded by ``runtime.SCRATCH_WORDS`` and is treated as stack space.  Scan and
-reduce add mod 2^64.
+reduce add mod 2^64.  The merge bisects by dual binary search and rotation
+down to ``SCRATCH_WORDS``-word leaves, each sorted in place.
 """
 
 from __future__ import annotations
@@ -49,29 +50,35 @@ def reduce(a: np.ndarray) -> int:
     return rec(0, len(a))
 
 
-def _reverse(a: np.ndarray, s: int, t: int) -> None:
-    """Reverse a[s:t] in place with constant scratch per step."""
-    half = (t - s) // 2
-    for i in range(0, half, SCRATCH_WORDS):
-        j = min(i + SCRATCH_WORDS, half)
-        left = a[s + i:s + j]
-        right = a[t - j:t - i]
-        tmp = left.copy()
-        left[:] = right[::-1]
-        right[:] = tmp[::-1]
-
-
 def rotate(a: np.ndarray, o: int) -> None:
-    """Left-rotate in place: output[i] = input[(i + o) mod n] (triple reversal)."""
+    """Left-rotate in place: output[i] = input[(i + o) mod n].
+
+    Block swaps (Gries-Mills) put one side's worth of words in place per
+    step while both sides are longer than ``SCRATCH_WORDS``; then the
+    shorter side is parked in one scratch block and the longer side shifts
+    over it (numpy copies overlapping 1-D slices in the safe direction)."""
     as_words(a)
     n = len(a)
     if not 0 <= o <= n:
         raise ValueError("offset must lie in [0, n]")
-    if o == 0 or o == n or n < 2:
+    s, m, t = 0, o, n  # rotate a[s:t] left by m - s
+    while m - s > SCRATCH_WORDS and t - m > SCRATCH_WORDS:
+        if m - s <= t - m:
+            _swap_ranges(a, s, m, m - s)  # [A B1 B2] -> [B1 A B2]
+            s, m = m, 2 * m - s
+        else:
+            _swap_ranges(a, 2 * m - t, m, t - m)  # [A1 A2 B] -> [A1 B A2]
+            m, t = 2 * m - t, m
+    if s == m or m == t:
         return
-    _reverse(a, 0, o)
-    _reverse(a, o, n)
-    _reverse(a, 0, n)
+    if m - s <= t - m:
+        tmp = a[s:m].copy()
+        a[s:s + t - m] = a[m:t]
+        a[s + t - m:t] = tmp
+    else:
+        tmp = a[m:t].copy()
+        a[s + t - m:t] = a[s:m]
+        a[s:s + t - m] = tmp
 
 
 # ---------------------------------------------------------------------------
@@ -276,17 +283,11 @@ def quicksort_strong(a: np.ndarray, rng) -> None:
 # ---------------------------------------------------------------------------
 # Merging and mergesort (dual binary search + rotation, shared by both models)
 
-def _merge_into(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
-    """Stable merge of sorted x, y into out; equal keys taken from x first."""
-    px = np.arange(len(x), dtype=np.int64) + np.searchsorted(y, x, side="left")
-    py = np.arange(len(y), dtype=np.int64) + np.searchsorted(x, y, side="right")
-    out[px] = x
-    out[py] = y
-
-
 def _merge_base(a: np.ndarray, split: int) -> None:
-    scratch = a.copy()
-    _merge_into(scratch[:split], scratch[split:], a)
+    """Merge leaf: sort the subproblem in place with numpy's default sort,
+    which takes no heap buffer.  Equal words cannot be told apart, so the
+    result is the stable merge of a[:split] and a[split:]."""
+    a.sort()
 
 
 def _split_point(a: np.ndarray, split: int, h: int) -> int:

@@ -319,22 +319,17 @@ def merge_input(op, seed, n):
 
 @pytest.mark.parametrize("eps", [0.3, 0.5, 0.7])
 @pytest.mark.parametrize("op", sorted(MERGES))
-def test_relaxed_merges_charge_at_most_3b(op, eps):
-    # the only charge is one buffered leaf of at most 3k words
+def test_relaxed_merges_charge_nothing(op, eps):
+    # every leaf sorts in place, so no merge charges the meter
     n = 65_536
     cfg = PURE(eps)
-    k = cfg.prefix_words(n)
     a = merge_input(op, 41, n)
     ref = np.sort(a)
     meter = SpaceMeter()
     report = meter_scope(meter, 0, lambda: MERGES[op](a, cfg))
     assert np.array_equal(a, ref)
     assert meter.current_words == 0
-    assert report.peak_words <= 3 * k, (report.peak_words, k)
-
-
-# traced bytes per 8·b(n) beyond the rotation's fixed block copies
-MERGE_TRACED_C = 5
+    assert report.peak_words == 0, report.peak_words
 
 
 @pytest.mark.parametrize("budget", [
@@ -343,7 +338,8 @@ MERGE_TRACED_C = 5
 ], ids=["b5242", "b512"])
 @pytest.mark.parametrize("op", sorted(MERGES))
 def test_relaxed_merges_traced_peak_is_sublinear(op, budget):
-    # the real footprint, uncharged temporaries included, stays O(b), not O(n)
+    # the real footprint is the strong merge's: only the rotation's
+    # block copies, whatever b(n) is
     n = 1 << 18
     b = budget.prefix_words(n)
     assert b in (5242, 512)
@@ -358,4 +354,4 @@ def test_relaxed_merges_traced_peak_is_sublinear(op, budget):
     finally:
         tracemalloc.stop()
     assert np.array_equal(a, ref)
-    assert peak <= MERGE_TRACED_C * 8 * b + 4 * SCRATCH_WORDS * 8, peak / (8 * b)
+    assert peak <= 4 * SCRATCH_WORDS * 8, peak

@@ -68,13 +68,35 @@ def test_rotate_matches_modular_index_oracle(seed, n):
 
 
 def test_rotate_inverse_property():
-    # long enough that each reversal walks several scratch blocks
+    # long enough that a block swap precedes the final shift
     n = 3 * SCRATCH_WORDS + 17
     a = rand_words(3, n)
     ref = a.copy()
     strong.rotate(a, SCRATCH_WORDS + 317)
     strong.rotate(a, n - SCRATCH_WORDS - 317)
     assert np.array_equal(a, ref)
+
+
+@pytest.mark.parametrize("n, o", [
+    (n, o)
+    for n in (2 * SCRATCH_WORDS + 1, 3 * SCRATCH_WORDS + 7, 5 * SCRATCH_WORDS)
+    for o in (1, SCRATCH_WORDS, SCRATCH_WORDS + 1, n // 2,
+              n - SCRATCH_WORDS - 1, n - 1)])
+def test_rotate_block_swaps_match_roll(n, o):
+    # offsets just past one block run the block-swap loop several times
+    # from either side, then shift the longer side left or right; at
+    # 5 blocks a whole-array copy would break the strong traced bound
+    a = rand_words(n + o, n)
+    ref = np.roll(a, -o)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        strong.rotate(a, o)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(a, ref)
+    assert peak <= TRACED_BOUND_BYTES, peak
 
 
 # ---------------------------------------------------------------------------
