@@ -9,6 +9,10 @@ graph; the minimum spanning forest runs Boruvka rounds over the
 decomposition's clusters and stores only the committed inter-center forest
 edges.  Effective edge weights are the pairs (weight, edge id), so ties are
 impossible and the MSF is unique.
+
+Every breadth-first search, at build and at query time, expands a whole
+frontier level with one gather through the ingestion-time CSR index.  An
+MSF-edge query holds one n-byte visited bitmap.
 """
 
 from __future__ import annotations
@@ -65,9 +69,30 @@ class GraphEdges:
         other = np.concatenate([v, u]).astype(np.int64)
         self.adj_nbr = other[order]
 
-    def neighbors(self, x: int) -> tuple[np.ndarray, np.ndarray]:
-        s, t = self.adj_off[x], self.adj_off[x + 1]
-        return self.adj_nbr[s:t], self.adj_eid[s:t]
+    def neighbors(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """(neighbors, edge ids) of vertex x; for an int64 array x, those of
+        every vertex in it, concatenated in CSR order by one index."""
+        if not isinstance(x, np.ndarray):
+            s, t = self.adj_off[x], self.adj_off[x + 1]
+            return self.adj_nbr[s:t], self.adj_eid[s:t]
+        start = self.adj_off[x]
+        cnt = self.adj_off[x + 1] - start
+        end = np.cumsum(cnt)
+        total = int(end[-1]) if len(end) else 0
+        idx = np.repeat(start - (end - cnt), cnt) + np.arange(total)
+        return self.adj_nbr[idx], self.adj_eid[idx]
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a, by one sort and an adjacent-difference
+    mask (numpy's ``unique`` hashes, which is slower at these sizes)."""
+    a = np.sort(a)
+    if len(a) > 1:
+        keep = np.empty(len(a), dtype=bool)
+        keep[0] = True
+        np.not_equal(a[1:], a[:-1], out=keep[1:])
+        a = a[keep]
+    return a
 
 
 @dataclass
@@ -104,48 +129,45 @@ class ConnectivityOracle:
 
 
 def _bfs_to_centers(g: GraphEdges, dec: ImplicitDecomposition, start: int,
-                    visited: np.ndarray):
-    """BFS from a center through the whole non-center region around it;
-    returns (neighbor centers, touched vertices)."""
-    touched = [start]
+                    visited: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """BFS from a center through the whole non-center region around it, one
+    CSR gather per level; returns (neighbor centers, visited levels), both
+    as per-level sorted arrays."""
     visited[start] = True
     frontier = np.array([start], dtype=np.int64)
-    found: list[int] = []
+    levels = [frontier]
+    found: list[np.ndarray] = []
     while len(frontier):
-        nxt: list[np.ndarray] = []
-        for x in frontier.tolist():
-            nbr, _ = g.neighbors(x)
-            nxt.append(nbr)
-        cand = np.unique(np.concatenate(nxt)) if nxt else np.empty(0, np.int64)
-        cand = cand[~visited[cand]]
+        nbr, _ = g.neighbors(frontier)
+        cand = _distinct(nbr[~visited[nbr]])
         if not len(cand):
             break
         visited[cand] = True
-        touched.extend(cand.tolist())
-        centers = dec.is_center(cand.astype(WORD))
-        found.extend(cand[centers].tolist())
+        levels.append(cand)
+        centers = dec.is_center(cand)
+        found.append(cand[centers])
         frontier = cand[~centers]
-    return found, touched
+    return found, levels
 
 
 def build_connectivity(g: GraphEdges, epsilon: float, seed: int) -> ConnectivityOracle:
     """Center graph by one search per center over the whole non-center
     region around it, then hook-and-contract labels."""
     dec = ImplicitDecomposition.sample(g, epsilon, seed)
-    centers = dec.center_ids
-    cidx = {int(c): i for i, c in enumerate(centers.tolist())}
+    centers = dec.center_ids.astype(np.int64)
 
     visited = alloc_bool(g.n)
     visited[:] = False
-    ea: list[int] = []
-    eb: list[int] = []
+    ea: list[np.ndarray] = []
+    eb: list[np.ndarray] = []
     try:
-        for c in centers.tolist():
-            found, touched = _bfs_to_centers(g, dec, int(c), visited)
-            for other in found:
-                ea.append(cidx[int(c)])
-                eb.append(cidx[other])
-            visited[np.array(touched, dtype=np.int64)] = False
+        for i, c in enumerate(centers.tolist()):
+            found, levels = _bfs_to_centers(g, dec, c, visited)
+            for f in found:
+                ea.append(np.full(len(f), i, dtype=np.int64))
+                eb.append(np.searchsorted(centers, f))
+            for lvl in levels:
+                visited[lvl] = False
     finally:
         release(visited)
 
@@ -155,8 +177,8 @@ def build_connectivity(g: GraphEdges, epsilon: float, seed: int) -> Connectivity
     lab = alloc(nc)
     lab[:] = np.arange(nc, dtype=WORD)
     if ea:
-        ca = np.array(ea, dtype=np.int64)
-        cb = np.array(eb, dtype=np.int64)
+        ca = np.concatenate(ea)
+        cb = np.concatenate(eb)
         while True:
             la = lab[ca]
             lb = lab[cb]
@@ -186,21 +208,21 @@ def query_connectivity(oracle: ConnectivityOracle, x: int) -> int:
     dec = oracle.decomposition
     if dec.is_center_one(x):
         return oracle.center_label[x]
-    seen = {x}
-    frontier = [x]
+    seen = np.array([x], dtype=np.int64)     # sorted
+    frontier = seen
     best = x
-    while frontier:
-        cand = sorted({int(y) for f in frontier for y in g.neighbors(f)[0].tolist()}
-                      - seen)
-        if not cand:
-            break
-        hits = [y for y in cand if dec.is_center_one(y)]
-        if hits:
-            return oracle.center_label[hits[0]]
-        seen.update(cand)
-        best = min(best, cand[0])
+    while True:
+        cand = _distinct(g.neighbors(frontier)[0])
+        pos = np.minimum(np.searchsorted(seen, cand), len(seen) - 1)
+        cand = cand[seen[pos] != cand]
+        if not len(cand):
+            return best
+        hits = cand[dec.is_center(cand)]
+        if len(hits):
+            return oracle.center_label[int(hits[0])]
+        seen = np.sort(np.concatenate((seen, cand)))
+        best = min(best, int(cand[0]))
         frontier = cand
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +286,6 @@ def build_msf(g: GraphEdges, epsilon: float, seed: int) -> MsfOracle:
             _prim_to_anchor(g, dec, v, anchor_of)
 
     anchors = np.unique(anchor_of)
-    rank_of = {int(a): i for i, a in enumerate(anchors.tolist())}
     parent = list(range(len(anchors)))
 
     def find(i: int) -> int:
@@ -331,29 +352,25 @@ def query_msf_edge(oracle: MsfOracle, e: int) -> bool:
     g = oracle.graph
     if not 0 <= e < g.m:
         raise IndexError("edge id out of range")
-    we = int(g.w[e])
-    lighter = (g.w < WORD(we)) | ((g.w == WORD(we)) &
-                                  (np.arange(g.m) < e))
+    we = g.w[e]
     x, y = int(g.u[e]), int(g.v[e])
     if x == y:
         return False
     visited = alloc_bool(g.n)
-    frontier = alloc_bool(g.n)
     try:
         visited[:] = False
-        frontier[:] = False
-        visited[x] = frontier[x] = True
+        visited[x] = True
+        frontier = np.array([x], dtype=np.int64)
         while True:
-            act = lighter & (frontier[g.u] | frontier[g.v])
-            ends = np.concatenate([g.v[act], g.u[act]]).astype(np.int64)
-            ends = ends[~visited[ends]]
+            nbr, eid = g.neighbors(frontier)
+            w = g.w[eid]
+            ends = nbr[(w < we) | ((w == we) & (eid < e))]
+            ends = _distinct(ends[~visited[ends]])
             if not len(ends):
                 return True
             visited[ends] = True
             if visited[y]:
                 return False
-            frontier[:] = False
-            frontier[ends] = True
+            frontier = ends
     finally:
-        release(frontier)
         release(visited)

@@ -34,6 +34,18 @@ def random_graph(rng, n, m, wmax=1 << 40):
     return GraphEdges(n, u, v, w)
 
 
+def loopy_graph(rng, n, m, wmax=8):
+    """Random multigraph: self-loops, repeated endpoint pairs and weights
+    drawn from a few values, so (weight, edge id) ties are broken often."""
+    u = rng.integers(0, n, size=m, dtype=np.uint64)
+    v = rng.integers(0, n, size=m, dtype=np.uint64)
+    v[::7] = u[::7]                     # self-loops
+    k = m // 5
+    u[-k:], v[-k:] = u[:k], v[:k]       # parallel copies of the first k edges
+    w = rng.integers(0, wmax, size=m, dtype=np.uint64)
+    return GraphEdges(n, u, v, w)
+
+
 def path_graph(n):
     return graph_from(n, [(i, i + 1, 7 * i + 3) for i in range(n - 1)])
 
@@ -56,6 +68,26 @@ def partitions_equal(a, b):
 def oracle_partition(g, eps=0.5, seed=11):
     o = build_connectivity(g, eps, seed)
     return [query_connectivity(o, x) for x in range(g.n)]
+
+
+# ---------------------------------------------------------------------------
+# adjacency index
+
+def test_neighbors_of_an_array_concatenates_the_slices():
+    # 0: self-loop and a parallel pair to 1; 2 and 5: isolated
+    g = graph_from(6, [(0, 0, 1), (0, 1, 2), (1, 0, 3), (1, 3, 4), (4, 3, 5),
+                       (3, 3, 6)])
+    cases = [[1], [2], [2, 5], [0, 0, 1], [3, 0, 3], [5, 4, 2, 0],
+             list(range(6)), []]
+    for xs in cases:
+        nbr, eid = g.neighbors(np.array(xs, dtype=np.int64))
+        ref = [g.neighbors(x) for x in xs]
+        want_nbr = np.concatenate([r[0] for r in ref]) if xs else np.empty(0)
+        want_eid = np.concatenate([r[1] for r in ref]) if xs else np.empty(0)
+        assert nbr.tolist() == want_nbr.tolist(), xs
+        assert eid.tolist() == want_eid.tolist(), xs
+    nbr, eid = g.neighbors(0)
+    assert sorted(zip(eid.tolist(), nbr.tolist())) == [(0, 0), (0, 0), (1, 1), (2, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +141,15 @@ def test_connectivity_matches_union_find(seed):
     for eps in (0.3, 0.5, 0.7):
         got = oracle_partition(g, eps, seed=seed + 7)
         assert partitions_equal(got, ref)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_connectivity_with_loops_and_parallel_edges(seed):
+    rng = np.random.default_rng(seed + 40)
+    g = loopy_graph(rng, 300, 450)
+    ref = bl.union_find_components(g.n, g.u, g.v).tolist()
+    for eps in (0.3, 0.5, 0.7):
+        assert partitions_equal(oracle_partition(g, eps, seed=seed + 3), ref)
 
 
 def test_connectivity_disconnected_forest():
@@ -176,6 +217,31 @@ def test_msf_edge_queries_match_kruskal_membership():
     o = build_msf(g, 0.5, seed=9)
     got = {e for e in range(m) if query_msf_edge(o, e)}
     assert got == ref
+    o.release()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_msf_edge_queries_with_loops_parallel_edges_and_ties(seed):
+    rng = np.random.default_rng(seed + 60)
+    g = loopy_graph(rng, 150, 450, wmax=4)
+    ref = set(bl.kruskal_msf(g.n, g.u, g.v, g.w))
+    for eps in (0.3, 0.5, 0.7):
+        o = build_msf(g, eps, seed=seed)
+        assert {e for e in range(g.m) if query_msf_edge(o, e)} == ref
+        assert msf_full_edge_set(o) == sorted(ref)
+        o.release()
+
+
+def test_msf_edge_query_charges_one_bitmap():
+    rng = np.random.default_rng(23)
+    g = random_graph(rng, 1001, 4000, wmax=16)
+    o = build_msf(g, 0.5, seed=5)
+    bitmap = -(-g.n // 8)
+    for e in range(0, g.m, 97):
+        meter = SpaceMeter()
+        report = meter_scope(meter, bitmap, lambda: query_msf_edge(o, e))
+        assert meter.current_words == 0
+        assert report.peak_words <= bitmap, (e, report.peak_words)
     o.release()
 
 
