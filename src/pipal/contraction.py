@@ -269,10 +269,11 @@ def list_rank(lst: LinkedList, p: np.ndarray,
         return lst.prev
 
     nxt, prv = lst.next, lst.prev
-    # pack (prev pointer, incoming weight); heads carry weight 0
-    heads = prv == _NILW
-    prv[:] = np.where(heads, WORD(NIL32), prv) << WORD(32)
-    prv[~heads] |= WORD(1)
+    # pack (prev pointer, incoming weight) in place: NIL << 32 is NIL32 << 32
+    # mod 2^64, so heads need no mask; they carry weight 1 like every other
+    # element, which puts every rank one too high until the end
+    prv <<= WORD(32)
+    prv |= WORD(1)
 
     client = _RankClient(lst, p)
     stats = run_rounds(n, budget.prefix_words(n), client.reserve,
@@ -281,6 +282,7 @@ def list_rank(lst: LinkedList, p: np.ndarray,
         stats_sink.append(stats)
     if not _jump(nxt, prv):
         raise RuntimeError("ranking forest contains a cycle")
+    prv -= WORD(1)
     return prv
 
 

@@ -20,7 +20,7 @@ from .runtime import WORD
 __all__ = [
     "MAGIC", "write_ints", "read_ints", "write_list", "read_list",
     "write_tree", "read_tree", "write_graph", "read_graph",
-    "CSV_COLUMNS", "append_report_rows", "check_report_csv", "kind_of_path",
+    "CSV_COLUMNS", "append_report_rows", "check_report_csv",
 ]
 
 MAGIC = {
@@ -71,11 +71,6 @@ def _read_words(f, count: int, path) -> np.ndarray:
     if len(raw) != 8 * count:
         raise ValueError(f"{path}: truncated file")
     return np.frombuffer(raw, dtype="<u8").astype(WORD)
-
-
-def kind_of_path(path) -> str:
-    with open(path, "rb") as f:
-        return _read_header(f, path)
 
 
 def write_ints(path, words: np.ndarray) -> None:

@@ -231,12 +231,8 @@ def query_connectivity(oracle: ConnectivityOracle, x: int) -> int:
 @dataclass
 class MsfOracle:
     decomposition: ImplicitDecomposition
-    cluster_anchor: np.ndarray      # vertex -> center id, or component min id
     committed_eids: np.ndarray      # inter-center MSF edges, sorted
     graph: GraphEdges
-
-    def release(self) -> None:
-        release(self.cluster_anchor)
 
 
 def _prim_to_anchor(g: GraphEdges, dec: ImplicitDecomposition, v: int,
@@ -318,10 +314,8 @@ def build_msf(g: GraphEdges, epsilon: float, seed: int) -> MsfOracle:
                 parent[max(a, b)] = min(a, b)
                 committed.append(int(e))
 
-    # the anchor map stays in the oracle: it is the budgeted cluster memo
-    # that query-time searches consult
+    release(anchor_of)
     return MsfOracle(decomposition=dec,
-                     cluster_anchor=anchor_of,
                      committed_eids=np.array(sorted(committed), dtype=np.int64),
                      graph=g)
 

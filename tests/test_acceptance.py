@@ -20,7 +20,7 @@ import scipy.stats
 from pipal import baselines as bl
 from pipal import graph as gr
 from pipal import relaxed, strong
-from pipal.cli import gen_graph, gen_list, gen_tree
+from pipal.cli import BenchConfig
 from pipal.contraction import (
     BinaryTree,
     LinkedList,
@@ -29,6 +29,7 @@ from pipal.contraction import (
     make_priorities,
     tree_contract,
 )
+from pipal.ops import ALGOS, gen_graph, gen_list, gen_tree
 from pipal.runtime import (
     NIL,
     POWER_ONLY_FRACTION,
@@ -93,36 +94,22 @@ def test_criterion_01_scan_correctness():
 
 
 def test_criterion_02_strong_zero_heap():
+    # every strong entry of the algorithm table, each on a fresh copy of one
+    # input inside one meter scope
     n = 10**6
+    base = rand_words(7, n)
+    strong_ops = [name for name, algo in ALGOS.items() if algo.contract == "strong"]
     meter = SpaceMeter()
 
     def body():
-        base = rand_words(7, n)
-        strong.reduce(base)
-        a = base.copy()
-        strong.rotate(a, n // 3)
-        strong.scan(base.copy())
-        strong.scan_blocked(base.copy())
-        strong.filter_kway(base.copy(), EVEN)
-        strong.partition_unstable(base.copy(), EVEN)
-        strong.quicksort_strong(base.copy(), Rng(3))
-        a = base.copy()
-        a[:n // 2].sort()
-        a[n // 2:].sort()
-        strong.merge_strong(a, n // 2)
-        strong.mergesort_strong(base.copy())
-        half = n // 2
-        s = np.concatenate([np.unique(base[:half] >> WORD(1)),
-                            np.unique(base[half:] >> WORD(1))])
-        cut = len(np.unique(base[:half] >> WORD(1)))
-        strong.set_union(s.copy(), cut)
-        strong.set_intersect(s.copy(), cut)
-        strong.set_difference(s.copy(), cut)
+        for name in strong_ops:
+            algo = ALGOS[name]
+            algo.body(*algo.prepare(base, BenchConfig(name, n, seed=3)))
 
     report = meter_scope(meter, 0, body)
     _report(2, "strong operations charge zero auxiliary heap",
             report.peak_words == 0 and meter.current_words == 0,
-            f"peak={report.peak_words}")
+            f"peak={report.peak_words}, {len(strong_ops)} operations")
 
 
 def test_criterion_03_permutation_determinism():
@@ -394,7 +381,6 @@ def test_criterion_10_graphs():
         def body():
             holder["conn"] = gr.build_connectivity(g, eps, seed=i)
             holder["msf"] = gr.build_msf(g, eps, seed=i)
-            holder["msf"].release()
 
         meter_scope(meter, budget, body)
         if meter.peak_words > budget:
@@ -493,7 +479,6 @@ def _thread_determinism_outputs() -> str:
     labels = [gr.query_connectivity(oracle, x) for x in range(g.n)]
     msf = gr.build_msf(g, 0.5, seed=7)
     h.update(repr(labels).encode() + repr(msf_edges(msf)).encode())
-    msf.release()
     return h.hexdigest()
 
 

@@ -179,14 +179,12 @@ def test_triangle_msf():
     o = build_msf(g, 0.5, seed=1)
     assert msf_full_edge_set(o) == [0, 1]
     assert msf_total_weight(o) == 3
-    o.release()
 
 
 def test_tree_input_all_edges_in_msf():
     g = path_graph(64)
     o = build_msf(g, 0.5, seed=2)
     assert msf_full_edge_set(o) == list(range(g.m))
-    o.release()
 
 
 def test_lightest_edge_in_heaviest_cycle_edge_out():
@@ -194,7 +192,6 @@ def test_lightest_edge_in_heaviest_cycle_edge_out():
     o = build_msf(g, 0.5, seed=3)
     assert query_msf_edge(o, 3)       # unique lightest edge
     assert not query_msf_edge(o, 2)   # heaviest edge of the cycle
-    o.release()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -206,7 +203,6 @@ def test_msf_matches_kruskal(seed):
     for eps in (0.3, 0.5, 0.7):
         o = build_msf(g, eps, seed=seed)
         assert msf_full_edge_set(o) == ref
-        o.release()
 
 
 def test_msf_edge_queries_match_kruskal_membership():
@@ -217,7 +213,6 @@ def test_msf_edge_queries_match_kruskal_membership():
     o = build_msf(g, 0.5, seed=9)
     got = {e for e in range(m) if query_msf_edge(o, e)}
     assert got == ref
-    o.release()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -229,7 +224,6 @@ def test_msf_edge_queries_with_loops_parallel_edges_and_ties(seed):
         o = build_msf(g, eps, seed=seed)
         assert {e for e in range(g.m) if query_msf_edge(o, e)} == ref
         assert msf_full_edge_set(o) == sorted(ref)
-        o.release()
 
 
 def test_msf_edge_query_charges_one_bitmap():
@@ -242,7 +236,6 @@ def test_msf_edge_query_charges_one_bitmap():
         report = meter_scope(meter, bitmap, lambda: query_msf_edge(o, e))
         assert meter.current_words == 0
         assert report.peak_words <= bitmap, (e, report.peak_words)
-    o.release()
 
 
 def test_msf_query_rejects_out_of_range():
@@ -250,7 +243,6 @@ def test_msf_query_rejects_out_of_range():
     o = build_msf(g, 0.5, seed=2)
     with pytest.raises(IndexError):
         query_msf_edge(o, 99)
-    o.release()
 
 
 def test_msf_disconnected():
@@ -258,7 +250,6 @@ def test_msf_disconnected():
     g = graph_from(6, triples)
     o = build_msf(g, 0.5, seed=4)
     assert msf_full_edge_set(o) == [0, 1, 3]
-    o.release()
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +267,16 @@ def test_builds_within_epsilon_budget():
         def body():
             oc = build_connectivity(g, eps, 3)
             om = build_msf(g, eps, 3)
-            om.release()
 
         report = meter_scope(meter, budget, body)
         assert meter.current_words == 0
         assert report.peak_words <= budget, (eps, report.peak_words, budget)
+
+
+def test_msf_build_releases_everything_it_charged():
+    rng = np.random.default_rng(31)
+    g = random_graph(rng, 400, 1600, wmax=16)
+    meter = SpaceMeter()
+    report = meter_scope(meter, 1 << 62, lambda: build_msf(g, 0.5, seed=6))
+    assert report.peak_words > 0
+    assert meter.current_words == 0
