@@ -296,7 +296,7 @@ class _TreeClient:
     fixed id-order prefix could wedge on a window of internal nodes.  The
     iterate source is therefore a bounded frontier: a cursor sweeps the ids
     once, queueing nodes that are contractible when it passes, and a rake
-    that drops an already-swept parent to one child queues that parent.
+    that makes an already-swept parent contractible queues that parent.
     Every pending contractible node is discovered exactly once, and the
     queue plus in-flight failures never exceed twice the prefix.  A queued
     node keeps at most one child, so each edge with both ends active is
@@ -379,55 +379,34 @@ class _TreeClient:
 
     def commit(self, view) -> None:
         v = view.ids[view.committed]
-        if not len(v):
-            return
         pa = self.pa[v]
-        lf = self.lf[v]
-        rt = self.rt[v]
-        child = np.where(lf != _NILW, lf, rt)
-        has_child = child != _NILW
-        has_parent = pa != _NILW
-
         if self.debug and len(self._edges(v, pa)[0]):
             raise AssertionError("a parent and its child contracted together")
-
-        # pre-round state of rake parents, read before any surgery: a parent
-        # becoming contractible is discovered here (unless the cursor will
-        # still sweep past it)
-        rake = ~has_child & has_parent
-        rp = pa[rake]
-        uniq_p, rake_cnt = (np.unique(rp, return_counts=True)
-                            if len(rp) else (rp, rp))
-        pre_cnt = ((self.lf[uniq_p] != _NILW).astype(np.int8)
-                   + (self.rt[uniq_p] != _NILW).astype(np.int8))
-
-        # value folding: rakes into the parent, compresses into the child
-        targets = np.concatenate([rp, child[has_child]])
-        amounts = np.concatenate([self.values[v[rake]], self.values[v[has_child]]])
-        np.add.at(self.values, targets.astype(np.int64), amounts)
-
-        # pointer surgery (reads gathered above, writes disjoint per commit)
-        pw = has_parent
-        pslot = pa[pw]
-        repl = np.where(has_child[pw], child[pw], _NILW)
-        is_left = self.lf[pslot] == v[pw]
-        self.lf[pslot[is_left]] = repl[is_left]
-        self.rt[pslot[~is_left]] = repl[~is_left]
-        cm = has_child
+        # the one child, if any (NIL is the largest word); no parent commits
+        # with its child, so no fold repeats a target or hits a committed node
+        child = np.minimum(self.lf[v], self.rt[v])
+        cm = child != _NILW
+        np.add.at(self.values, child[cm], self.values[v[cm]])
         self.pa[child[cm]] = pa[cm]
 
-        if len(uniq_p):
-            # non-root parents: first drop below two children; roots: only
-            # once bare (they are not contractible while a child remains)
-            p_is_root = self.pa[uniq_p] == _NILW
-            post_cnt = pre_cnt - rake_cnt.astype(np.int8)
-            want = np.where(p_is_root, post_cnt == 0, pre_cnt == 2)
-            fresh = uniq_p[want & (uniq_p < WORD(self.cursor))]
-            self._push(fresh)
-
-        done = ~has_child & ~has_parent
-        for node in v[done].tolist():
-            self.roots[int(node)] = int(self.values[node])
+        pm = pa != _NILW
+        for node in v[~pm].tolist():
+            self.roots[node] = int(self.values[node])
+        v, pa, child = v[pm], pa[pm], child[pm]
+        is_left = self.lf[pa] == v
+        fresh = []
+        for side, other, m in ((self.lf, self.rt, is_left),
+                               (self.rt, self.lf, ~is_left)):
+            p, k = pa[m], child[m]
+            side[p] = k
+            rake = k == _NILW
+            p = p[rake]
+            np.add.at(self.values, p, self.values[v[m][rake]])
+            # fresh: a non-root parent that had two children (its other side
+            # still holds one) or a bare root; either passes on one side only
+            fresh.append(p[((other[p] != _NILW) == (self.pa[p] != _NILW))
+                           & (p < WORD(self.cursor))])
+        self._push(np.sort(np.concatenate(fresh)))
 
     def clean(self, view) -> None:
         pass

@@ -18,10 +18,12 @@ from pipal.contraction import (
     validate_linked_list,
 )
 from pipal.detres import RoundView
+from pipal.ops import generate_input
 from pipal.runtime import (
     M64,
     NIL,
     POWER_ONLY_FRACTION,
+    SCRATCH_WORDS,
     EpsilonConfig,
     Rng,
     SpaceMeter,
@@ -367,6 +369,83 @@ def test_tree_budget_metered():
         lambda: out.__setitem__("r", tree_contract(tree, p, vals, cfg, debug=True)))
     assert report.peak_words <= 8 * b
     assert out["r"][0] == ref
+
+
+@pytest.mark.parametrize("budget", [contraction.DEFAULT_BUDGET, PURE(0.5)],
+                         ids=["b5242", "b513"])
+def test_tree_traced_peak_is_sublinear(budget, traced_peak):
+    # every commit temporary is at most b words, and the frontier sweep
+    # reads SCRATCH_WORDS-word blocks: nothing grows with n
+    n = (1 << 18) + 1
+    b = budget.prefix_words(n)
+    assert b in (5242, 513)
+    tree = generate_input("tree", n, seed=5)
+    vals = Rng(7).words(0, n)
+    ref = bl.seq_tree_eval(tree.parent, tree.left, tree.right, vals)
+    p = make_priorities(n, Rng(6))
+    peak, (roots, _) = traced_peak(lambda: tree_contract(tree, p, vals, budget))
+    assert roots == ref
+    assert peak <= 12 * 8 * b + 4 * SCRATCH_WORDS * 8, peak
+
+
+# one commit on a hand-built tree: (parent, left, right) before, the
+# committed ids and the cursor; then the queue, the links after and the
+# values after, node i starting with the value 10^i; ``_`` is NIL
+_ = None
+LEAVES_UNDER_1 = ([_, 0, 0, 1, 1], [1, 3, _, _, _], [2, 4, _, _, _])
+CHERRY = ([_, 0, 0], [1, _, _], [2, _, _])
+FRESH_PARENT_CASES = [
+    pytest.param(LEAVES_UNDER_1, [3, 4], 5, [1],
+                 ([_, 0, 0, 1, 1], [1, _, _, _, _], [2, _, _, _, _]),
+                 [1, 11010, 100, 1000, 10000], id="non-root-raked-both-sides"),
+    pytest.param(LEAVES_UNDER_1, [3], 5, [1],
+                 ([_, 0, 0, 1, 1], [1, _, _, _, _], [2, 4, _, _, _]),
+                 [1, 1010, 100, 1000, 10000], id="non-root-raked-one-side"),
+    pytest.param(([_, 0, 0, 1], [1, 3, _, _], [2, _, _, _]), [3], 4, [],
+                 ([_, 0, 0, 1], [1, _, _, _], [2, _, _, _]),
+                 [1, 1010, 100, 1000], id="non-root-unary-raked"),
+    pytest.param(([_, 0], [_, _], [1, _]), [1], 2, [0],
+                 ([_, 0], [_, _], [_, _]), [11, 10], id="root-unary-raked"),
+    pytest.param(CHERRY, [1, 2], 3, [0], ([_, 0, 0], [_, _, _], [_, _, _]),
+                 [111, 10, 100], id="root-raked-both-sides"),
+    pytest.param(CHERRY, [1], 3, [], ([_, 0, 0], [_, _, _], [2, _, _]),
+                 [11, 10, 100], id="root-raked-one-side"),
+    pytest.param(LEAVES_UNDER_1, [3, 4], 1, [],
+                 ([_, 0, 0, 1, 1], [1, _, _, _, _], [2, _, _, _, _]),
+                 [1, 11010, 100, 1000, 10000], id="parent-at-cursor"),
+    # 4 is 1's right child and 5 is 2's left child: the sides' fresh
+    # parents come out as [2], [1] and queue ascending
+    pytest.param(([_, 0, 0, 1, 1, 2, 2], [1, 3, 5, _, _, _, _],
+                  [2, 4, 6, _, _, _, _]), [4, 5], 7, [1, 2],
+                 ([_, 0, 0, 1, 1, 2, 2], [1, 3, _, _, _, _, _],
+                  [2, _, 6, _, _, _, _]),
+                 [1, 10010, 100100, 1000, 10000, 100000, 1000000],
+                 id="fresh-parents-ascending"),
+    # 3 takes the compress of its parent 1 and the rake of its child 4
+    pytest.param(([_, 0, 0, 1, 3, 3], [1, 3, _, 4, _, _], [2, _, _, 5, _, _]),
+                 [1, 4], 6, [3],
+                 ([_, 0, 0, 0, 3, 3], [3, 3, _, _, _, _], [2, _, _, 5, _, _]),
+                 [1, 10, 100, 11010, 10000, 100000], id="compress-and-rake"),
+]
+
+
+@pytest.mark.parametrize("before, ids, cursor, queue, after, values",
+                         FRESH_PARENT_CASES)
+def test_tree_commit_queues_fresh_parents(before, ids, cursor, queue, after,
+                                          values):
+    # a raked parent is queued once it becomes contractible: a non-root one
+    # that had two children, a root once bare, and only behind the cursor
+    tree = BinaryTree(*map(words, before))
+    n = len(tree)
+    client = contraction._TreeClient(tree, words(range(n)),
+                                     words([10 ** i for i in range(n)]), n, True)
+    client.cursor = cursor
+    view = RoundView(ids=words(ids), committed=np.ones(len(ids), bool))
+    client.commit(view)
+    assert client.queue[:client.qsize].tolist() == queue
+    assert client.values.tolist() == values
+    assert [a.tolist() for a in (tree.parent, tree.left, tree.right)] \
+        == [words(a).tolist() for a in after]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ import struct
 import subprocess
 import sys
 import tempfile
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -115,19 +114,14 @@ def test_nonip_scan_charges_linear_space():
     assert rows[0]["peak_heap_words"] >= 4096
 
 
-def test_tree_contract_body_does_not_copy_the_values():
+def test_tree_contract_body_does_not_copy_the_values(traced_peak):
     # the values are fresh for each rep, so the timed body folds them in
     # place; a copy alone would take 8n bytes
     n = (1 << 16) + 1
     data = generate_input("tree", n, seed=3)
     algo = ALGOS["tree-contract"]
     args = algo.prepare(data, BenchConfig(algo="tree-contract", n=n, seed=3))
-    tracemalloc.start()
-    try:
-        result = algo.body(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, result = traced_peak(lambda: algo.body(*args))
     assert algo.check(data, args, result)
     assert peak < 8 * n, peak
 

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,7 +116,7 @@ def test_prefix_budget_metering():
     assert np.array_equal(a, seq_result(n, h))
 
 
-def test_traced_peak_is_sublinear():
+def test_traced_peak_is_sublinear(traced_peak):
     # the swap-sequence check inside the call must not build n-word
     # temporaries: the real footprint stays O(b), not O(n)
     n = 1 << 18
@@ -126,14 +125,7 @@ def test_traced_peak_is_sublinear():
     assert b == 512
     h = make_swap_sequence(n, Rng(1))
     a = np.arange(n, dtype=np.uint64)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        random_permutation(a, h, budget=budget)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(lambda: random_permutation(a, h, budget=budget))
     assert peak <= 64 * 8 * b + 64 * 1024, peak
     assert np.array_equal(a, seq_result(n, h))
 

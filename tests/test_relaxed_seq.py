@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -337,7 +336,7 @@ def test_relaxed_merges_charge_nothing(op, eps):
     EpsilonConfig(0.5, prefix_fraction=POWER_ONLY_FRACTION),
 ], ids=["b5242", "b512"])
 @pytest.mark.parametrize("op", sorted(MERGES))
-def test_relaxed_merges_traced_peak_is_sublinear(op, budget):
+def test_relaxed_merges_traced_peak_is_sublinear(op, budget, traced_peak):
     # the real footprint is the strong merge's: only the rotation's
     # block copies, whatever b(n) is
     n = 1 << 18
@@ -345,13 +344,6 @@ def test_relaxed_merges_traced_peak_is_sublinear(op, budget):
     assert b in (5242, 512)
     a = merge_input(op, 43, n)
     ref = np.sort(a)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        MERGES[op](a, budget)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(lambda: MERGES[op](a, budget))
     assert np.array_equal(a, ref)
     assert peak <= 4 * SCRATCH_WORDS * 8, peak

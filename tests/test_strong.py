@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,19 +80,13 @@ def test_rotate_inverse_property():
     for n in (2 * SCRATCH_WORDS + 1, 3 * SCRATCH_WORDS + 7, 5 * SCRATCH_WORDS)
     for o in (1, SCRATCH_WORDS, SCRATCH_WORDS + 1, n // 2,
               n - SCRATCH_WORDS - 1, n - 1)])
-def test_rotate_block_swaps_match_roll(n, o):
+def test_rotate_block_swaps_match_roll(n, o, traced_peak):
     # offsets just past one block run the block-swap loop several times
     # from either side, then shift the longer side left or right; at
     # 5 blocks a whole-array copy would break the strong traced bound
     a = rand_words(n + o, n)
     ref = np.roll(a, -o)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        strong.rotate(a, o)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(lambda: strong.rotate(a, o))
     assert np.array_equal(a, ref)
     assert peak <= TRACED_BOUND_BYTES, peak
 
@@ -422,15 +414,9 @@ def _strong_args(op, n):
 
 @pytest.mark.parametrize("n", [1 << 16, 1 << 20])
 @pytest.mark.parametrize("op", STRONG_OPS)
-def test_strong_traced_peak_is_a_constant(op, n):
+def test_strong_traced_peak_is_a_constant(op, n, traced_peak):
     args = _strong_args(op, n)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        getattr(strong, op)(*args)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(lambda: getattr(strong, op)(*args))
     assert peak <= TRACED_BOUND_BYTES, (op, n, peak)
 
 
