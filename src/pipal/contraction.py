@@ -231,8 +231,7 @@ class _RankClient(_ListClient):
 
 
 def list_contract(lst: LinkedList, p: np.ndarray,
-                  budget: EpsilonConfig = DEFAULT_BUDGET,
-                  trace: list | None = None) -> RoundStats:
+                  budget: EpsilonConfig = DEFAULT_BUDGET) -> RoundStats:
     """Splice out every element; per round the active-prefix local minima go.
 
     After the run each element's own (prev, next) slots hold the neighbor
@@ -246,7 +245,7 @@ def list_contract(lst: LinkedList, p: np.ndarray,
         return RoundStats()
     client = _ListClient(lst, p)
     return run_rounds(n, budget.prefix_words(n), client.reserve,
-                      client.commit, client.clean, trace=trace)
+                      client.commit, client.clean)
 
 
 def list_rank(lst: LinkedList, p: np.ndarray,
@@ -336,7 +335,8 @@ class _TreeClient:
             # a root keeps collecting rakes until bare, so only parented
             # nodes are contractible while they still have a child
             ready = zero | (unary & (self.pa[blk] != _NILW))
-            ids = np.flatnonzero(ready).astype(WORD) + WORD(self.cursor)
+            ids = np.flatnonzero(ready)
+            ids += self.cursor
             need = self.prefix - self.qsize
             if len(ids) > need:
                 # leave the surplus ahead of the cursor for later sweeps

@@ -130,7 +130,6 @@ class ReservationTable:
 class RoundStats:
     rounds: int = 0
     committed_per_round: list[int] = field(default_factory=list)
-    peak_table_load: float = 0.0
 
     @property
     def total_committed(self) -> int:
@@ -192,7 +191,7 @@ def decompose_driver(n: int, budget_words: int, step) -> RoundStats:
 
 
 def run_rounds(n_iterates: int, prefix_size: int, reserve, commit, clean,
-               id_source=None, trace: list | None = None) -> RoundStats:
+               id_source=None) -> RoundStats:
     """Drive reserve/commit/clean rounds until all iterates are retired.
 
     Each phase receives a :class:`RoundView` whose ``committed`` mask starts
@@ -225,8 +224,6 @@ def run_rounds(n_iterates: int, prefix_size: int, reserve, commit, clean,
         reserve(view)
         commit(view)
         clean(view)
-        if trace is not None:
-            trace.append(view.ids[view.committed].copy())
         state["fill"] = compact_by_mask(ids, lambda s, e: ~committed[s:e], 0, fill)
         return fill - state["fill"]
 

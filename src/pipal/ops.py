@@ -178,8 +178,8 @@ def _sorted_halves(data, cfg):
 
 def _dedup_sets(data, cfg=None) -> tuple[np.ndarray, int]:
     half = len(data) // 2
-    x = np.unique(data[:half] >> WORD(1))
-    y = np.unique(data[half:] >> WORD(1))
+    x = np.unique(data[:half])
+    y = np.unique(data[half:])
     return np.concatenate([x, y]), len(x)
 
 

@@ -116,10 +116,10 @@ class _RpClient:
         while count > 0 and self.cursor >= 0:
             hi = self.cursor
             lo = max(0, hi - max(count, SCRATCH_WORDS) + 1)
-            window = np.arange(hi, lo - 1, -1, dtype=np.int64)
-            idx = np.flatnonzero(h[window] != window.astype(WORD))[:count]
+            idx = np.flatnonzero(h[lo:hi + 1][::-1]
+                                 != np.arange(hi, lo - 1, -1, dtype=WORD))[:count]
             if len(idx):
-                ids = window[idx].astype(WORD)
+                ids = (hi - idx).astype(WORD)
                 self.cursor = int(ids[-1]) - 1
                 return ids
             self.cursor = lo - 1
@@ -150,8 +150,7 @@ class _RpClient:
 
 
 def random_permutation(a: np.ndarray, h: np.ndarray, variant: str = "final",
-                       budget: EpsilonConfig = DEFAULT_BUDGET,
-                       trace: list | None = None) -> RoundStats:
+                       budget: EpsilonConfig = DEFAULT_BUDGET) -> RoundStats:
     """Apply the swap sequence in parallel rounds, in place.
 
     The output equals the sequential shuffle with the same ``h``: rounds
@@ -172,10 +171,9 @@ def random_permutation(a: np.ndarray, h: np.ndarray, variant: str = "final",
     client = _RpClient(a, h, prefix)
     try:
         stats = run_rounds(n_iterates, prefix, client.reserve, client.commit,
-                           client.clean, id_source=client.next_ids, trace=trace)
+                           client.clean, id_source=client.next_ids)
     finally:
         client.release()
-    stats.peak_table_load = client.rtable.peak_load
     return stats
 
 

@@ -260,7 +260,10 @@ def compact_by_mask(arr: np.ndarray, block_mask, lo: int, hi: int) -> int:
 
     ``block_mask(s, e)`` gives the keep mask of arr[s:e] for one block of at
     most SCRATCH_WORDS words; it is read before any element of the block
-    moves.  Only one block is held at a time, so the scratch is constant and
+    moves.  Every write lands in the kept run so far, which ends below s
+    unless nothing has been dropped, and then nothing has been written; so
+    block_mask(s, e) may also read arr[s - 1], which still holds its input
+    word.  Only one block is held at a time, so the scratch is constant and
     zero-heap operations may use it.
     """
     w = lo

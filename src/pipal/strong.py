@@ -29,9 +29,6 @@ __all__ = [
     "set_union", "set_intersect", "set_difference",
 ]
 
-TAG = 1 << 63         # mark bit used by the set operations
-UNTAG = WORD(TAG ^ M64)
-
 
 # ---------------------------------------------------------------------------
 # Reduce and rotate
@@ -166,11 +163,6 @@ def scan_blocked(a: np.ndarray) -> ScanResult:
 # ---------------------------------------------------------------------------
 # Filter / partition / quicksort
 
-def _compact_pred(a: np.ndarray, s: int, t: int, pred) -> int:
-    """Stable in-place compaction of a[s:t] by pred; returns the kept run's end."""
-    return compact_by_mask(a, lambda bs, be: pred(a[bs:be]), s, t)
-
-
 def filter_kway(a: np.ndarray, pred) -> int:
     """Stable in-place filter: kept elements end up in a[0:m); returns m.
 
@@ -179,7 +171,7 @@ def filter_kway(a: np.ndarray, pred) -> int:
     in order, so the chunks would only add passes.
     """
     as_words(a)
-    return _compact_pred(a, 0, len(a), pred)
+    return compact_by_mask(a, lambda s, e: pred(a[s:e]), 0, len(a))
 
 
 def _block_partition(a: np.ndarray, s: int, e: int, pred) -> int:
@@ -364,25 +356,13 @@ def mergesort_strong(a: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Set operations on sorted duplicate-free runs (63-bit values; the top bit
-# marks elements selected for the output)
+# Set operations on sorted duplicate-free runs: each compacts by a keep mask
+# worked out one block at a time
 
 def _check_set_run(a: np.ndarray, lo: int, hi: int) -> None:
     run = a[lo:hi]
-    if len(run) and int(run.max()) & TAG:
-        raise ValueError("set operations require 63-bit values")
     if np.any(run[1:] <= run[:-1]):
         raise ValueError("unsorted input run")
-
-
-def _tag_filter(a: np.ndarray, n: int) -> int:
-    m = _compact_pred(a, 0, n, lambda b: (b & WORD(TAG)) != 0)
-    s = 0
-    while s < m:
-        e = min(s + SCRATCH_WORDS, m)
-        a[s:e] &= UNTAG
-        s = e
-    return m
 
 
 def _set_args(a: np.ndarray, split: int, debug: bool) -> int:
@@ -401,29 +381,33 @@ def set_union(a: np.ndarray, split: int, debug: bool = False) -> int:
     """Union of two sorted duplicate-free runs; result in a[0:m), returns m."""
     n = _set_args(a, split, debug)
     merge_strong(a, split)
-    # sequential left-to-right so the cross-block predecessor is final; the
-    # comparison masks tags, so ordering only matters for determinism
-    for s in range(0, n, SCRATCH_WORDS):
-        block = a[s:s + SCRATCH_WORDS]
-        vals = block & UNTAG
-        keep = np.empty(len(block), dtype=bool)
-        keep[0] = s == 0 or vals[0] != (int(a[s - 1]) & ~TAG)
-        keep[1:] = vals[1:] != vals[:-1]
-        block |= keep.astype(WORD) << WORD(63)
-    return _tag_filter(a, n)
+
+    def first_of_pair(s: int, e: int) -> np.ndarray:
+        # a[s - 1] still holds its merged word (see compact_by_mask)
+        block = a[s:e]
+        keep = np.empty(e - s, dtype=bool)
+        keep[0] = s == 0 or block[0] != a[s - 1]
+        np.not_equal(block[1:], block[:-1], out=keep[1:])
+        return keep
+
+    return compact_by_mask(a, first_of_pair, 0, n)
 
 
-def _tag_matches(a: np.ndarray, probe_lo: int, probe_hi: int,
-                 run_lo: int, run_hi: int, keep_found: bool) -> None:
-    """Tag each probe element found (keep_found) or not found in the
-    nonempty sorted run a[run_lo:run_hi)."""
-    run = a[run_lo:run_hi]
-    for s in range(probe_lo, probe_hi, SCRATCH_WORDS):
-        block = a[s:min(s + SCRATCH_WORDS, probe_hi)]
+def _compact_members(a: np.ndarray, lo: int, hi: int, run: np.ndarray,
+                     keep_found: bool) -> int:
+    """Compact a[lo:hi) to the words found (keep_found) or not found in the
+    nonempty sorted run, which must lie outside a[lo:hi); returns the kept
+    run's end."""
+    last = len(run) - 1
+
+    def member(s: int, e: int) -> np.ndarray:
+        block = a[s:e]
         idx = np.searchsorted(run, block)
-        found = (idx < len(run)) & (run[np.minimum(idx, len(run) - 1)] == block)
-        keep = found if keep_found else ~found
-        block |= keep.astype(WORD) << WORD(63)
+        np.minimum(idx, last, out=idx)
+        found = run[idx] == block
+        return found if keep_found else ~found
+
+    return compact_by_mask(a, member, lo, hi)
 
 
 def set_intersect(a: np.ndarray, split: int, debug: bool = False) -> int:
@@ -433,10 +417,10 @@ def set_intersect(a: np.ndarray, split: int, debug: bool = False) -> int:
         return 0
     # probe the smaller run against the larger
     if split <= n - split:
-        _tag_matches(a, 0, split, split, n, keep_found=True)
-    else:
-        _tag_matches(a, split, n, 0, split, keep_found=True)
-    return _tag_filter(a, n)
+        return _compact_members(a, 0, split, a[split:], keep_found=True)
+    m = _compact_members(a, split, n, a[:split], keep_found=True) - split
+    a[:m] = a[split:split + m]  # disjoint: m <= n - split < split
+    return m
 
 
 def set_difference(a: np.ndarray, split: int, debug: bool = False) -> int:
@@ -444,5 +428,4 @@ def set_difference(a: np.ndarray, split: int, debug: bool = False) -> int:
     n = _set_args(a, split, debug)
     if split == 0 or split == n:
         return split
-    _tag_matches(a, 0, split, split, n, keep_found=False)
-    return _tag_filter(a, n)
+    return _compact_members(a, 0, split, a[split:], keep_found=False)

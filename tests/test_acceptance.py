@@ -19,7 +19,7 @@ import scipy.stats
 
 from pipal import baselines as bl
 from pipal import graph as gr
-from pipal import relaxed, strong
+from pipal import contraction, relaxed, strong
 from pipal.cli import BenchConfig
 from pipal.contraction import (
     BinaryTree,
@@ -169,14 +169,15 @@ def test_criterion_04_permutation_uniformity():
             p > 0.001, f"chi-square p={p:.4f}")
 
 
-def test_criterion_05_worked_example_replay():
+def test_criterion_05_worked_example_replay(capture_rounds):
     h = np.array([0, 0, 1, 3, 1, 2, 3, 1], dtype=np.uint64)
     ok = True
+    rounds = capture_rounds(relaxed)
     for variant in relaxed.RP_VARIANTS:
         a = np.arange(8, dtype=np.uint64)
-        trace: list[np.ndarray] = []
-        relaxed.random_permutation(a, h, variant, FULL_PREFIX, trace=trace)
-        ok &= sorted(trace[0].tolist()) == [5, 6, 7]
+        rounds.clear()
+        relaxed.random_permutation(a, h, variant, FULL_PREFIX)
+        ok &= sorted(rounds[0][1]) == [5, 6, 7]
     _report(5, "first full-prefix round commits exactly sources {6,7,8}",
             ok, "1-indexed")
 
@@ -222,7 +223,7 @@ def test_criterion_06_relaxed_space_budgets():
             f"{elapsed:.0f}s; " + "; ".join(details))
 
 
-def test_criterion_07_list_ranking():
+def test_criterion_07_list_ranking(capture_rounds):
     rng = np.random.default_rng(71)
     ok = True
     for trial in range(100):
@@ -240,10 +241,9 @@ def test_criterion_07_list_ranking():
         nxt[x] = y
         prv[y] = x
     p = np.array([5, 1, 6, 2, 9, 3, 7, 4, 8], dtype=np.uint64) - np.uint64(1)
-    trace: list[np.ndarray] = []
-    stats = list_contract(LinkedList(nxt, prv), p, budget=FULL_PREFIX,
-                          trace=trace)
-    first = sorted((p[trace[0]] + np.uint64(1)).tolist())
+    rounds = capture_rounds(contraction)
+    stats = list_contract(LinkedList(nxt, prv), p, budget=FULL_PREFIX)
+    first = sorted(int(p[v]) + 1 for v in rounds[0][1])
     ok &= first == [1, 2, 3, 4] and stats.rounds == 4
     _report(7, "ranks equal pointer walk; worked instance replays",
             ok, f"instance rounds={stats.rounds}, first={first}")

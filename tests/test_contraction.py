@@ -182,16 +182,16 @@ def test_singleton_splices_in_one_round():
     assert stats.rounds == 1 and stats.committed_per_round == [1]
 
 
-def test_worked_instance_first_round_and_round_count():
+def test_worked_instance_first_round_and_round_count(capture_rounds):
     # chain with priorities [5,1,6,2,9,3,7,4,8] along it: the first full-
     # prefix round contracts exactly priorities {1,2,3,4}; 4 rounds total
     prios_along_chain = [5, 1, 6, 2, 9, 3, 7, 4, 8]
     order = list(range(9))
     lst = chain_list(order)
     p = words([v - 1 for v in prios_along_chain])  # 0-based, distinct
-    trace = []
-    stats = list_contract(lst, p, budget=FULL, trace=trace)
-    first = sorted((p[trace[0]] + np.uint64(1)).tolist())
+    rounds = capture_rounds(contraction)
+    stats = list_contract(lst, p, budget=FULL)
+    first = sorted(int(p[v]) + 1 for v in rounds[0][1])
     assert first == [1, 2, 3, 4]
     assert stats.rounds == 4
     assert stats.total_committed == 9
@@ -451,28 +451,6 @@ def test_tree_commit_queues_fresh_parents(before, ids, cursor, queue, after,
 # ---------------------------------------------------------------------------
 # round-by-round reference of the activity rule
 
-def capture_rounds(monkeypatch):
-    """Wrap ``contraction.run_rounds`` so that every round's active ids and
-    committed ids are appended to the returned list as an (ids, done) pair."""
-    rounds = []
-    real = contraction.run_rounds
-
-    def traced(n, prefix, reserve, commit, clean, **kwargs):
-        seen, done = [], []
-
-        def spy(view):
-            seen.append(view.ids.tolist())
-            reserve(view)
-
-        kwargs["trace"] = done
-        stats = real(n, prefix, spy, commit, clean, **kwargs)
-        rounds.extend(zip(seen, (d.tolist() for d in done)))
-        return stats
-
-    monkeypatch.setattr(contraction, "run_rounds", traced)
-    return rounds
-
-
 def local_minima(ids, p, neighbors, contractible=lambda v: True):
     """The ids, in order, whose priority is below that of every neighbor
     that is in this round's ids."""
@@ -542,9 +520,9 @@ REFERENCE_BUDGETS = [pytest.param(FULL, id="full"),
 
 
 @pytest.mark.parametrize("budget", REFERENCE_BUDGETS)
-def test_list_rounds_match_reference(monkeypatch, budget):
+def test_list_rounds_match_reference(capture_rounds, budget):
     n = 4000
-    rounds = capture_rounds(monkeypatch)
+    rounds = capture_rounds(contraction)
     lst = random_chains(np.random.default_rng(11), n, 7)
     nxt, prv = lst.next.copy(), lst.prev.copy()
     p = make_priorities(n, Rng(12))
@@ -554,9 +532,9 @@ def test_list_rounds_match_reference(monkeypatch, budget):
 
 
 @pytest.mark.parametrize("budget", REFERENCE_BUDGETS)
-def test_rank_rounds_match_reference(monkeypatch, budget):
+def test_rank_rounds_match_reference(capture_rounds, budget):
     n = 4000
-    rounds = capture_rounds(monkeypatch)
+    rounds = capture_rounds(contraction)
     lst = random_chains(np.random.default_rng(13), n, 7)
     nxt, prv = lst.next.copy(), lst.prev.copy()
     ref = bl.seq_list_rank(nxt, prv)
@@ -566,9 +544,9 @@ def test_rank_rounds_match_reference(monkeypatch, budget):
 
 
 @pytest.mark.parametrize("budget", REFERENCE_BUDGETS)
-def test_tree_rounds_match_reference(monkeypatch, budget):
+def test_tree_rounds_match_reference(capture_rounds, budget):
     n = 4001
-    rounds = capture_rounds(monkeypatch)
+    rounds = capture_rounds(contraction)
     rng = np.random.default_rng(15)
     tree = random_full_binary_tree(rng, n)
     start = BinaryTree(tree.parent.copy(), tree.left.copy(), tree.right.copy())

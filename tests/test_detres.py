@@ -215,23 +215,6 @@ def test_livelock_guard_aborts():
         run_rounds(10, 4, reserve, commit, clean)
 
 
-def test_trace_collects_committed_ids():
-    trace: list[np.ndarray] = []
-    rounds = 0
-
-    def commit(view):
-        nonlocal rounds
-        view.committed[:] = (view.ids % np.uint64(3) != 0) | (rounds > 0)
-        rounds += 1
-
-    def other(view):
-        pass
-
-    run_rounds(9, 9, other, commit, other, trace=trace)
-    assert sorted(trace[0].tolist()) == [1, 2, 4, 5, 7, 8]
-    assert sorted(trace[1].tolist()) == [0, 3, 6]
-
-
 @pytest.mark.parametrize("yielded", [list(range(5)), list(range(10)) + [3]],
                          ids=["short", "surplus"])
 def test_source_must_yield_exactly_n_iterates(yielded):

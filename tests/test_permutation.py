@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pipal import baselines as bl
+from pipal import relaxed
 from pipal.relaxed import (
     RP_VARIANTS,
     make_swap_sequence,
@@ -48,15 +49,16 @@ def test_all_self_swaps_is_identity():
     assert stats.rounds == 0
 
 
-def test_worked_example_first_round_commits():
+def test_worked_example_first_round_commits(capture_rounds):
     # H = [1,1,2,4,2,3,4,2] in 1-indexed form; with a full prefix the first
     # round commits exactly the swap sources 6, 7, 8 (1-indexed)
     h = words([0, 0, 1, 3, 1, 2, 3, 1])
+    rounds = capture_rounds(relaxed)
     for variant in RP_VARIANTS:
         a = np.arange(8, dtype=np.uint64)
-        trace = []
-        random_permutation(a, h, variant=variant, budget=FULL_PREFIX, trace=trace)
-        assert sorted(trace[0].tolist()) == [5, 6, 7]
+        rounds.clear()
+        random_permutation(a, h, variant=variant, budget=FULL_PREFIX)
+        assert sorted(rounds[0][1]) == [5, 6, 7]
         assert a.tolist() == seq_result(8, h).tolist()
 
 
@@ -65,8 +67,7 @@ def test_worked_example_swaps_match_sequential():
     expect = seq_result(8, h)
     # spot-check the first parallel step's effect: positions 5<->2, 6<->3, 7<->1
     a = np.arange(8, dtype=np.uint64)
-    trace = []
-    random_permutation(a, h, budget=FULL_PREFIX, trace=trace)
+    random_permutation(a, h, budget=FULL_PREFIX)
     assert np.array_equal(a, expect)
 
 
@@ -191,14 +192,14 @@ def _reference_rounds(h, prefix):
     EpsilonConfig(0.5, prefix_fraction=0.02),
     EpsilonConfig(0.5, prefix_fraction=POWER_ONLY_FRACTION),
 ])
-def test_rounds_match_reference(budget):
+def test_rounds_match_reference(capture_rounds, budget):
     n = 5000
     h = make_swap_sequence(n, Rng(8))
     a = np.arange(n, dtype=np.uint64)
-    trace = []
-    random_permutation(a, h, budget=budget, trace=trace)
+    rounds = capture_rounds(relaxed)
+    random_permutation(a, h, budget=budget)
     expect = _reference_rounds(h, budget.prefix_words(n))
-    assert [sorted(t.tolist()) for t in trace] == [sorted(r) for r in expect]
+    assert [sorted(done) for _, done in rounds] == [sorted(r) for r in expect]
     assert np.array_equal(a, seq_result(n, h))
 
 
@@ -209,4 +210,3 @@ def test_round_stats_conservation():
     stats = random_permutation(a, h, budget=EpsilonConfig(0.5, prefix_fraction=0.02))
     niter = int(np.count_nonzero(h != np.arange(n, dtype=WORD)))
     assert stats.total_committed == niter
-    assert stats.peak_table_load <= 1.0

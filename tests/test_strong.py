@@ -335,18 +335,42 @@ def test_set_intersect_empty_side():
     assert strong.set_intersect(a, split) == 0
 
 
+SET_OPS = {"union": (strong.set_union, lambda x, y: x | y),
+           "intersect": (strong.set_intersect, lambda x, y: x & y),
+           "difference": (strong.set_difference, lambda x, y: x - y)}
+
+
 def test_set_ops_match_set_algebra_oracle():
     rng = np.random.default_rng(21)
     xs = set(rng.integers(0, 1 << 62, size=10_000, dtype=np.uint64).tolist())
     ys = set(rng.integers(0, 1 << 62, size=1_000, dtype=np.uint64).tolist())
     ys |= set(list(xs)[:200])  # force overlap
+    # put a word in both runs whose merged pair straddles the first block edge
+    edge = sorted(list(xs) + list(ys))[SCRATCH_WORDS - 1]
+    xs.add(edge)
+    ys.add(edge)
+    merged = np.sort(_sets_to_array(xs, ys)[0])
+    assert merged[SCRATCH_WORDS - 1] == merged[SCRATCH_WORDS] == edge
 
-    for op, ref in (("union", xs | ys), ("intersect", xs & ys), ("difference", xs - ys)):
-        a, split = _sets_to_array(xs, ys)
-        fn = {"union": strong.set_union, "intersect": strong.set_intersect,
-              "difference": strong.set_difference}[op]
-        m = fn(a, split)
-        assert a[:m].tolist() == sorted(ref)
+    # both orders: intersect probes the right run, then the left one
+    for left, right in ((xs, ys), (ys, xs)):
+        for fn, ref in SET_OPS.values():
+            a, split = _sets_to_array(left, right)
+            m = fn(a, split)
+            assert a[:m].tolist() == sorted(ref(left, right))
+
+
+@pytest.mark.parametrize("debug", [False, True])
+@pytest.mark.parametrize("op", SET_OPS)
+def test_set_ops_take_words_with_the_top_bit_set(op, debug):
+    top = 1 << 63
+    xs = {1, 7, top, top + 1, M64}
+    ys = {2, 7, top + 1, top + 5, M64}
+    fn, ref = SET_OPS[op]
+    for left, right in ((xs, ys), (ys, xs)):
+        a, split = _sets_to_array(left, right)
+        m = fn(a, split, debug=debug)
+        assert a[:m].tolist() == sorted(ref(left, right))
 
 
 def test_set_ops_debug_rejects_unsorted():
@@ -383,8 +407,8 @@ def test_every_strong_op_reports_zero_heap():
         b[n // 2:].sort()
         strong.merge_strong(b, n // 2)
         strong.mergesort_strong(a.copy())
-        s = np.concatenate([np.sort(rand_words(51, 400) >> WORD(2)),
-                            np.sort(rand_words(52, 300) >> WORD(2))])
+        s = np.concatenate([np.sort(rand_words(51, 400)),
+                            np.sort(rand_words(52, 300))])
         strong.set_union(s.copy(), 400)
 
     report = meter_scope(meter, 0, body)
@@ -404,8 +428,8 @@ def _strong_args(op, n):
         a[half:].sort()
         return a, half
     if op.startswith("set_"):
-        x = np.unique(a[:half] >> WORD(2))
-        y = np.unique(a[half:] >> WORD(2))
+        x = np.unique(a[:half])
+        y = np.unique(a[half:])
         return np.concatenate([x, y]), len(x)
     extra = {"rotate": (n // 3,), "filter_kway": (EVEN,),
              "partition_unstable": (EVEN,), "quicksort_strong": (Rng(1),)}
