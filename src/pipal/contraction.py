@@ -27,6 +27,7 @@ from .runtime import (
     EpsilonConfig,
     alloc,
     as_words,
+    ix,
     release,
 )
 
@@ -102,14 +103,10 @@ def validate_linked_list(lst: LinkedList) -> None:
         live = arr != _NILW
         if bool(np.any(arr[live] >= WORD(n))):
             raise ValueError(f"{name} pointer out of range")
-    live = nxt != _NILW
-    ids = np.flatnonzero(live)
-    if bool(np.any(prv[nxt[ids]] != ids.astype(WORD))):
-        raise ValueError("prev/next are not mutually inverse")
-    live = prv != _NILW
-    ids = np.flatnonzero(live)
-    if bool(np.any(nxt[prv[ids]] != ids.astype(WORD))):
-        raise ValueError("prev/next are not mutually inverse")
+    for fwd, back in ((nxt, prv), (prv, nxt)):
+        ids = np.flatnonzero(fwd != _NILW)
+        if bool(np.any(back[ix(fwd[ids])] != ids.astype(WORD))):
+            raise ValueError("prev/next are not mutually inverse")
     # with inverse links the list is disjoint chains and cycles; a node is
     # on a chain exactly when walking prev reaches NIL
     if not _jump(prv.copy()):
@@ -127,11 +124,12 @@ def validate_binary_tree(tree: BinaryTree) -> None:
         raise ValueError("internal nodes must have exactly two children")
     for child in (lf, rt):
         ids = np.flatnonzero(child != _NILW)
-        if bool(np.any(pa[child[ids]] != ids.astype(WORD))):
+        if bool(np.any(pa[ix(child[ids])] != ids.astype(WORD))):
             raise ValueError("child/parent links inconsistent")
-    ids = np.flatnonzero(pa != _NILW).astype(WORD)
+    ids = np.flatnonzero(pa != _NILW)
     if len(ids):
-        up = pa[ids]
+        up = ix(pa[ids])
+        ids = ids.astype(WORD)
         if bool(np.any((lf[up] != ids) & (rt[up] != ids))):
             raise ValueError("child/parent links inconsistent")
     if bool(np.any((lf == rt) & (lf != _NILW))):
@@ -155,7 +153,7 @@ def _jump(up: np.ndarray, dist: np.ndarray | None = None) -> bool:
     for _ in range(len(up).bit_length() + 1):
         if not len(live):
             return True
-        hop = up[live]
+        hop = ix(up[live])
         if dist is not None:
             dist[live] += dist[hop]
         up[live] = up[hop]
@@ -186,21 +184,22 @@ class _ListClient:
 
     def reserve(self, view) -> None:
         ids = view.ids
-        pv = self.p[ids]
+        i = ix(ids)
+        pv = self.p[i]
         ok = view.committed
         ok[:] = True
-        for nbr in (self.nxt[ids], self._pred(ids)):
+        for nbr in (self.nxt[i], self._pred(i)):
             m = nbr <= ids[-1]
-            ok[m] &= pv[m] < self.p[nbr[m]]
+            ok[m] &= pv[m] < self.p[ix(nbr[m])]
 
     def commit(self, view) -> None:
-        v = view.ids[view.committed]
+        v = ix(view.ids[view.committed])
         u = self.prv[v]
         x = self.nxt[v]
         um = u != _NILW
         xm = x != _NILW
-        self.nxt[u[um]] = x[um]
-        self.prv[x[xm]] = u[xm]
+        self.nxt[ix(u[um])] = x[um]
+        self.prv[ix(x[xm])] = u[xm]
         # v's own slots keep (u, x): the forest context costs nothing extra
 
     def clean(self, view) -> None:
@@ -214,17 +213,17 @@ class _RankClient(_ListClient):
         return self.prv[ids] >> WORD(32)
 
     def commit(self, view) -> None:
-        v = view.ids[view.committed]
+        v = ix(view.ids[view.committed])
         packed = self.prv[v]
         u = packed >> WORD(32)
         w_uv = packed & WORD(NIL32)
         x = self.nxt[v]
         um = u != WORD(NIL32)
         xm = x != _NILW
-        xs = x[xm]
+        xs = ix(x[xm])
         w_vx = self.prv[xs] & WORD(NIL32)
         self.prv[xs] = (u[xm] << WORD(32)) | (w_uv[xm] + w_vx)
-        self.nxt[u[um]] = x[um]
+        self.nxt[ix(u[um])] = x[um]
         # dead slots: (parent, distance to parent)
         self.nxt[v] = np.where(um, u, _NILW)
         self.prv[v] = w_uv
@@ -368,43 +367,47 @@ class _TreeClient:
 
     def reserve(self, view) -> None:
         ids = view.ids
-        pv = self.p[ids]
-        pa = self.pa[ids]
+        i = ix(ids)
+        pv = self.p[i]
+        pa = self.pa[i]
         ok = view.committed
-        ok[:] = (pa != _NILW) | ((self.lf[ids] == _NILW)
-                                 & (self.rt[ids] == _NILW))
+        ok[:] = (pa != _NILW) | ((self.lf[i] == _NILW)
+                                 & (self.rt[i] == _NILW))
         kid, up = self._edges(ids, pa)
         ok[kid] &= pv[kid] < pv[up]
         ok[up] &= pv[up] < pv[kid]
 
     def commit(self, view) -> None:
         v = view.ids[view.committed]
-        pa = self.pa[v]
+        vi = ix(v)
+        pa = self.pa[vi]
         if self.debug and len(self._edges(v, pa)[0]):
             raise AssertionError("a parent and its child contracted together")
         # the one child, if any (NIL is the largest word); no parent commits
         # with its child, so no fold repeats a target or hits a committed node
-        child = np.minimum(self.lf[v], self.rt[v])
+        child = np.minimum(self.lf[vi], self.rt[vi])
         cm = child != _NILW
-        np.add.at(self.values, child[cm], self.values[v[cm]])
-        self.pa[child[cm]] = pa[cm]
+        c = ix(child[cm])
+        np.add.at(self.values, c, self.values[vi[cm]])
+        self.pa[c] = pa[cm]
 
         pm = pa != _NILW
         for node in v[~pm].tolist():
             self.roots[node] = int(self.values[node])
         v, pa, child = v[pm], pa[pm], child[pm]
-        is_left = self.lf[pa] == v
+        is_left = self.lf[ix(pa)] == v
         fresh = []
         for side, other, m in ((self.lf, self.rt, is_left),
                                (self.rt, self.lf, ~is_left)):
             p, k = pa[m], child[m]
-            side[p] = k
+            side[ix(p)] = k
             rake = k == _NILW
             p = p[rake]
-            np.add.at(self.values, p, self.values[v[m][rake]])
+            pi = ix(p)
+            np.add.at(self.values, pi, self.values[ix(v[m][rake])])
             # fresh: a non-root parent that had two children (its other side
             # still holds one) or a bare root; either passes on one side only
-            fresh.append(p[((other[p] != _NILW) == (self.pa[p] != _NILW))
+            fresh.append(p[((other[pi] != _NILW) == (self.pa[pi] != _NILW))
                            & (p < WORD(self.cursor))])
         self._push(np.sort(np.concatenate(fresh)))
 

@@ -29,6 +29,7 @@ from .runtime import (
     alloc,
     alloc_bool,
     as_words,
+    ix,
     release,
 )
 
@@ -59,14 +60,14 @@ class GraphEdges:
         self.u = u
         self.v = v
         self.w = w
-        ends = np.concatenate([u, v]).astype(np.int64)
+        ends = ix(np.concatenate([u, v]))
         eids = np.concatenate([np.arange(self.m), np.arange(self.m)])
         order = np.argsort(ends, kind="stable")
         self.adj_off = np.zeros(n + 1, dtype=np.int64)
         np.add.at(self.adj_off, ends + 1, 1)
         np.cumsum(self.adj_off, out=self.adj_off)
         self.adj_eid = eids[order]
-        other = np.concatenate([v, u]).astype(np.int64)
+        other = ix(np.concatenate([v, u]))
         self.adj_nbr = other[order]
 
     def neighbors(self, x) -> tuple[np.ndarray, np.ndarray]:
@@ -154,7 +155,7 @@ def build_connectivity(g: GraphEdges, epsilon: float, seed: int) -> Connectivity
     """Center graph by one search per center over the whole non-center
     region around it, then hook-and-contract labels."""
     dec = ImplicitDecomposition.sample(g, epsilon, seed)
-    centers = dec.center_ids.astype(np.int64)
+    centers = ix(dec.center_ids)
 
     visited = alloc_bool(g.n)
     visited[:] = False
@@ -188,7 +189,7 @@ def build_connectivity(g: GraphEdges, epsilon: float, seed: int) -> Connectivity
             np.minimum.at(lab, ca[m], lb[m])
             np.minimum.at(lab, cb[m], la[m])
             while True:
-                nxt = lab[lab.astype(np.int64)]
+                nxt = lab[ix(lab)]
                 if bool(np.array_equal(nxt, lab)):
                     break
                 lab[:] = nxt
@@ -290,8 +291,8 @@ def build_msf(g: GraphEdges, epsilon: float, seed: int) -> MsfOracle:
             i = parent[i]
         return i
 
-    eu = np.searchsorted(anchors, anchor_of[g.u])
-    ev = np.searchsorted(anchors, anchor_of[g.v])
+    eu = np.searchsorted(anchors, anchor_of[ix(g.u)])
+    ev = np.searchsorted(anchors, anchor_of[ix(g.v)])
     committed: list[int] = []
     while True:
         roots = np.array([find(i) for i in range(len(anchors))], dtype=np.int64)

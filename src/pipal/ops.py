@@ -26,7 +26,7 @@ from .contraction import (
     validate_binary_tree,
     validate_linked_list,
 )
-from .runtime import NIL, WORD, Rng
+from .runtime import NIL, WORD, Rng, ix
 
 __all__ = [
     "EVEN", "gen_list", "gen_tree", "gen_graph", "check_size", "Kind", "KINDS",
@@ -228,6 +228,37 @@ def _list_args(lst, cfg):
             make_priorities(len(lst), Rng(cfg.seed)), cfg.budget())
 
 
+def _chain_heads(lst) -> np.ndarray:
+    """The head of each element's chain, by pointer doubling on ``prev``."""
+    n = len(lst)
+    up = np.where(lst.prev == NIL, np.arange(n, dtype=WORD), lst.prev)
+    for _ in range(n.bit_length()):
+        up = up[ix(up)]
+    return up
+
+
+def _contexts_bracket(lst, args, stats) -> bool:
+    """Every element committed, and the (prev, next) pair saved in each
+    element's slots brackets it in its chain of the untouched input:
+    rank(u) < rank(v) < rank(x), with NIL allowed at either end."""
+    n = len(lst)
+    if stats.total_committed != n:
+        return False
+    rank = bl.seq_list_rank(lst.next, lst.prev)
+    head = _chain_heads(lst)
+    saved = args[0]
+    for ends, before in ((saved.prev, True), (saved.next, False)):
+        v = np.flatnonzero(ends != NIL)
+        e = ends[v]
+        if bool(np.any(e >= WORD(n))):
+            return False
+        e = ix(e)
+        order = rank[e] < rank[v] if before else rank[v] < rank[e]
+        if not bool(np.all(order & (head[e] == head[v]))):
+            return False
+    return True
+
+
 def _tree_args(data, cfg):
     rng = Rng(cfg.seed)
     tree = BinaryTree(data.parent.copy(), data.left.copy(), data.right.copy())
@@ -293,8 +324,8 @@ ALGOS = {
                lambda a, h, budget: relaxed.random_permutation(a, h, budget=budget),
                _shuffled, _stats_rounds, row="rp-final"),
     "list-contract": Algo(
-        "list", "relaxed", _list_args, list_contract,
-        lambda lst, args, stats: stats.total_committed == len(lst), _stats_rounds),
+        "list", "relaxed", _list_args, list_contract, _contexts_bracket,
+        _stats_rounds),
     "list-rank": Algo(
         "list", "relaxed", lambda lst, cfg: (*_list_args(lst, cfg), []), list_rank,
         lambda lst, args, ranks: np.array_equal(ranks,

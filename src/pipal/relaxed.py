@@ -30,6 +30,7 @@ from .runtime import (
     alloc,
     as_words,
     aux,
+    ix,
     release,
 )
 from .strong import (
@@ -129,7 +130,7 @@ class _RpClient:
     def reserve(self, view) -> None:
         ids = view.ids
         hv = self.hcache[:len(ids)]
-        np.take(self.h, ids, out=hv)
+        np.take(self.h, ix(ids), out=hv)
         self.rtable.reserve_max(hv, ids)
 
     def commit(self, view) -> None:
@@ -139,8 +140,8 @@ class _RpClient:
         tgt_vals, tgt_found = self.rtable.lookup(hv)
         view.committed[:] = ~own_found & tgt_found & (tgt_vals == ids)
 
-        src = ids[view.committed]
-        dst = hv[view.committed]
+        src = ix(ids[view.committed])
+        dst = ix(hv[view.committed])
         tmp = self.a[src]
         self.a[src] = self.a[dst]
         self.a[dst] = tmp

@@ -31,7 +31,7 @@ SCRATCH_WORDS = 4096
 
 __all__ = [
     "WORD", "M64", "NIL", "SCRATCH_WORDS",
-    "as_words",
+    "as_words", "ix",
     "set_num_threads", "num_threads", "fork_join",
     "SpaceMeter", "MeterReport", "meter_scope", "metered", "alloc",
     "alloc_bool", "release", "aux",
@@ -50,6 +50,21 @@ def as_words(a: np.ndarray) -> np.ndarray:
     if not a.flags.c_contiguous:
         raise TypeError("word arrays must be C-contiguous")
     return a
+
+
+def ix(words: np.ndarray) -> np.ndarray:
+    """The int64 view of a word array, for use as a gather or scatter index.
+
+    numpy casts a uint64 index to a fresh intp copy before every gather and
+    scatter; an int64 view is used as it is, with no copy.  The view is
+    exact only if every id and link in it is below 2^63, and it must be
+    taken after NIL is masked out: NIL views as -1, which numpy accepts as
+    the last element.  Comparisons stay on the words: numpy compares uint64
+    with int64 as float64, which is slower and inexact above 2^53.
+    """
+    if not isinstance(words, np.ndarray) or words.dtype != WORD:
+        raise TypeError("ix expects an array of uint64 words")
+    return words.view(np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -388,6 +388,20 @@ def test_tree_traced_peak_is_sublinear(budget, traced_peak):
     assert peak <= 12 * 8 * b + 4 * SCRATCH_WORDS * 8, peak
 
 
+@pytest.mark.parametrize("budget", [contraction.DEFAULT_BUDGET, PURE(0.5)],
+                         ids=["b5242", "b512"])
+def test_list_traced_peak_is_sublinear(budget, traced_peak):
+    # every round temporary is at most b words: nothing grows with n
+    n = 1 << 18
+    b = budget.prefix_words(n)
+    assert b in (5242, 512)
+    lst = generate_input("list", n, seed=5)
+    p = make_priorities(n, Rng(6))
+    peak, stats = traced_peak(lambda: list_contract(lst, p, budget))
+    assert stats.total_committed == n
+    assert peak <= 12 * 8 * b + 4 * SCRATCH_WORDS * 8, peak
+
+
 # one commit on a hand-built tree: (parent, left, right) before, the
 # committed ids and the cursor; then the queue, the links after and the
 # values after, node i starting with the value 10^i; ``_`` is NIL

@@ -126,6 +126,28 @@ def test_tree_contract_body_does_not_copy_the_values(traced_peak):
     assert peak < 8 * n, peak
 
 
+@pytest.mark.parametrize("corrupt", ["prev-after", "next-before", "self",
+                                     "other-chain", "out-of-range"])
+def test_list_contract_check_rejects_a_corrupted_context(corrupt):
+    # a run that commits every element still fails if one saved (prev,
+    # next) pair does not bracket its element in the input's chain
+    n = 20_000
+    data = generate_input("list", n, seed=3)
+    algo = ALGOS["list-contract"]
+    args = algo.prepare(data, BenchConfig(algo="list-contract", n=n, seed=3))
+    stats = algo.body(*args)
+    assert algo.check(data, args, stats)
+    h, g = np.flatnonzero(data.prev == NIL)[:2].tolist()
+    v = int(data.next[h])  # second in h's chain
+    far = int(data.next[int(data.next[g])])  # third in g's chain
+    slot, value = {"prev-after": ("prev", data.next[v]),
+                   "next-before": ("next", h), "self": ("prev", v),
+                   "other-chain": ("next", far),
+                   "out-of-range": ("next", n)}[corrupt]
+    getattr(args[0], slot)[v] = value
+    assert not algo.check(data, args, stats)
+
+
 def test_readme_lists_the_algorithm_table():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     constants = re.findall(r"^\| ([a-z-]+) +\| [0-9.]+ +\|$", readme, re.M)

@@ -51,6 +51,20 @@ def test_block_sizes_come_from_scratch_words(name):
     assert sorted(n for n in names if n.endswith(BLOCK_SUFFIXES)) == []
 
 
+INDEX_CASTS = {("view", "int64"), ("astype", "int64"), ("astype", "intp")}
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "pipal.runtime"])
+def test_indexes_come_from_ix(name):
+    # runtime.ix is the one place a word array becomes an int64 index
+    tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+    casts = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.args and isinstance(node.args[0], ast.Attribute)
+             and (node.func.attr, node.args[0].attr) in INDEX_CASTS]
+    assert casts == []
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_every_private_definition_is_referenced(name):
     # a module-level _helper that nothing in the package names is dead code

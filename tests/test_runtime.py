@@ -16,6 +16,7 @@ from pipal.runtime import (
     aux,
     compact_by_mask,
     fork_join,
+    ix,
     meter_scope,
     metered,
     release,
@@ -143,6 +144,21 @@ def test_compact_by_mask_matches_boolean_indexing(mask, seed):
     expected = arr[keep].tolist()
     cnt = compact_by_mask(arr, lambda s, e: keep[s:e], 0, len(arr))
     assert arr[:cnt].tolist() == expected
+
+
+def test_ix_is_an_int64_view_without_a_copy():
+    words = np.array([0, 7, (1 << 63) - 1], dtype=np.uint64)
+    view = ix(words)
+    assert view.dtype == np.int64 and np.shares_memory(view, words)
+    assert view.tolist() == [0, 7, (1 << 63) - 1]
+
+
+@pytest.mark.parametrize("arr", [np.arange(3, dtype=np.int64),
+                                 np.zeros(3, dtype=bool), [0, 1]],
+                         ids=["int64", "bool", "list"])
+def test_ix_rejects_anything_but_words(arr):
+    with pytest.raises(TypeError):
+        ix(arr)
 
 
 @pytest.mark.parametrize("threads", [1, 2, 4])
