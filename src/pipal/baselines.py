@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .runtime import M64, NIL, SCRATCH_WORDS, WORD, alloc, as_words, release
+from .runtime import M64, NIL, SCRATCH_WORDS, WORD, alloc, as_words, ix, release
 
 __all__ = [
     "seq_scan", "seq_filter", "seq_knuth_shuffle", "seq_list_rank",
@@ -237,14 +237,15 @@ def fullres_shuffle(a: np.ndarray, h: np.ndarray) -> int:
     rounds = 0
     while cnt:
         ids = pending[:cnt]
-        hv = h[ids]
+        own = ix(ids)
+        tgt = ix(h[own])
+        tag = ids + WORD(1)
         reservations.fill(0)
-        np.maximum.at(reservations, hv, ids + WORD(1))
-        np.maximum.at(reservations, ids, ids + WORD(1))
-        ok = (reservations[ids] == ids + WORD(1)) & \
-             (reservations[hv] == ids + WORD(1))
-        src = ids[ok]
-        dst = hv[ok]
+        np.maximum.at(reservations, tgt, tag)
+        np.maximum.at(reservations, own, tag)
+        ok = (reservations[own] == tag) & (reservations[tgt] == tag)
+        src = own[ok]
+        dst = tgt[ok]
         tmp = a[src]
         a[src] = a[dst]
         a[dst] = tmp

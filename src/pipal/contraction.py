@@ -11,6 +11,10 @@ which caps ranking inputs at 2^32 - 2 elements; a spliced element keeps
 (parent, distance), and ranks come from pointer doubling over that forest,
 rank(v) = dist(v) + rank(parent(v)) (Wyllie 1979).  The same pointer walk
 checks that list and tree inputs are free of cycles.
+
+Every round runs over ``budget.round_words(n)`` ids, the cache-capped
+prefix p(n) <= b(n), so the charged state is the engine's p-word prefix
+and p-byte commit mask, plus tree contraction's 2p + 8 word frontier queue.
 """
 
 from __future__ import annotations
@@ -243,7 +247,7 @@ def list_contract(lst: LinkedList, p: np.ndarray,
     if n == 0:
         return RoundStats()
     client = _ListClient(lst, p)
-    return run_rounds(n, budget.prefix_words(n), client.reserve,
+    return run_rounds(n, budget.round_words(n), client.reserve,
                       client.commit, client.clean)
 
 
@@ -274,7 +278,7 @@ def list_rank(lst: LinkedList, p: np.ndarray,
     prv |= WORD(1)
 
     client = _RankClient(lst, p)
-    stats = run_rounds(n, budget.prefix_words(n), client.reserve,
+    stats = run_rounds(n, budget.round_words(n), client.reserve,
                        client.commit, client.clean)
     if stats_sink is not None:
         stats_sink.append(stats)
@@ -431,7 +435,7 @@ def tree_contract(tree: BinaryTree, p: np.ndarray, values: np.ndarray,
         raise ValueError("priorities/values length mismatch")
     if n == 0:
         return {}, RoundStats()
-    prefix = budget.prefix_words(n)
+    prefix = budget.round_words(n)
     client = _TreeClient(tree, p, values, prefix, debug)
     try:
         stats = run_rounds(n, prefix, client.reserve, client.commit,

@@ -73,15 +73,24 @@ class GraphEdges:
     def neighbors(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(neighbors, edge ids) of vertex x; for an int64 array x, those of
         every vertex in it, concatenated in CSR order by one index."""
+        i = self._adjacency(x)
+        return self.adj_nbr[i], self.adj_eid[i]
+
+    def neighbor_vertices(self, x) -> np.ndarray:
+        """The neighbors that ``neighbors(x)`` returns, without gathering
+        the edge ids, for searches that only follow vertices."""
+        return self.adj_nbr[self._adjacency(x)]
+
+    def _adjacency(self, x):
+        """x's positions in the CSR arrays: a slice for one vertex, one
+        index array for an int64 array of vertices."""
         if not isinstance(x, np.ndarray):
-            s, t = self.adj_off[x], self.adj_off[x + 1]
-            return self.adj_nbr[s:t], self.adj_eid[s:t]
+            return slice(self.adj_off[x], self.adj_off[x + 1])
         start = self.adj_off[x]
         cnt = self.adj_off[x + 1] - start
         end = np.cumsum(cnt)
         total = int(end[-1]) if len(end) else 0
-        idx = np.repeat(start - (end - cnt), cnt) + np.arange(total)
-        return self.adj_nbr[idx], self.adj_eid[idx]
+        return np.repeat(start - (end - cnt), cnt) + np.arange(total)
 
 
 def _distinct(a: np.ndarray) -> np.ndarray:
@@ -139,7 +148,7 @@ def _bfs_to_centers(g: GraphEdges, dec: ImplicitDecomposition, start: int,
     levels = [frontier]
     found: list[np.ndarray] = []
     while len(frontier):
-        nbr, _ = g.neighbors(frontier)
+        nbr = g.neighbor_vertices(frontier)
         cand = _distinct(nbr[~visited[nbr]])
         if not len(cand):
             break
@@ -213,7 +222,7 @@ def query_connectivity(oracle: ConnectivityOracle, x: int) -> int:
     frontier = seen
     best = x
     while True:
-        cand = _distinct(g.neighbors(frontier)[0])
+        cand = _distinct(g.neighbor_vertices(frontier))
         pos = np.minimum(np.searchsorted(seen, cand), len(seen) - 1)
         cand = cand[seen[pos] != cand]
         if not len(cand):

@@ -4,7 +4,8 @@ Each operation takes an :class:`~pipal.runtime.EpsilonConfig` budget and
 keeps its charged auxiliary footprint within a small constant times
 ``budget.prefix_words(n)``.  Random permutation runs on the deterministic
 reservations engine with one target-keyed reservation table, a sorted
-write-max run built by one sort per round; filter,
+write-max run built by one sort per round, over the cache-capped prefix
+``budget.round_words(n)`` <= b(n); filter,
 partition and quicksort retire one budget-sized prefix per round.  All of
 them run on :func:`pipal.detres.decompose_driver`, the one round loop, with
 its one livelock rule.  Merging is the strong merge's bisection recursion
@@ -156,7 +157,10 @@ def random_permutation(a: np.ndarray, h: np.ndarray, variant: str = "final",
 
     The output equals the sequential shuffle with the same ``h``: rounds
     work on the first pending swaps in sequential order and only commit
-    swaps whose source and target reservations both succeeded.
+    swaps whose source and target reservations both succeeded.  Rounds run
+    over ``budget.round_words(n)`` ids, and the reservation run and target
+    stage are sized to that prefix, so the charged peak is 4·p + ⌈p/8⌉
+    words for p = round_words(n) <= b(n).
     ``variant`` must be one of :data:`RP_VARIANTS`.
     """
     as_words(a)
@@ -164,7 +168,7 @@ def random_permutation(a: np.ndarray, h: np.ndarray, variant: str = "final",
         raise ValueError("swap sequence length must match the array")
     if variant not in RP_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    prefix = budget.prefix_words(len(a))
+    prefix = budget.round_words(len(a))
     n_iterates = _check_swaps(h, prefix)
     if n_iterates == 0:
         return RoundStats()

@@ -24,7 +24,8 @@ M64 = (1 << 64) - 1
 NIL = M64  # shared sentinel for "no pointer" / empty table slot
 GOLDEN = 0x9E3779B97F4A7C15
 # The one block constant (32 KiB): it sizes every block loop, sort leaf,
-# reduce grain, compaction block and id window.  Any fixed value is O(1)
+# reduce grain, compaction block and id window, and caps the f*n term of
+# the round prefix (EpsilonConfig.round_words).  Any fixed value is O(1)
 # scratch; 4096 is the knee of measured times at 2^18-2^20, and 8192
 # doubles the strong ops' traced peak for little gain.
 SCRATCH_WORDS = 4096
@@ -248,7 +249,15 @@ POWER_ONLY_FRACTION = 1e-12  # effectively disables the percentage floor
 
 @dataclass(frozen=True)
 class EpsilonConfig:
-    """Auxiliary-space budget b(n) = max(ceil(n^(1-epsilon)), floor(f*n))."""
+    """Auxiliary-space budget b(n) = max(ceil(n^(1-epsilon)), floor(f*n)).
+
+    ``prefix_words(n)`` is b(n), the budget every relaxed operation is
+    charged against.  ``round_words(n)`` is p(n) <= b(n), the prefix of the
+    deterministic-reservations rounds: the f*n term is capped at
+    SCRATCH_WORDS, so a round's p-word temporaries stay cache-sized, while
+    the n^(1-epsilon) term is kept, so rounds stay as wide as the paper's
+    span bound needs.
+    """
 
     epsilon: float
     prefix_fraction: float = 0.02
@@ -260,10 +269,17 @@ class EpsilonConfig:
             raise ValueError("prefix_fraction must lie in (0, 1]")
 
     def prefix_words(self, n: int) -> int:
+        return self._words(n, math.inf)
+
+    def round_words(self, n: int) -> int:
+        return self._words(n, SCRATCH_WORDS)
+
+    def _words(self, n: int, cap: float) -> int:
+        """max(ceil(n^(1-epsilon)), min(floor(f*n), cap)), clipped to [1, n]."""
         if n < 1:
             return 1
         b = max(math.ceil(n ** (1.0 - self.epsilon)),
-                math.floor(self.prefix_fraction * n))
+                min(math.floor(self.prefix_fraction * n), cap))
         return min(max(b, 1), n)
 
 

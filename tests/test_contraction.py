@@ -273,30 +273,32 @@ def test_rank_budget_metered():
 @pytest.mark.parametrize("op", ["list_contract", "list_rank", "tree_contract"])
 def test_default_budget_charges_only_engine_state(op):
     """Near n = 2^20 the list ops charge only the engine's prefix and commit
-    mask, b + ceil(b/8) words; tree contraction adds its 2b + 8 word
-    frontier queue."""
+    mask, p + ceil(p/8) words for the round prefix p = round_words(n), below
+    b(n); tree contraction adds its 2p + 8 word frontier queue."""
     n = (1 << 20) - (op == "tree_contract")  # a full binary tree has odd n
-    b = contraction.DEFAULT_BUDGET.prefix_words(n)
-    p = make_priorities(n, Rng(4))
+    budget = contraction.DEFAULT_BUDGET
+    p = budget.round_words(n)
+    assert p == SCRATCH_WORDS < budget.prefix_words(n)
+    pri = make_priorities(n, Rng(4))
     ids = np.arange(n, dtype=np.uint64)
     if op == "tree_contract":
         # heap layout: node i's children are 2i+1 and 2i+2
         kids = lambda k: np.where(k < n, k, NIL).astype(np.uint64)
         tree = BinaryTree(np.where(ids > 0, (ids - 1) // 2, NIL).astype(np.uint64),
                           kids(2 * ids + 1), kids(2 * ids + 2))
-        body = lambda: tree_contract(tree, p, np.ones(n, dtype=np.uint64))
-        limit = 3 * b + 8 + -(-b // 8)
+        body = lambda: tree_contract(tree, pri, np.ones(n, dtype=np.uint64))
+        limit = 3 * p + 8 + -(-p // 8)
     else:
         order = np.random.default_rng(4).permutation(ids)
         lst = LinkedList(np.full(n, NIL, dtype=np.uint64),
                          np.full(n, NIL, dtype=np.uint64))
         lst.next[order[:-1]] = order[1:]
         lst.prev[order[1:]] = order[:-1]
-        body = lambda: getattr(contraction, op)(lst, p)
-        limit = b + -(-b // 8)
+        body = lambda: getattr(contraction, op)(lst, pri)
+        limit = p + -(-p // 8)
     meter = SpaceMeter()
     report = meter_scope(meter, limit, body)
-    assert report.peak_words <= limit
+    assert report.peak_words == limit
     assert meter.current_words == 0
 
 
@@ -542,7 +544,7 @@ def test_list_rounds_match_reference(capture_rounds, budget):
     p = make_priorities(n, Rng(12))
     stats = list_contract(lst, p, budget=budget)
     assert len(rounds) == stats.rounds
-    check_list_rounds(nxt, prv, p, budget.prefix_words(n), rounds)
+    check_list_rounds(nxt, prv, p, budget.round_words(n), rounds)
 
 
 @pytest.mark.parametrize("budget", REFERENCE_BUDGETS)
@@ -554,7 +556,7 @@ def test_rank_rounds_match_reference(capture_rounds, budget):
     ref = bl.seq_list_rank(nxt, prv)
     p = make_priorities(n, Rng(14))
     assert np.array_equal(list_rank(lst, p, budget), ref)
-    check_list_rounds(nxt, prv, p, budget.prefix_words(n), rounds)
+    check_list_rounds(nxt, prv, p, budget.round_words(n), rounds)
 
 
 @pytest.mark.parametrize("budget", REFERENCE_BUDGETS)

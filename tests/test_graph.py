@@ -16,6 +16,7 @@ from pipal.graph import (
     query_connectivity,
     query_msf_edge,
 )
+from pipal.ops import generate_input
 from pipal.runtime import SpaceMeter, meter_scope
 
 
@@ -86,8 +87,11 @@ def test_neighbors_of_an_array_concatenates_the_slices():
         want_eid = np.concatenate([r[1] for r in ref]) if xs else np.empty(0)
         assert nbr.tolist() == want_nbr.tolist(), xs
         assert eid.tolist() == want_eid.tolist(), xs
+        assert g.neighbor_vertices(np.array(xs, dtype=np.int64)).tolist() \
+            == want_nbr.tolist(), xs
     nbr, eid = g.neighbors(0)
     assert sorted(zip(eid.tolist(), nbr.tolist())) == [(0, 0), (0, 0), (1, 1), (2, 1)]
+    assert g.neighbor_vertices(0).tolist() == nbr.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -280,3 +284,18 @@ def test_msf_build_releases_everything_it_charged():
     report = meter_scope(meter, 1 << 62, lambda: build_msf(g, 0.5, seed=6))
     assert report.peak_words > 0
     assert meter.current_words == 0
+
+
+def test_connectivity_build_traced_peak(traced_peak):
+    # the searches gather neighbor vertices only, not their edge ids: on a
+    # 10^4-vertex, 5·10^4-edge graph the build's real footprint measured
+    # 67.3·8b (96.2·8b when every level also gathered the edge ids)
+    g = generate_input("graph", 10_000, 14)
+    k = max(2, round(g.m ** 0.5))
+    b = g.m // k + k * int(math.log2(g.n))
+    assert b == 3135
+    peak, oracle = traced_peak(lambda: build_connectivity(g, 0.5, 14))
+    assert peak <= 72 * 8 * b, peak / (8 * b)
+    ref = bl.union_find_components(g.n, g.u, g.v).tolist()
+    assert partitions_equal([query_connectivity(oracle, x) for x in range(0, g.n, 97)],
+                            ref[::97])

@@ -15,6 +15,7 @@ from pipal.relaxed import (
 )
 from pipal.runtime import (
     POWER_ONLY_FRACTION,
+    SCRATCH_WORDS,
     EpsilonConfig,
     Rng,
     SpaceMeter,
@@ -153,14 +154,16 @@ def test_default_budget_charges_at_most_8b(n):
     (1000, EpsilonConfig(0.99, prefix_fraction=POWER_ONLY_FRACTION)),
 ])
 def test_charged_peak_is_4b_plus_mask(n, budget):
-    # the b-key run (2b words), the b-word target stage, the engine's b-word
-    # prefix and its b-byte commit mask
-    b = budget.prefix_words(n)
+    # for the round prefix p = round_words(n) <= b(n): the p-key run (2p
+    # words), the p-word target stage, the engine's p-word prefix and its
+    # p-byte commit mask
+    b, p = budget.prefix_words(n), budget.round_words(n)
+    assert p == (SCRATCH_WORDS if b > SCRATCH_WORDS else b)
     h = make_swap_sequence(n, Rng(1))
     a = np.arange(n, dtype=np.uint64)
     meter = SpaceMeter()
     report = meter_scope(meter, 8 * b, lambda: random_permutation(a, h, budget=budget))
-    assert report.peak_words == 4 * b + -(-b // 8), (b, report.peak_words)
+    assert report.peak_words == 4 * p + -(-p // 8), (p, report.peak_words)
     assert np.array_equal(a, seq_result(n, h))
 
 
@@ -198,7 +201,9 @@ def test_rounds_match_reference(capture_rounds, budget):
     a = np.arange(n, dtype=np.uint64)
     rounds = capture_rounds(relaxed)
     random_permutation(a, h, budget=budget)
-    expect = _reference_rounds(h, budget.prefix_words(n))
+    # the rounds run over round_words(n): the full prefix is capped at 4096
+    assert budget.round_words(n) == min(budget.prefix_words(n), SCRATCH_WORDS)
+    expect = _reference_rounds(h, budget.round_words(n))
     assert [sorted(done) for _, done in rounds] == [sorted(r) for r in expect]
     assert np.array_equal(a, seq_result(n, h))
 

@@ -270,6 +270,31 @@ def test_mergesort_relaxed_merges_in_top_level_chunks(monkeypatch, eps):
     assert ks and set(ks) == {cfg.prefix_words(n)}
 
 
+def test_array_ops_keep_the_whole_budget(monkeypatch):
+    # only the round engine's clients run over the capped round_words(n);
+    # the array ops keep b(n), where they are fastest
+    n = 1 << 19
+    cfg = EpsilonConfig(0.5)
+    b = cfg.prefix_words(n)
+    assert cfg.round_words(n) == SCRATCH_WORDS < b
+    for op in (lambda a: filter_relaxed(a, EVEN, cfg),
+               lambda a: quicksort_relaxed(a, Rng(3), cfg)):
+        meter = SpaceMeter()
+        report = meter_scope(meter, b, lambda: op(rand_words(21, n)))
+        assert report.peak_words == b  # c = 1.0
+        assert meter.current_words == 0
+    ks = []
+    merge_words = relaxed._merge_words
+    monkeypatch.setattr(relaxed, "_merge_words",
+                        lambda seg, split, k: (ks.append(k),
+                                               merge_words(seg, split, k)))
+    a = rand_words(22, n)
+    ref = np.sort(a)
+    mergesort_relaxed(a, cfg)
+    assert np.array_equal(a, ref)
+    assert ks and set(ks) == {b}
+
+
 # ---------------------------------------------------------------------------
 # space budgets
 

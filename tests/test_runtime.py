@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -121,6 +123,47 @@ def test_epsilon_config_budget_bounds():
     for n in (1, 2, 10, 999, 10**6):
         b = pure.prefix_words(n)
         assert 1 <= b <= n
+
+
+def test_round_words_caps_only_the_fraction_term():
+    configs = [EpsilonConfig(0.5), EpsilonConfig(0.3), EpsilonConfig(0.9),
+               EpsilonConfig(0.5, prefix_fraction=1.0),
+               EpsilonConfig(0.01, prefix_fraction=1.0),
+               EpsilonConfig(1e-6, prefix_fraction=1.0),
+               EpsilonConfig(0.5, prefix_fraction=runtime.POWER_ONLY_FRACTION),
+               EpsilonConfig(0.99, prefix_fraction=runtime.POWER_ONLY_FRACTION)]
+    sizes = [0, 1, 2, 1000, SCRATCH_WORDS, 50 * SCRATCH_WORDS, 10**6,
+             1 << 20, 1 << 22, 10**9]
+    for cfg in configs:
+        for n in sizes:
+            b, p = cfg.prefix_words(n), cfg.round_words(n)
+            power = math.ceil(n ** (1 - cfg.epsilon)) if n else 1
+            assert 1 <= p <= b, (cfg, n)
+            assert p >= min(power, max(n, 1)), (cfg, n)  # n^(1-eps) wide
+            assert p == min(b, max(power, SCRATCH_WORDS)), (cfg, n)
+            # p < b exactly when f·n exceeds both n^(1-eps) and the cap
+            fn = min(math.floor(cfg.prefix_fraction * n), n)
+            assert (p == b) == (fn <= max(power, SCRATCH_WORDS)), (cfg, n)
+            if cfg.prefix_fraction == runtime.POWER_ONLY_FRACTION:
+                assert p == b, (cfg, n)
+
+
+def test_round_words_values():
+    cfg = EpsilonConfig(0.5)
+    assert cfg.prefix_words(1 << 20) == 20_971
+    assert cfg.round_words(1 << 20) == SCRATCH_WORDS
+    assert cfg.round_words(10**6) == SCRATCH_WORDS
+    assert cfg.round_words(100_000) == cfg.prefix_words(100_000) == 2000
+    # f·n is capped, but n^(1-eps) is not
+    assert EpsilonConfig(0.3).round_words(10**6) == math.ceil((10**6) ** 0.7)
+    # f = 1 is capped too: a whole-input prefix needs epsilon near 0
+    full = EpsilonConfig(0.5, prefix_fraction=1.0)
+    assert full.prefix_words(5000) == 5000
+    assert full.round_words(5000) == SCRATCH_WORDS
+    assert full.round_words(SCRATCH_WORDS) == SCRATCH_WORDS
+    assert EpsilonConfig(1e-6, prefix_fraction=1.0).round_words(5000) == 5000
+    pure = EpsilonConfig(0.5, prefix_fraction=runtime.POWER_ONLY_FRACTION)
+    assert pure.round_words(1 << 18) == pure.prefix_words(1 << 18) == 512
 
 
 def test_epsilon_config_validation():
