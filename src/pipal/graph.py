@@ -6,8 +6,8 @@ reading stored labels.  Connectivity labels come from one breadth-first
 search per center, covering the whole non-center region around it, to its
 neighboring centers, plus hook-and-contract rounds over the tiny center
 graph; the minimum spanning forest runs Boruvka rounds over the
-decomposition's clusters and stores only the committed inter-center forest
-edges.  Effective edge weights are the pairs (weight, edge id), so ties are
+decomposition's clusters, labelled by the same hook-and-contract, and
+stores only the committed inter-center forest edges.  Effective edge weights are the pairs (weight, edge id), so ties are
 impossible and the MSF is unique.
 
 Every breadth-first search, at build and at query time, expands a whole
@@ -160,6 +160,27 @@ def _bfs_to_centers(g: GraphEdges, dec: ImplicitDecomposition, start: int,
     return found, levels
 
 
+def _hook(lab: np.ndarray, ca: np.ndarray, cb: np.ndarray) -> None:
+    """Hook-and-contract: join the classes at the two ends of every edge
+    (ca[i], cb[i]).  Each round hooks every class root to its minimum
+    neighboring root, then shortcuts, until every edge's ends share a label.
+    ``lab`` holds each class member's root on entry and on exit (a root
+    labels itself), and a root is its class's minimum member."""
+    while True:
+        la = lab[ca]
+        lb = lab[cb]
+        m = la != lb
+        if not bool(m.any()):
+            return
+        np.minimum.at(lab, ix(la[m]), lb[m])
+        np.minimum.at(lab, ix(lb[m]), la[m])
+        while True:
+            nxt = lab[ix(lab)]
+            if bool(np.array_equal(nxt, lab)):
+                break
+            lab[:] = nxt
+
+
 def build_connectivity(g: GraphEdges, epsilon: float, seed: int) -> ConnectivityOracle:
     """Center graph by one search per center over the whole non-center
     region around it, then hook-and-contract labels."""
@@ -167,7 +188,6 @@ def build_connectivity(g: GraphEdges, epsilon: float, seed: int) -> Connectivity
     centers = ix(dec.center_ids)
 
     visited = alloc_bool(g.n)
-    visited[:] = False
     ea: list[np.ndarray] = []
     eb: list[np.ndarray] = []
     try:
@@ -181,27 +201,11 @@ def build_connectivity(g: GraphEdges, epsilon: float, seed: int) -> Connectivity
     finally:
         release(visited)
 
-    # hook-and-contract on the center graph: every class repeatedly hooks to
-    # its minimum neighboring class, then shortcuts, until stable
     nc = len(centers)
     lab = alloc(nc)
     lab[:] = np.arange(nc, dtype=WORD)
     if ea:
-        ca = np.concatenate(ea)
-        cb = np.concatenate(eb)
-        while True:
-            la = lab[ca]
-            lb = lab[cb]
-            m = la != lb
-            if not bool(m.any()):
-                break
-            np.minimum.at(lab, ca[m], lb[m])
-            np.minimum.at(lab, cb[m], la[m])
-            while True:
-                nxt = lab[ix(lab)]
-                if bool(np.array_equal(nxt, lab)):
-                    break
-                lab[:] = nxt
+        _hook(lab, np.concatenate(ea), np.concatenate(eb))
     # labels are the minimum center vertex id of each center component
     label_map = {int(c): int(centers[int(lab[i])])
                  for i, c in enumerate(centers.tolist())}
@@ -283,50 +287,41 @@ def _prim_to_anchor(g: GraphEdges, dec: ImplicitDecomposition, v: int,
 
 
 def build_msf(g: GraphEdges, epsilon: float, seed: int) -> MsfOracle:
-    """Boruvka over the decomposition clusters; commits each live cluster's
-    minimum outgoing edge by (weight, edge id) per round."""
+    """Boruvka over the decomposition clusters: each round commits every
+    live cluster's minimum outgoing edge by (weight, edge id) and hooks the
+    clusters it joins.  Distinct keys make each round's picks a forest."""
     dec = ImplicitDecomposition.sample(g, epsilon, seed)
     anchor_of = alloc(g.n, fill=NIL)
     for v in range(g.n):
         if anchor_of[v] == WORD(NIL):
             _prim_to_anchor(g, dec, v, anchor_of)
-
-    anchors = np.unique(anchor_of)
-    parent = list(range(len(anchors)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    anchors = _distinct(anchor_of)
     eu = np.searchsorted(anchors, anchor_of[ix(g.u)])
     ev = np.searchsorted(anchors, anchor_of[ix(g.v)])
-    committed: list[int] = []
+    release(anchor_of)
+
+    lab = alloc(len(anchors))
+    lab[:] = np.arange(len(anchors), dtype=WORD)
+    committed = [np.empty(0, dtype=np.int64)]
     while True:
-        roots = np.array([find(i) for i in range(len(anchors))], dtype=np.int64)
-        ru = roots[eu]
-        rv = roots[ev]
-        live = ru != rv
-        if not bool(live.any()):
+        lu = lab[eu]
+        lv = lab[ev]
+        idx = np.flatnonzero(lu != lv)
+        if not len(idx):
             break
-        idx = np.flatnonzero(live)
-        cl = np.concatenate([ru[idx], rv[idx]])
+        cl = np.concatenate([lu[idx], lv[idx]])
         ee = np.concatenate([idx, idx])
         order = np.lexsort((ee, g.w[ee], cl))
         scl = cl[order]
         first = np.empty(len(scl), dtype=bool)
         first[0] = True
-        first[1:] = scl[1:] != scl[:-1]
-        for e in ee[order[first]].tolist():
-            a, b = find(int(ru[e])), find(int(rv[e]))
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-                committed.append(int(e))
-
-    release(anchor_of)
+        np.not_equal(scl[1:], scl[:-1], out=first[1:])
+        picks = _distinct(ee[order[first]])
+        committed.append(picks)
+        _hook(lab, eu[picks], ev[picks])
+    release(lab)
     return MsfOracle(decomposition=dec,
-                     committed_eids=np.array(sorted(committed), dtype=np.int64),
+                     committed_eids=np.sort(np.concatenate(committed)),
                      graph=g)
 
 
@@ -362,7 +357,6 @@ def query_msf_edge(oracle: MsfOracle, e: int) -> bool:
         return False
     visited = alloc_bool(g.n)
     try:
-        visited[:] = False
         visited[x] = True
         frontier = np.array([x], dtype=np.int64)
         while True:

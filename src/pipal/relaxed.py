@@ -37,9 +37,9 @@ from .runtime import (
 from .strong import (
     _check_sorted_run,
     _merge,
-    _merge_base,
     _mergesort,
     _quicksort,
+    _run_args,
     merge_strong,
     rotate,
 )
@@ -275,23 +275,11 @@ def merge_relaxed(a: np.ndarray, split: int, budget: EpsilonConfig = DEFAULT_BUD
                   debug: bool = False) -> None:
     """In-place merge of a[0:split) and a[split:n) with no charged scratch:
     the bisection runs down to leaves of max(SCRATCH_WORDS, 3·b(n)) words,
-    each sorted in place."""
-    as_words(a)
-    n = len(a)
-    if not 0 <= split <= n:
-        raise ValueError("split out of range")
-    if debug:
-        _check_sorted_run(a, 0, split)
-        _check_sorted_run(a, split, n)
-    _merge_words(a, split, budget.prefix_words(n))
-
-
-def _merge_words(a: np.ndarray, split: int, k: int) -> None:
-    """Merge by the shared bisection recursion down to subproblems of at
-    most max(SCRATCH_WORDS, 3k) words, each sorted in place (O(B log B)
-    work for a B-word leaf, no heap).  It moves O(n·log(n/k)) words: the
-    bisection's rotations move every word once per level."""
-    _merge(a, split, max(SCRATCH_WORDS, 3 * k), _merge_base)
+    each sorted in place (O(B log B) work for a B-word leaf, no heap).  It
+    moves O(n·log(n/b(n))) words: the rotations move every word once per
+    level."""
+    n = _run_args(a, split, debug, _check_sorted_run)
+    _merge(a, split, max(SCRATCH_WORDS, 3 * budget.prefix_words(n)))
 
 
 def mergesort_relaxed(a: np.ndarray, budget: EpsilonConfig = DEFAULT_BUDGET) -> None:
@@ -301,5 +289,6 @@ def mergesort_relaxed(a: np.ndarray, budget: EpsilonConfig = DEFAULT_BUDGET) -> 
     every leaf sorts in place and the rotations use stack scratch."""
     as_words(a)
     k = budget.prefix_words(len(a))
-    _mergesort(a, lambda seg, split: _merge_words(seg, split, k),
+    leaf = max(SCRATCH_WORDS, 3 * k)
+    _mergesort(a, lambda seg, split: _merge(seg, split, leaf),
                max(SCRATCH_WORDS, k))

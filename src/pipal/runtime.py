@@ -176,8 +176,9 @@ def alloc(n: int, dtype=WORD, fill=None) -> np.ndarray:
     return arr
 
 
-def alloc_bool(n: int, fill: bool = False) -> np.ndarray:
-    return alloc(n, dtype=np.bool_, fill=fill)
+def alloc_bool(n: int) -> np.ndarray:
+    """A charged all-False bitmap of ``n`` bytes."""
+    return alloc(n, dtype=np.bool_, fill=False)
 
 
 def release(arr: np.ndarray) -> None:
@@ -187,9 +188,9 @@ def release(arr: np.ndarray) -> None:
 
 
 @contextmanager
-def aux(n: int, dtype=WORD, fill=None):
-    """Charged auxiliary buffer released on scope exit."""
-    arr = alloc(n, dtype=dtype, fill=fill)
+def aux(n: int):
+    """Charged auxiliary word buffer released on scope exit."""
+    arr = alloc(n)
     try:
         yield arr
     finally:

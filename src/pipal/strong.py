@@ -275,13 +275,6 @@ def quicksort_strong(a: np.ndarray, rng) -> None:
 # ---------------------------------------------------------------------------
 # Merging and mergesort (dual binary search + rotation, shared by both models)
 
-def _merge_base(a: np.ndarray, split: int) -> None:
-    """Merge leaf: sort the subproblem in place with numpy's default sort,
-    which takes no heap buffer.  Equal words cannot be told apart, so the
-    result is the stable merge of a[:split] and a[split:]."""
-    a.sort()
-
-
 def _split_point(a: np.ndarray, split: int, h: int) -> int:
     """Smallest i with i + (h-i) = h low elements, equal keys taken from the left."""
     ilo = max(0, h - (len(a) - split))
@@ -297,39 +290,53 @@ def _split_point(a: np.ndarray, split: int, h: int) -> int:
     return ilo
 
 
-def _check_sorted_run(a: np.ndarray, lo: int, hi: int) -> None:
-    if hi - lo > 1 and bool(np.any(a[lo + 1:hi] < a[lo:hi - 1])):
+def _check_sorted_run(run: np.ndarray) -> None:
+    if bool(np.any(run[1:] < run[:-1])):
         raise ValueError("unsorted input run")
 
 
-def _merge(a: np.ndarray, split: int, base: int, leaf) -> None:
-    """Merge recursion shared by both space models: split at the midpoint by
-    dual binary search, rotate, recurse through fork_join; a subproblem of
-    at most ``base`` words goes to ``leaf(seg, split)``."""
-    n = len(a)
-    if split == 0 or split == n:
-        return
-    if n <= base:
-        leaf(a, split)
-        return
-    h = n // 2
-    i = _split_point(a, split, h)
-    j = h - i
-    rotate(a[i:split + j], split - i)
-    fork_join(lambda: _merge(a[:h], i, base, leaf),
-              lambda: _merge(a[h:], split + j - h, base, leaf))
+def _check_set_run(run: np.ndarray) -> None:
+    if bool(np.any(run[1:] <= run[:-1])):
+        raise ValueError("unsorted input run")
 
 
-def merge_strong(a: np.ndarray, split: int, debug: bool = False) -> None:
-    """In-place merge of the sorted runs a[0:split) and a[split:n)."""
+def _run_args(a: np.ndarray, split: int, debug: bool, check_run) -> int:
+    """Check the arguments of an operation on the runs a[0:split) and
+    a[split:n); in debug mode ``check_run(run)`` checks each run.  Returns n."""
     as_words(a)
     n = len(a)
     if not 0 <= split <= n:
         raise ValueError("split out of range")
     if debug:
-        _check_sorted_run(a, 0, split)
-        _check_sorted_run(a, split, n)
-    _merge(a, split, SCRATCH_WORDS, _merge_base)
+        check_run(a[:split])
+        check_run(a[split:])
+    return n
+
+
+def _merge(a: np.ndarray, split: int, base: int) -> None:
+    """Merge recursion shared by both space models: split at the midpoint by
+    dual binary search, rotate, recurse through fork_join.  A subproblem of
+    at most ``base`` words is sorted in place with numpy's default sort,
+    which takes no heap buffer; equal words cannot be told apart, so the
+    result is the stable merge of a[:split] and a[split:]."""
+    n = len(a)
+    if split == 0 or split == n:
+        return
+    if n <= base:
+        a.sort()
+        return
+    h = n // 2
+    i = _split_point(a, split, h)
+    j = h - i
+    rotate(a[i:split + j], split - i)
+    fork_join(lambda: _merge(a[:h], i, base),
+              lambda: _merge(a[h:], split + j - h, base))
+
+
+def merge_strong(a: np.ndarray, split: int, debug: bool = False) -> None:
+    """In-place merge of the sorted runs a[0:split) and a[split:n)."""
+    _run_args(a, split, debug, _check_sorted_run)
+    _merge(a, split, SCRATCH_WORDS)
 
 
 def _mergesort(a: np.ndarray, merge, base: int) -> None:
@@ -359,27 +366,9 @@ def mergesort_strong(a: np.ndarray) -> None:
 # Set operations on sorted duplicate-free runs: each compacts by a keep mask
 # worked out one block at a time
 
-def _check_set_run(a: np.ndarray, lo: int, hi: int) -> None:
-    run = a[lo:hi]
-    if np.any(run[1:] <= run[:-1]):
-        raise ValueError("unsorted input run")
-
-
-def _set_args(a: np.ndarray, split: int, debug: bool) -> int:
-    """Check a set operation's arguments; returns n."""
-    as_words(a)
-    n = len(a)
-    if not 0 <= split <= n:
-        raise ValueError("split out of range")
-    if debug:
-        _check_set_run(a, 0, split)
-        _check_set_run(a, split, n)
-    return n
-
-
 def set_union(a: np.ndarray, split: int, debug: bool = False) -> int:
     """Union of two sorted duplicate-free runs; result in a[0:m), returns m."""
-    n = _set_args(a, split, debug)
+    n = _run_args(a, split, debug, _check_set_run)
     merge_strong(a, split)
 
     def first_of_pair(s: int, e: int) -> np.ndarray:
@@ -412,7 +401,7 @@ def _compact_members(a: np.ndarray, lo: int, hi: int, run: np.ndarray,
 
 def set_intersect(a: np.ndarray, split: int, debug: bool = False) -> int:
     """Intersection of two sorted duplicate-free runs; returns result length."""
-    n = _set_args(a, split, debug)
+    n = _run_args(a, split, debug, _check_set_run)
     if split == 0 or split == n:
         return 0
     # probe the smaller run against the larger
@@ -425,7 +414,7 @@ def set_intersect(a: np.ndarray, split: int, debug: bool = False) -> int:
 
 def set_difference(a: np.ndarray, split: int, debug: bool = False) -> int:
     """a[0:split) minus a[split:n); result in a[0:m), returns m."""
-    n = _set_args(a, split, debug)
+    n = _run_args(a, split, debug, _check_set_run)
     if split == 0 or split == n:
         return split
     return _compact_members(a, 0, split, a[split:], keep_found=False)

@@ -255,19 +255,19 @@ def test_mergesort_relaxed(n, eps):
 def test_mergesort_relaxed_merges_in_top_level_chunks(monkeypatch, eps):
     n = 65_537
     cfg = PURE(eps)
-    ks = []
-    merge_words = relaxed._merge_words
+    bases = []
+    merge = relaxed._merge
 
-    def record(seg, split, k):
-        ks.append(k)
-        merge_words(seg, split, k)
+    def record(seg, split, base):
+        bases.append(base)
+        merge(seg, split, base)
 
-    monkeypatch.setattr(relaxed, "_merge_words", record)
+    monkeypatch.setattr(relaxed, "_merge", record)
     a = rand_words(n, n)
     ref = np.sort(a)
     mergesort_relaxed(a, cfg)
     assert np.array_equal(a, ref)
-    assert ks and set(ks) == {cfg.prefix_words(n)}
+    assert bases and set(bases) == {max(SCRATCH_WORDS, 3 * cfg.prefix_words(n))}
 
 
 def test_array_ops_keep_the_whole_budget(monkeypatch):
@@ -283,16 +283,16 @@ def test_array_ops_keep_the_whole_budget(monkeypatch):
         report = meter_scope(meter, b, lambda: op(rand_words(21, n)))
         assert report.peak_words == b  # c = 1.0
         assert meter.current_words == 0
-    ks = []
-    merge_words = relaxed._merge_words
-    monkeypatch.setattr(relaxed, "_merge_words",
-                        lambda seg, split, k: (ks.append(k),
-                                               merge_words(seg, split, k)))
+    bases = []
+    merge = relaxed._merge
+    monkeypatch.setattr(relaxed, "_merge",
+                        lambda seg, split, base: (bases.append(base),
+                                                  merge(seg, split, base)))
     a = rand_words(22, n)
     ref = np.sort(a)
     mergesort_relaxed(a, cfg)
     assert np.array_equal(a, ref)
-    assert ks and set(ks) == {b}
+    assert bases and set(bases) == {max(SCRATCH_WORDS, 3 * b)}
 
 
 # ---------------------------------------------------------------------------

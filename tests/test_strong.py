@@ -290,14 +290,19 @@ def test_merge_strong_matches_two_finger_oracle(sizes):
 @given(st.lists(st.integers(0, 7), max_size=300), st.integers(2, 8), st.data())
 @settings(max_examples=200, deadline=None)
 def test_recursions_below_the_scratch_size(vals, base, data):
-    # a leaf of 2-8 words drives the merge bisection and both sweeps through
-    # many levels, which inputs under SCRATCH_WORDS never reach otherwise
+    # a leaf of 2-8 words drives the merge bisection, the mergesort
+    # recursion and both sweeps through many levels, which inputs under
+    # SCRATCH_WORDS never reach otherwise
     split = data.draw(st.integers(0, len(vals)))
     x = np.sort(words(vals[:split]))
     y = np.sort(words(vals[split:]))
     a = np.concatenate([x, y])
-    strong._merge(a, split, base, strong._merge_base)
+    strong._merge(a, split, base)
     assert np.array_equal(a, bl.seq_two_finger_merge(x, y))
+
+    b = words(vals)
+    strong._mergesort(b, lambda seg, s: strong._merge(seg, s, base), base)
+    assert np.array_equal(b, np.sort(words(vals)))
 
     v = words(vals) * WORD(0x9E3779B97F4A7C15)  # spread over 64 bits, wrapping
     ref, ref_total = bl.seq_scan(v)
