@@ -9,8 +9,10 @@ List ranking runs a weighted variant: each live element's ``prev`` slot
 packs (predecessor pointer, incoming edge weight) as two 32-bit halves,
 which caps ranking inputs at 2^32 - 2 elements; a spliced element keeps
 (parent, distance), and ranks come from pointer doubling over that forest,
-rank(v) = dist(v) + rank(parent(v)) (Wyllie 1979).  The same pointer walk
-checks that list and tree inputs are free of cycles.
+rank(v) = dist(v) + rank(parent(v)) (Wyllie 1979), block by block in place,
+so no temporary grows with n; the validators walk the whole array at once
+to check that inputs are free of cycles.  Tree contraction finds a round's
+in-prefix edges with one sort of packed words, for trees below 2^31 nodes.
 
 Every round runs over ``budget.round_words(n)`` ids, the cache-capped
 prefix p(n) <= b(n), so the charged state is the engine's p-word prefix
@@ -45,6 +47,8 @@ DEFAULT_BUDGET = EpsilonConfig(epsilon=0.5)
 
 NIL32 = (1 << 32) - 1
 _NILW = WORD(NIL)
+_TAG = WORD(1 << 31)  # _TreeClient._edges: a parent tag over a position
+_POS = _TAG - WORD(1)
 
 
 @dataclass
@@ -144,25 +148,34 @@ def validate_binary_tree(tree: BinaryTree) -> None:
         raise ValueError("tree contains a cycle or unreachable nodes")
 
 
-def _jump(up: np.ndarray, dist: np.ndarray | None = None) -> bool:
+def _jump(up: np.ndarray, dist: np.ndarray | None = None,
+          block: int = 0) -> bool:
     """Pointer-double every ``up`` chain to NIL in place; return whether
     every chain got there.
 
     A chain of at most n links reaches NIL within ceil(log2 n) + 1
     doublings; a node still live after that lies on or above a cycle.  With
     ``dist``, each node adds the ``dist`` of the node it jumps to, so a node
-    that reaches NIL holds the sum of ``dist`` along its chain.
+    that reaches NIL holds the sum of ``dist`` along its chain.  A pass
+    jumps ``block``-id blocks in place, last to first (0: one block, a
+    synchronous doubling).  A block gathers its hops' ``up`` and ``dist``
+    before it writes its own, so each pair stays (ancestor, distance to
+    it), and a hop into a block already done reads its newer pair.
     """
-    live = np.flatnonzero(up != _NILW)
-    for _ in range(len(up).bit_length() + 1):
-        if not len(live):
+    n = len(up)
+    block = block or max(n, 1)
+    for _ in range(n.bit_length() + 1):
+        more = False
+        for s in range((n - 1) // block * block, -1, -block):
+            live = np.flatnonzero(up[s:s + block] != _NILW) + s
+            hop = ix(up[live])
+            if dist is not None:
+                dist[live] += dist[hop]
+            up[live] = up[hop]
+            more = more or bool(np.any(up[live] != _NILW))
+        if not more:
             return True
-        hop = ix(up[live])
-        if dist is not None:
-            dist[live] += dist[hop]
-        up[live] = up[hop]
-        live = live[up[live] != _NILW]
-    return not len(live)
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +295,7 @@ def list_rank(lst: LinkedList, p: np.ndarray,
                        client.commit, client.clean)
     if stats_sink is not None:
         stats_sink.append(stats)
-    if not _jump(nxt, prv):
+    if not _jump(nxt, prv, SCRATCH_WORDS):
         raise RuntimeError("ranking forest contains a cycle")
     prv -= WORD(1)
     return prv
@@ -362,12 +375,21 @@ class _TreeClient:
     def _edges(ids: np.ndarray,
                up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Positions in ``ids`` of the (child, parent) ends of every edge
-        with both ends in ``ids``, given ``up``, the parents of ``ids``."""
-        order = np.argsort(ids)
-        srt = ids[order]
-        pos = np.minimum(np.searchsorted(srt, up), len(ids) - 1)
-        kid = np.flatnonzero(srt[pos] == up)
-        return kid, order[pos[kid]]
+        with both ends in ``ids``, given ``up``, the parents of ``ids``: one
+        sort of (id << 32) | pos and (parent << 32) | 2^31 | pos puts each
+        id ahead of the entries naming it.  The ids are distinct and below
+        2^31, and NIL packs to key 2^32 - 1, which no id reaches."""
+        k = len(ids)
+        pos = np.arange(k, dtype=WORD)
+        buf = np.concatenate((ids << WORD(32) | pos,
+                              up << WORD(32) | pos | _TAG))
+        buf.sort()
+        # an entry is an edge when its run head, the last id entry at or
+        # before it, has the same key and the other tag
+        head = np.where(buf & _TAG, 0, np.arange(2 * k))
+        np.maximum.accumulate(head, out=head)
+        hit = np.flatnonzero((buf[head] ^ buf) >> WORD(31) == WORD(1))
+        return ix(buf[hit] & _POS), ix(buf[head[hit]] & _POS)
 
     def reserve(self, view) -> None:
         ids = view.ids
@@ -433,6 +455,8 @@ def tree_contract(tree: BinaryTree, p: np.ndarray, values: np.ndarray,
     n = len(tree)
     if len(p) != n or len(values) != n:
         raise ValueError("priorities/values length mismatch")
+    if n >= 1 << 31:
+        raise ValueError("tree contraction supports fewer than 2^31 nodes")
     if n == 0:
         return {}, RoundStats()
     prefix = budget.round_words(n)

@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pipal import baselines as bl
 from pipal import contraction
@@ -147,6 +149,41 @@ def test_validate_long_chain_in_logarithmic_steps():
     lst.prev[0] = n - 1
     with pytest.raises(ValueError, match="cycle"):
         validate_linked_list(lst)
+
+
+@st.composite
+def jump_forests(draw):
+    """(up, dist): a random forest of up to 64 nodes over shuffled ids, its
+    parent links pointing both up and down the id range, sometimes with one
+    node's root linked back to that node to close a cycle."""
+    n = draw(st.integers(1, 64))
+    order = draw(st.permutations(range(n)))
+    up = np.full(n, NIL, dtype=np.uint64)
+    for i in range(1, n):
+        j = draw(st.integers(-1, i - 1))
+        if j >= 0:
+            up[order[i]] = order[j]
+    if draw(st.booleans()):
+        v = draw(st.integers(0, n - 1))
+        root = v
+        while up[root] != NIL:
+            root = int(up[root])
+        up[root] = v
+    dist = np.array(draw(st.lists(st.integers(0, M64), min_size=n,
+                                  max_size=n)), dtype=np.uint64)
+    return up, dist
+
+
+@given(jump_forests(), st.integers(1, 8))
+@settings(max_examples=300, deadline=None)
+def test_block_jump_matches_synchronous_doubling(forest, block):
+    up, dist = forest
+    ref_up, ref_dist = up.copy(), dist.copy()
+    done = contraction._jump(ref_up, ref_dist)
+    assert contraction._jump(up, dist, block) == done
+    if done:
+        assert np.array_equal(dist, ref_dist)
+        assert np.all(up == NIL)
 
 
 def caterpillar(k, closed=False):
@@ -404,6 +441,22 @@ def test_list_traced_peak_is_sublinear(budget, traced_peak):
     assert peak <= 12 * 8 * b + 4 * SCRATCH_WORDS * 8, peak
 
 
+@pytest.mark.parametrize("budget", [contraction.DEFAULT_BUDGET, PURE(0.5)],
+                         ids=["b5242", "b512"])
+def test_list_rank_traced_peak_is_sublinear(budget, traced_peak):
+    # the ranks come from blocked in-place doubling, whose temporaries are
+    # SCRATCH_WORDS-id blocks: nothing grows with n
+    n = 1 << 18
+    b = budget.prefix_words(n)
+    assert b in (5242, 512)
+    lst = generate_input("list", n, seed=5)
+    ref = bl.seq_list_rank(lst.next, lst.prev)
+    p = make_priorities(n, Rng(6))
+    peak, ranks = traced_peak(lambda: list_rank(lst, p, budget))
+    assert np.array_equal(ranks, ref)
+    assert peak <= 12 * 8 * b + 6 * SCRATCH_WORDS * 8, peak
+
+
 # one commit on a hand-built tree: (parent, left, right) before, the
 # committed ids and the cursor; then the queue, the links after and the
 # values after, node i starting with the value 10^i; ``_`` is NIL
@@ -593,6 +646,46 @@ def test_tree_reserve_tie_fails_both():
     view = RoundView(ids=words([3, 2, 1]), committed=np.zeros(3, bool))
     client.reserve(view)
     assert view.committed.tolist() == [False, True, False]
+
+
+TOP_ID = (1 << 31) - 2  # the largest id tree contraction accepts
+
+
+@st.composite
+def edge_batches(draw):
+    """(ids, up): distinct ids, each with a parent drawn from the ids, from
+    other ids or NIL, and no parent named by more than two of them."""
+    ids = draw(st.lists(st.integers(0, TOP_ID), unique=True, max_size=40))
+    up, kids = [], {}
+    for _ in ids:
+        kind = draw(st.sampled_from(["id", "other", "nil"]))
+        if kind == "id":
+            q = draw(st.sampled_from(ids))
+        elif kind == "other":
+            q = draw(st.integers(0, TOP_ID).filter(lambda x: x not in ids))
+        if kind == "nil" or kids.get(q, 0) == 2:
+            up.append(None)
+        else:
+            kids[q] = kids.get(q, 0) + 1
+            up.append(q)
+    return ids, up
+
+
+@given(edge_batches())
+@example(([], []))
+@example(([TOP_ID], [None]))
+@example(([TOP_ID], [TOP_ID]))
+@example(([0], [TOP_ID]))
+@example(([TOP_ID, 0, TOP_ID - 1], [0, TOP_ID, TOP_ID]))
+@settings(max_examples=300, deadline=None)
+def test_tree_edges_match_nested_loop(batch):
+    ids, up = batch
+    kid, par = contraction._TreeClient._edges(words(ids), words(up))
+    assert len(kid) == len(par)
+    oracle = {(c, q) for c in range(len(ids)) for q in range(len(ids))
+              if up[c] == ids[q]}
+    assert set(zip(kid.tolist(), par.tolist())) == oracle
+    assert len(oracle) == len(kid)
 
 
 def test_tree_debug_check_fires_on_co_contraction(monkeypatch):
