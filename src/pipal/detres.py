@@ -29,6 +29,7 @@ from .runtime import (
     alloc_bool,
     compact_by_mask,
     release,
+    run_starts,
 )
 
 __all__ = ["ReservationTable", "RoundStats", "RoundView", "decompose_driver",
@@ -82,10 +83,7 @@ class ReservationTable:
             values = np.concatenate((self.vals[:c], values))
         order = np.argsort(keys)
         keys = keys[order]
-        first = np.empty(len(keys), dtype=bool)
-        first[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
+        starts = np.flatnonzero(run_starts(keys))
         m = len(starts)
         if m > self.capacity:
             raise RuntimeError("reservation table overfull; presize the table")

@@ -31,6 +31,7 @@ from .runtime import (
     as_words,
     ix,
     release,
+    run_starts,
 )
 
 __all__ = [
@@ -97,12 +98,7 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     """Sorted distinct values of a, by one sort and an adjacent-difference
     mask (numpy's ``unique`` hashes, which is slower at these sizes)."""
     a = np.sort(a)
-    if len(a) > 1:
-        keep = np.empty(len(a), dtype=bool)
-        keep[0] = True
-        np.not_equal(a[1:], a[:-1], out=keep[1:])
-        a = a[keep]
-    return a
+    return a[run_starts(a)] if len(a) > 1 else a
 
 
 @dataclass
@@ -312,11 +308,7 @@ def build_msf(g: GraphEdges, epsilon: float, seed: int) -> MsfOracle:
         cl = np.concatenate([lu[idx], lv[idx]])
         ee = np.concatenate([idx, idx])
         order = np.lexsort((ee, g.w[ee], cl))
-        scl = cl[order]
-        first = np.empty(len(scl), dtype=bool)
-        first[0] = True
-        np.not_equal(scl[1:], scl[:-1], out=first[1:])
-        picks = _distinct(ee[order[first]])
+        picks = _distinct(ee[order[run_starts(cl[order])]])
         committed.append(picks)
         _hook(lab, eu[picks], ev[picks])
     release(lab)

@@ -8,10 +8,11 @@ write-max run built by one sort per round, over the cache-capped prefix
 ``budget.round_words(n)`` <= b(n); filter,
 partition and quicksort retire one budget-sized prefix per round.  All of
 them run on :func:`pipal.detres.decompose_driver`, the one round loop, with
-its one livelock rule.  Merging is the strong merge's bisection recursion
-with max(SCRATCH_WORDS, 3·b(n))-word leaves, each sorted in place, so the
-merges charge nothing; mergesort merges every segment with the whole
-array's b(n), as quicksort partitions with it.
+its one livelock rule.  Partition is the strong partition's step over
+b(n)-word blocks through one charged buffer, and merging is the strong
+merge's bisection recursion with max(SCRATCH_WORDS, 3·b(n))-word leaves,
+each sorted in place, so the merges charge nothing; mergesort merges every
+segment with the whole array's b(n), as quicksort partitions with it.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .strong import (
     _check_sorted_run,
     _merge,
     _mergesort,
+    _partition_block,
     _quicksort,
     _run_args,
     merge_strong,
@@ -215,37 +217,26 @@ def filter_relaxed(a: np.ndarray, pred, budget: EpsilonConfig = DEFAULT_BUDGET,
 
 def partition_relaxed(a: np.ndarray, pred, budget: EpsilonConfig = DEFAULT_BUDGET,
                       stats_sink: list | None = None) -> int:
-    """Unstable partition; displaced non-matching elements swap into the
-    scanned tail each round, preserving the multiset."""
+    """Unstable partition: the strong partition's step over one b(n)-word
+    block per round, preserving the multiset."""
     as_words(a)
     return _partition_rounds(a, pred, budget.prefix_words(len(a)), stats_sink)
 
 
 def _partition_rounds(a: np.ndarray, pred, b: int,
                       stats_sink: list | None) -> int:
-    """Partition ``a`` by ``pred`` in rounds of ``b`` words through one
-    buffer of min(b, len(a)) words; return the number of matches."""
+    """Partition ``a`` by ``pred`` in rounds of ``b`` words, each one
+    strong partition step through one charged buffer of min(b, len(a))
+    words; return the number of matches."""
     n = len(a)
     if n == 0:
         return 0
     state = {"m": 0, "pos": 0}
     with aux(min(b, n)) as buf:
         def step(hint: int) -> int:
-            pos, m = state["pos"], state["m"]
+            pos = state["pos"]
             take = min(hint, n - pos)
-            chunk = buf[:take]
-            chunk[:] = a[pos:pos + take]
-            mask = np.asarray(pred(chunk), dtype=bool)
-            tc = int(np.count_nonzero(mask))
-            nf = pos - m  # false prefix length so far
-            d = min(tc, nf)
-            # the displaced falses move first: their destination lies in
-            # [pos, pos + take), already staged in buf, and m + d <= pos
-            dst0 = max(pos, m + tc)
-            a[dst0:dst0 + d] = a[m:m + d]
-            np.compress(mask, chunk, out=a[m:m + tc])
-            np.compress(~mask, chunk, out=a[dst0 + d:pos + take])
-            state["m"] = m + tc
+            state["m"] = _partition_block(a, pred, buf, state["m"], pos, take)
             state["pos"] = pos + take
             return take
 

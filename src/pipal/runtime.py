@@ -37,7 +37,7 @@ __all__ = [
     "SpaceMeter", "MeterReport", "meter_scope", "metered", "alloc",
     "alloc_bool", "release", "aux",
     "Rng", "EpsilonConfig", "POWER_ONLY_FRACTION",
-    "compact_by_mask",
+    "compact_by_mask", "run_starts",
 ]
 
 
@@ -285,7 +285,15 @@ class EpsilonConfig:
 
 
 # ---------------------------------------------------------------------------
-# Shared in-place primitive
+# Shared array primitives
+
+def run_starts(x: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal elements in x."""
+    first = np.empty(len(x), dtype=bool)
+    first[:1] = True
+    np.not_equal(x[1:], x[:-1], out=first[1:])
+    return first
+
 
 def compact_by_mask(arr: np.ndarray, block_mask, lo: int, hi: int) -> int:
     """Stable in-place compaction of arr[lo:hi); returns the end of the kept run.

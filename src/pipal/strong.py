@@ -2,8 +2,10 @@
 
 Operations here never allocate through the space meter; per-call scratch is
 bounded by ``runtime.SCRATCH_WORDS`` and is treated as stack space.  Scan and
-reduce add mod 2^64.  The merge bisects by dual binary search and rotation
-down to ``SCRATCH_WORDS``-word leaves, each sorted in place.
+reduce add mod 2^64.  The partition steps through ``SCRATCH_WORDS``-word
+blocks; the merge bisects by dual binary search and rotation down to
+``SCRATCH_WORDS``-word leaves, each sorted in place.  The relaxed model
+runs both kernels over larger blocks and leaves.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .runtime import (
     as_words,
     compact_by_mask,
     fork_join,
+    run_starts,
 )
 
 __all__ = [
@@ -45,6 +48,17 @@ def reduce(a: np.ndarray) -> int:
         return (left + right) & M64
 
     return rec(0, len(a))
+
+
+def _swap_ranges(a: np.ndarray, p: int, q: int, cnt: int) -> None:
+    """Swap a[p:p+cnt] with a[q:q+cnt]; ranges must be disjoint."""
+    i = 0
+    while i < cnt:
+        j = min(i + SCRATCH_WORDS, cnt)
+        tmp = a[p + i:p + j].copy()
+        a[p + i:p + j] = a[q + i:q + j]
+        a[q + i:q + j] = tmp
+        i = j
 
 
 def rotate(a: np.ndarray, o: int) -> None:
@@ -174,52 +188,44 @@ def filter_kway(a: np.ndarray, pred) -> int:
     return compact_by_mask(a, lambda s, e: pred(a[s:e]), 0, len(a))
 
 
-def _block_partition(a: np.ndarray, s: int, e: int, pred) -> int:
-    """Rearrange a[s:e] (one scratch block) as [true | false]; returns #true."""
-    seg = a[s:e]
-    mask = np.asarray(pred(seg), dtype=bool)
-    ti = np.flatnonzero(mask)
-    if len(ti) == 0 or len(ti) == e - s:
-        return len(ti)
-    fi = np.flatnonzero(~mask)
-    tmp = seg.copy()
-    seg[:len(ti)] = tmp[ti]
-    seg[len(ti):] = tmp[fi]
-    return len(ti)
+def _partition_block(a: np.ndarray, pred, buf: np.ndarray, m: int, pos: int,
+                     take: int) -> int:
+    """Partition a[pos:pos+take] onto a[:pos], whose first m words match
+    pred and the rest do not; returns the new match count.
 
-
-def _swap_ranges(a: np.ndarray, p: int, q: int, cnt: int) -> None:
-    """Swap a[p:p+cnt] with a[q:q+cnt]; ranges must be disjoint."""
-    i = 0
-    while i < cnt:
-        j = min(i + SCRATCH_WORDS, cnt)
-        tmp = a[p + i:p + j].copy()
-        a[p + i:p + j] = a[q + i:q + j]
-        a[q + i:q + j] = tmp
-        i = j
+    The one partition step of both space models.  The block is staged in
+    buf; the d non-matches that its t matches displace from a[m:] move
+    first, to a[max(pos, m + t):], which lies inside the staged block; then
+    the block's matches and non-matches are written back.  A block with no
+    matches, or of only matches onto an all-match a[:pos], moves nothing
+    and is skipped."""
+    block = a[pos:pos + take]
+    mask = np.asarray(pred(block), dtype=bool)
+    t = int(np.count_nonzero(mask))
+    if t == 0 or (t == take and m == pos):
+        return m + t
+    chunk = buf[:take]
+    chunk[:] = block
+    d = min(t, pos - m)
+    dst = max(pos, m + t)
+    a[dst:dst + d] = a[m:m + d]
+    np.compress(mask, chunk, out=a[m:m + t])
+    np.compress(~mask, chunk, out=a[dst + d:pos + take])
+    return m + t
 
 
 def partition_unstable(a: np.ndarray, pred) -> int:
     """Unstable partition: pred-true elements first, multiset preserved.
 
-    Each scratch block is partitioned on its own, then its true-prefix is
-    folded leftward: swapped past the false run when they are disjoint,
-    rotated in otherwise (the rotation spans under two blocks).
+    One pass of the partition step over ``SCRATCH_WORDS``-word blocks; its
+    one-block buffer is stack scratch and is not charged.
     """
     as_words(a)
     n = len(a)
+    buf = np.empty(min(SCRATCH_WORDS, n), dtype=WORD)
     m = 0
-    s = 0
-    while s < n:
-        e = min(s + SCRATCH_WORDS, n)
-        t = _block_partition(a, s, e, pred)
-        if t:
-            if m + t <= s:
-                _swap_ranges(a, m, s, t)
-            elif m < s:
-                rotate(a[m:s + t], s - m)
-            m += t
-        s = e
+    for pos in range(0, n, SCRATCH_WORDS):
+        m = _partition_block(a, pred, buf, m, pos, min(SCRATCH_WORDS, n - pos))
     return m
 
 
@@ -373,10 +379,8 @@ def set_union(a: np.ndarray, split: int, debug: bool = False) -> int:
 
     def first_of_pair(s: int, e: int) -> np.ndarray:
         # a[s - 1] still holds its merged word (see compact_by_mask)
-        block = a[s:e]
-        keep = np.empty(e - s, dtype=bool)
-        keep[0] = s == 0 or block[0] != a[s - 1]
-        np.not_equal(block[1:], block[:-1], out=keep[1:])
+        keep = run_starts(a[s:e])
+        keep[0] = s == 0 or a[s] != a[s - 1]
         return keep
 
     return compact_by_mask(a, first_of_pair, 0, n)

@@ -65,6 +65,18 @@ def test_indexes_come_from_ix(name):
     assert casts == []
 
 
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "pipal.runtime"])
+def test_run_starts_come_from_runtime(name):
+    # runtime.run_starts is the one "first of each equal run" mask
+    tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+    masks = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "not_equal" and len(node.args) >= 2
+             and ast.unparse(node.args[0]).endswith("[1:]")
+             and ast.unparse(node.args[1]).endswith("[:-1]")]
+    assert masks == []
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_every_private_definition_is_referenced(name):
     # a module-level _helper that nothing in the package names is dead code

@@ -270,6 +270,32 @@ def test_mergesort_relaxed_merges_in_top_level_chunks(monkeypatch, eps):
     assert bases and set(bases) == {max(SCRATCH_WORDS, 3 * cfg.prefix_words(n))}
 
 
+def test_partitions_step_over_their_blocks(monkeypatch):
+    # both space models run the one partition step, the strong one over
+    # SCRATCH_WORDS-word blocks and the relaxed one over b(n)-word rounds
+    takes = []
+    step = strong._partition_block
+
+    def record(a, pred, buf, m, pos, take):
+        takes.append(take)
+        return step(a, pred, buf, m, pos, take)
+
+    monkeypatch.setattr(strong, "_partition_block", record)
+    monkeypatch.setattr(relaxed, "_partition_block", record)
+    n = 3 * SCRATCH_WORDS + 5
+    a = rand_words(8, n)
+    assert strong.partition_unstable(a, EVEN) == int(np.count_nonzero(EVEN(a)))
+    assert takes == [SCRATCH_WORDS] * 3 + [5]
+
+    takes.clear()
+    n = 65_537
+    cfg = EpsilonConfig(0.5)
+    b = cfg.prefix_words(n)
+    partition_relaxed(rand_words(9, n), EVEN, cfg)
+    assert takes[:-1] == [b] * (len(takes) - 1)
+    assert 0 < takes[-1] <= b and sum(takes) == n
+
+
 def test_array_ops_keep_the_whole_budget(monkeypatch):
     # only the round engine's clients run over the capped round_words(n);
     # the array ops keep b(n), where they are fastest

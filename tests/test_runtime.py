@@ -22,6 +22,7 @@ from pipal.runtime import (
     meter_scope,
     metered,
     release,
+    run_starts,
     set_num_threads,
 )
 
@@ -187,6 +188,15 @@ def test_compact_by_mask_matches_boolean_indexing(mask, seed):
     expected = arr[keep].tolist()
     cnt = compact_by_mask(arr, lambda s, e: keep[s:e], 0, len(arr))
     assert arr[:cnt].tolist() == expected
+
+
+@pytest.mark.parametrize("vals, starts", [
+    ([], []),
+    ([7], [True]),
+    ([2, 2, 5, 5, 5, 2, 9], [True, False, True, False, False, True, True]),
+])
+def test_run_starts_marks_the_first_of_each_run(vals, starts):
+    assert run_starts(np.array(vals, dtype=np.uint64)).tolist() == starts
 
 
 def test_ix_is_an_int64_view_without_a_copy():

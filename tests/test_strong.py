@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pipal import baselines as bl
-from pipal import strong
+from pipal import relaxed, strong
 from pipal.runtime import (
     M64,
     SCRATCH_WORDS,
@@ -230,6 +230,31 @@ def test_partition_unstable_matches_counting_oracle(n):
     assert m == int(np.count_nonzero(EVEN(ref)))
     assert np.all(EVEN(a[:m])) and not np.any(EVEN(a[m:]))
     assert np.array_equal(np.sort(a), np.sort(ref))
+
+
+@settings(max_examples=300, deadline=None)
+@given(vals=st.lists(st.integers(0, 3), max_size=64), t=st.integers(0, 3),
+       block=st.integers(1, 8))
+def test_partition_step_at_tiny_blocks(vals, t, block):
+    # values 0-3 against x <= t give all-match, no-match and already
+    # partitioned blocks; both drivers of the one step must partition
+    pred = lambda x: x <= WORD(t)
+    ref = words(vals)
+    count = int(np.count_nonzero(pred(ref)))
+
+    def check(a, m):
+        assert m == count
+        assert np.all(pred(a[:m])) and not np.any(pred(a[m:]))
+        assert np.array_equal(np.sort(a), np.sort(ref))
+
+    a = ref.copy()
+    buf = np.empty(block, dtype=WORD)
+    m = 0
+    for pos in range(0, len(a), block):
+        m = strong._partition_block(a, pred, buf, m, pos, min(block, len(a) - pos))
+    check(a, m)
+    a = ref.copy()
+    check(a, relaxed._partition_rounds(a, pred, block, None))
 
 
 @pytest.mark.parametrize("n", [0, 1, 3, 100, 10_000, 50_000])
