@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .runtime import M64, NIL, SCRATCH_WORDS, WORD, alloc, as_words, ix, release
+from .runtime import (M64, NIL, SCRATCH_WORDS, WORD, add_rounds, alloc, as_words,
+                      ix, release)
 
 __all__ = [
     "seq_scan", "seq_filter", "seq_knuth_shuffle", "seq_list_rank",
@@ -219,8 +220,9 @@ def fullres_shuffle(a: np.ndarray, h: np.ndarray) -> int:
     """Non-prefixed parallel shuffle: every pending swap reserves into a
     full-size array each round (the linear-auxiliary-space comparator).
 
-    Returns the number of rounds taken; output equals the sequential
-    shuffle with the same swap sequence.
+    Returns the number of rounds taken, which it also adds to the active
+    meter; output equals the sequential shuffle with the same swap
+    sequence.
     """
     as_words(a)
     n = len(a)
@@ -255,4 +257,5 @@ def fullres_shuffle(a: np.ndarray, h: np.ndarray) -> int:
         rounds += 1
     release(pending)
     release(reservations)
+    add_rounds(rounds)
     return rounds

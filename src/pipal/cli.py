@@ -60,7 +60,7 @@ def run_bench(cfg: BenchConfig, data) -> list[dict]:
             "rep": rep,
             "time_ms": round(elapsed_ms, 3),
             "peak_heap_words": report.peak_words,
-            "rounds": algo.rounds(args, out[0]) if algo.rounds else 0,
+            "rounds": meter.rounds,
             "verified": verified,
         })
     return rows

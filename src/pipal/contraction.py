@@ -265,8 +265,7 @@ def list_contract(lst: LinkedList, p: np.ndarray,
 
 
 def list_rank(lst: LinkedList, p: np.ndarray,
-              budget: EpsilonConfig = DEFAULT_BUDGET,
-              stats_sink: list | None = None) -> np.ndarray:
+              budget: EpsilonConfig = DEFAULT_BUDGET) -> np.ndarray:
     """Rank every element within its chain, in place over the list storage.
 
     Consumes ``lst``: contraction leaves each element's (parent, distance)
@@ -291,10 +290,8 @@ def list_rank(lst: LinkedList, p: np.ndarray,
     prv |= WORD(1)
 
     client = _RankClient(lst, p)
-    stats = run_rounds(n, budget.round_words(n), client.reserve,
-                       client.commit, client.clean)
-    if stats_sink is not None:
-        stats_sink.append(stats)
+    run_rounds(n, budget.round_words(n), client.reserve, client.commit,
+               client.clean)
     if not _jump(nxt, prv, SCRATCH_WORDS):
         raise RuntimeError("ranking forest contains a cycle")
     prv -= WORD(1)

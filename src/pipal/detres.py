@@ -3,28 +3,30 @@ reservation table.
 
 :func:`decompose_driver` is the one round loop behind every relaxed
 algorithm: it retires a budget-sized prefix per round until nothing is
-left, and raises :class:`LivelockError` after :data:`LIVELOCK_ROUNDS`
-rounds in a row that retire nothing.  :func:`run_rounds` is one step of
-that loop over a packed prefix of pending iterates: refill from the id
+left, raises :class:`LivelockError` after :data:`LIVELOCK_ROUNDS` rounds in
+a row that retire nothing, and adds its round count to the active space
+meter (:func:`pipal.runtime.add_rounds`).  :func:`run_rounds` is one step
+of that loop over a packed prefix of pending iterates: refill from the id
 source, reserve phase, barrier, commit phase, barrier, cleaning phase, then
 failure packing.  Phase callbacks receive the whole active prefix at once
 and operate on it with array operations; write-max claims go through
 :class:`ReservationTable`, whose batch updates are linearizable per key by
-construction, so results are independent of thread count.  The table is
-one sorted run of distinct keys: a reservation sorts its batch with the run
-and keeps each key's maximum, and a lookup sorts its batch and searches the
+construction, so results are independent of thread count.  The table is one
+sorted run of distinct keys: a reservation sorts its batch with the run and
+keeps each key's maximum, and a lookup sorts its batch and searches the
 run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .runtime import (
     NIL,
     WORD,
+    add_rounds,
     alloc,
     alloc_bool,
     compact_by_mask,
@@ -126,12 +128,10 @@ class ReservationTable:
 
 @dataclass
 class RoundStats:
-    rounds: int = 0
-    committed_per_round: list[int] = field(default_factory=list)
+    """One driver run: its rounds and the iterates it retired."""
 
-    @property
-    def total_committed(self) -> int:
-        return sum(self.committed_per_round)
+    rounds: int = 0
+    total_committed: int = 0
 
 
 @dataclass
@@ -163,17 +163,16 @@ def decompose_driver(n: int, budget_words: int, step) -> RoundStats:
     prefix (``count_hint`` is ``min(budget_words, remaining)``).  It raises
     :class:`LivelockError` after :data:`LIVELOCK_ROUNDS` consecutive rounds
     that retire nothing, and ``RuntimeError`` if the steps retire more than
-    ``n`` in total.
+    ``n`` in total.  A finished run adds its rounds to the active meter.
     """
     if budget_words < 1:
         raise ValueError("budget must be >= 1")
-    stats = RoundStats()
+    rounds = 0
     remaining = n
     zero_rounds = 0
     while remaining > 0:
         done = int(step(min(budget_words, remaining)))
-        stats.rounds += 1
-        stats.committed_per_round.append(done)
+        rounds += 1
         if done <= 0:
             zero_rounds += 1
             if zero_rounds >= LIVELOCK_ROUNDS:
@@ -185,7 +184,8 @@ def decompose_driver(n: int, budget_words: int, step) -> RoundStats:
         remaining -= done
     if remaining < 0:
         raise RuntimeError(f"steps retired {n - remaining} of {n} iterates")
-    return stats
+    add_rounds(rounds)
+    return RoundStats(rounds, n)
 
 
 def run_rounds(n_iterates: int, prefix_size: int, reserve, commit, clean,

@@ -3,8 +3,8 @@
 ``KINDS`` holds, per input kind, its generator, file writer, reader and
 validator, and size.  ``ALGOS`` holds, per algorithm, one :class:`Algo`:
 its input kind, its space contract, its untimed preparation, its timed
-body, its oracle check against :mod:`pipal.baselines`, and its rounds
-readout.  Nothing else in the package lists the algorithms.
+body and its oracle check against :mod:`pipal.baselines`.  Nothing else
+in the package lists the algorithms.
 """
 
 from __future__ import annotations
@@ -142,9 +142,9 @@ class Algo:
 
     ``prepare(data, cfg)`` builds the body's arguments outside the timer
     from the input and the run's ``BenchConfig``; ``body(*args)`` is the
-    timed, metered work; ``check(data, args, result)`` compares the result
-    with the sequential oracle on the untouched input; ``rounds(args,
-    result)``, when set, reads the round count.  ``contract`` is the space
+    timed, metered work, whose round loops count their rounds into the
+    meter; ``check(data, args, result)`` compares the result with the
+    sequential oracle on the untouched input.  ``contract`` is the space
     the tests hold the body to: ``strong`` (no heap), ``relaxed``
     (O(b(n)) words), ``graph`` (O(m/k + k log n) words, k = m^ε) or
     ``comparator`` (a non-in-place baseline).  ``row``, when set, is the
@@ -156,7 +156,6 @@ class Algo:
     prepare: Callable
     body: Callable
     check: Callable
-    rounds: Callable | None = None
     row: str = ""
 
 
@@ -282,9 +281,7 @@ def _same_components(g, args, oracle) -> bool:
 
 _scanned_in_place = lambda data, args, res: _scanned(data, args[0], res.total)
 _graph_args = lambda g, cfg: (g, cfg.epsilon, cfg.seed)
-_even_in_rounds = lambda data, cfg: (data.copy(), EVEN, cfg.budget(), [])
-_sink_rounds = lambda args, result: sum(s.rounds for s in args[-1])
-_stats_rounds = lambda args, result: result.rounds
+_even_in_rounds = lambda data, cfg: (data.copy(), EVEN, cfg.budget())
 
 ALGOS = {
     "scan": Algo("ints", "strong", _copy, strong.scan, _scanned_in_place),
@@ -307,13 +304,12 @@ ALGOS = {
     "set-intersect": _set_op(strong.set_intersect, set.intersection),
     "set-difference": _set_op(strong.set_difference, set.difference),
     "filter-relaxed": Algo("ints", "relaxed", _even_in_rounds, relaxed.filter_relaxed,
-                           _filtered, _sink_rounds),
+                           _filtered),
     "partition-relaxed": Algo("ints", "relaxed", _even_in_rounds,
-                              relaxed.partition_relaxed, _partitioned, _sink_rounds),
+                              relaxed.partition_relaxed, _partitioned),
     "quicksort-relaxed": Algo(
-        "ints", "relaxed",
-        lambda data, cfg: (data.copy(), Rng(cfg.seed), cfg.budget(), []),
-        relaxed.quicksort_relaxed, _sorted, _sink_rounds),
+        "ints", "relaxed", lambda data, cfg: (data.copy(), Rng(cfg.seed), cfg.budget()),
+        relaxed.quicksort_relaxed, _sorted),
     "mergesort-relaxed": Algo("ints", "relaxed",
                               lambda data, cfg: (data.copy(), cfg.budget()),
                               relaxed.mergesort_relaxed, _sorted),
@@ -322,21 +318,18 @@ ALGOS = {
                           relaxed.merge_relaxed, _sorted),
     "rp": Algo("perm", "relaxed", lambda h, cfg: (*_identity(h, cfg), cfg.budget()),
                lambda a, h, budget: relaxed.random_permutation(a, h, budget=budget),
-               _shuffled, _stats_rounds, row="rp-final"),
-    "list-contract": Algo(
-        "list", "relaxed", _list_args, list_contract, _contexts_bracket,
-        _stats_rounds),
+               _shuffled, row="rp-final"),
+    "list-contract": Algo("list", "relaxed", _list_args, list_contract,
+                          _contexts_bracket),
     "list-rank": Algo(
-        "list", "relaxed", lambda lst, cfg: (*_list_args(lst, cfg), []), list_rank,
+        "list", "relaxed", _list_args, list_rank,
         lambda lst, args, ranks: np.array_equal(ranks,
-                                                bl.seq_list_rank(lst.next, lst.prev)),
-        _sink_rounds),
+                                                bl.seq_list_rank(lst.next, lst.prev))),
     "tree-contract": Algo(
         "tree", "relaxed", _tree_args,
         lambda tree, p, values, budget, rng: tree_contract(tree, p, values, budget),
         lambda t, args, res: res[0] == bl.seq_tree_eval(
-            t.parent, t.left, t.right, _tree_values(len(t), args[-1])),
-        lambda args, res: res[1].rounds),
+            t.parent, t.left, t.right, _tree_values(len(t), args[-1]))),
     "connectivity": Algo("graph", "graph", _graph_args, graph.build_connectivity,
                          _same_components),
     "msf": Algo("graph", "graph", _graph_args, graph.build_msf,
@@ -347,8 +340,7 @@ ALGOS = {
     "nonip-filter": Algo("ints", "comparator", _with_even, bl.nonip_filter,
                          lambda data, args, out: np.array_equal(
                              out, bl.seq_filter(data, EVEN))),
-    "rp-fullres": Algo("perm", "comparator", _identity, bl.fullres_shuffle, _shuffled,
-                       lambda args, rounds: rounds),
+    "rp-fullres": Algo("perm", "comparator", _identity, bl.fullres_shuffle, _shuffled),
 }
 
 # every name ``--algo`` accepts: the table's names and their row names

@@ -177,18 +177,17 @@ def random_permutation(a: np.ndarray, h: np.ndarray, variant: str = "final",
 
     client = _RpClient(a, h, prefix)
     try:
-        stats = run_rounds(n_iterates, prefix, client.reserve, client.commit,
-                           client.clean, id_source=client.next_ids)
+        return run_rounds(n_iterates, prefix, client.reserve, client.commit,
+                          client.clean, id_source=client.next_ids)
     finally:
         client.release()
-    return stats
 
 
 # ---------------------------------------------------------------------------
 # Filter / partition / quicksort
 
-def filter_relaxed(a: np.ndarray, pred, budget: EpsilonConfig = DEFAULT_BUDGET,
-                   stats_sink: list | None = None) -> int:
+def filter_relaxed(a: np.ndarray, pred,
+                   budget: EpsilonConfig = DEFAULT_BUDGET) -> int:
     """Stable filter, one budget-sized prefix per round through a buffer."""
     as_words(a)
     n = len(a)
@@ -209,22 +208,19 @@ def filter_relaxed(a: np.ndarray, pred, budget: EpsilonConfig = DEFAULT_BUDGET,
             state["pos"] = pos + take
             return take
 
-        stats = decompose_driver(n, b, step)
-    if stats_sink is not None:
-        stats_sink.append(stats)
+        decompose_driver(n, b, step)
     return state["m"]
 
 
-def partition_relaxed(a: np.ndarray, pred, budget: EpsilonConfig = DEFAULT_BUDGET,
-                      stats_sink: list | None = None) -> int:
+def partition_relaxed(a: np.ndarray, pred,
+                      budget: EpsilonConfig = DEFAULT_BUDGET) -> int:
     """Unstable partition: the strong partition's step over one b(n)-word
     block per round, preserving the multiset."""
     as_words(a)
-    return _partition_rounds(a, pred, budget.prefix_words(len(a)), stats_sink)
+    return _partition_rounds(a, pred, budget.prefix_words(len(a)))
 
 
-def _partition_rounds(a: np.ndarray, pred, b: int,
-                      stats_sink: list | None) -> int:
+def _partition_rounds(a: np.ndarray, pred, b: int) -> int:
     """Partition ``a`` by ``pred`` in rounds of ``b`` words, each one
     strong partition step through one charged buffer of min(b, len(a))
     words; return the number of matches."""
@@ -240,22 +236,20 @@ def _partition_rounds(a: np.ndarray, pred, b: int,
             state["pos"] = pos + take
             return take
 
-        stats = decompose_driver(n, b, step)
-    if stats_sink is not None:
-        stats_sink.append(stats)
+        decompose_driver(n, b, step)
     return state["m"]
 
 
-def quicksort_relaxed(a: np.ndarray, rng, budget: EpsilonConfig = DEFAULT_BUDGET,
-                      stats_sink: list | None = None) -> None:
+def quicksort_relaxed(a: np.ndarray, rng,
+                      budget: EpsilonConfig = DEFAULT_BUDGET) -> None:
     """The shared quicksort with partitions in b(n)-word rounds, for the
     whole array's b(n); segments of at most max(SCRATCH_WORDS, b(n)) words
     are sorted directly.  Segments run one at a time, so the peak footprint
-    is a single partition's buffer.  One RoundStats per partition goes to
-    ``stats_sink``."""
+    is a single partition's buffer.  Every partition's rounds go to the
+    active meter, so the meter holds the sort's rounds."""
     as_words(a)
     b = budget.prefix_words(len(a))
-    _quicksort(a, rng, lambda seg, pred: _partition_rounds(seg, pred, b, stats_sink),
+    _quicksort(a, rng, lambda seg, pred: _partition_rounds(seg, pred, b),
                max(SCRATCH_WORDS, b))
 
 

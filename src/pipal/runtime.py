@@ -34,8 +34,8 @@ __all__ = [
     "WORD", "M64", "NIL", "SCRATCH_WORDS",
     "as_words", "ix",
     "set_num_threads", "num_threads", "fork_join",
-    "SpaceMeter", "MeterReport", "meter_scope", "metered", "alloc",
-    "alloc_bool", "release", "aux",
+    "SpaceMeter", "MeterReport", "meter_scope", "metered", "add_rounds",
+    "alloc", "alloc_bool", "release", "aux",
     "Rng", "EpsilonConfig", "POWER_ONLY_FRACTION",
     "compact_by_mask", "run_starts",
 ]
@@ -112,11 +112,13 @@ class MeterReport:
 
 
 class SpaceMeter:
-    """Counts auxiliary heap words held by instrumented operations."""
+    """Counts auxiliary heap words held by instrumented operations, and the
+    rounds their round loops ran (:func:`add_rounds`)."""
 
     def __init__(self) -> None:
         self.current_words = 0
         self.peak_words = 0
+        self.rounds = 0
         self._lock = threading.Lock()
 
     def acquire(self, words: int) -> None:
@@ -159,6 +161,14 @@ def meter_scope(meter: SpaceMeter, budget_words: int, body) -> MeterReport:
         budget_words=budget_words,
         exceeded=meter.peak_words > budget_words,
     )
+
+
+def add_rounds(k: int) -> None:
+    """Add ``k`` rounds to the active meter; without one, do nothing."""
+    m = _active_meter()
+    if m is not None:
+        with m._lock:
+            m.rounds += k
 
 
 def _charge_words(nbytes: int) -> int:

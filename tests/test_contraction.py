@@ -213,10 +213,11 @@ def test_validate_deep_caterpillar_in_logarithmic_steps():
 # ---------------------------------------------------------------------------
 # list contraction
 
-def test_singleton_splices_in_one_round():
+def test_singleton_splices_in_one_round(capture_rounds):
     lst = LinkedList(words([None]), words([None]))
+    rounds = capture_rounds(contraction)
     stats = list_contract(lst, words([0]), budget=FULL)
-    assert stats.rounds == 1 and stats.committed_per_round == [1]
+    assert stats.rounds == 1 and rounds == [([0], [0])]
 
 
 def test_worked_instance_first_round_and_round_count(capture_rounds):
@@ -234,14 +235,15 @@ def test_worked_instance_first_round_and_round_count(capture_rounds):
     assert stats.total_committed == 9
 
 
-def test_contract_forest_context_is_splice_time_neighbors():
+def test_contract_forest_context_is_splice_time_neighbors(capture_rounds):
     order = [3, 1, 4, 0, 2]
     lst = chain_list(order)
     p = words([4, 0, 3, 2, 1])  # node 1 is the global minimum
-    stats = list_contract(lst, p, budget=FULL)
+    rounds = capture_rounds(contraction)
+    list_contract(lst, p, budget=FULL)
     # rounds splice {1, 2}, then 4, 3 and 0; node 1 goes first, between 3
     # and 4, and every element keeps its splice-time (prev, next) pair
-    assert stats.committed_per_round == [2, 1, 1, 1]
+    assert [len(done) for _, done in rounds] == [2, 1, 1, 1]
     context = {1: (3, 4), 2: (0, NIL), 4: (3, 0), 3: (NIL, 0), 0: (NIL, NIL)}
     for v, (u, x) in context.items():
         assert (int(lst.prev[v]), int(lst.next[v])) == (u, x)

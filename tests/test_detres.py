@@ -149,12 +149,16 @@ def test_table_charges_meter():
 # ---------------------------------------------------------------------------
 # run_rounds
 
-def _client_all_succeed():
+def _client_all_succeed(committed=None):
+    """A client whose every iterate commits; ``committed``, when given,
+    gains each round's commit count."""
     def reserve(view):
         pass
 
     def commit(view):
         view.committed[:] = True
+        if committed is not None:
+            committed.append(len(view.ids))
 
     def clean(view):
         pass
@@ -163,16 +167,18 @@ def _client_all_succeed():
 
 
 def test_all_commits_two_rounds():
-    r, c, cl = _client_all_succeed()
+    committed = []
+    r, c, cl = _client_all_succeed(committed)
     stats = run_rounds(8, 4, r, c, cl)
-    assert stats.rounds == 2
-    assert stats.committed_per_round == [4, 4]
+    assert stats.rounds == 2 and stats.total_committed == 8
+    assert committed == [4, 4]
 
 
 def test_single_iterate_single_round():
-    r, c, cl = _client_all_succeed()
+    committed = []
+    r, c, cl = _client_all_succeed(committed)
     stats = run_rounds(1, 4, r, c, cl)
-    assert stats.rounds == 1 and stats.committed_per_round == [1]
+    assert stats.rounds == 1 and committed == [1]
 
 
 def test_conservation_and_packing_order():

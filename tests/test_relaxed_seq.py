@@ -50,9 +50,10 @@ def test_driver_one_round_when_budget_covers():
 
 
 def test_driver_exact_rounds():
-    stats = decompose_driver(100, 10, lambda hint: 10)
-    assert stats.rounds == 10
-    assert stats.committed_per_round == [10] * 10
+    hints = []
+    stats = decompose_driver(100, 10, lambda hint: hints.append(hint) or 10)
+    assert stats.rounds == 10 and stats.total_committed == 100
+    assert hints == [10] * 10
 
 
 def test_driver_livelock_guard():
@@ -131,22 +132,33 @@ def test_quicksort_relaxed_edge_inputs(kind, budget):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_quicksort_relaxed_partitions_in_top_level_rounds(seed):
+def test_quicksort_relaxed_partitions_in_top_level_rounds(seed, monkeypatch):
     n = 1 << 16
     cfg = EpsilonConfig(0.5, POWER_ONLY_FRACTION)
     b = cfg.prefix_words(n)
     assert b == 256
     a = rand_words(seed, n)
     ref = np.sort(a)
-    sink = []
-    quicksort_relaxed(a, Rng(seed), cfg, stats_sink=sink)
+    runs = []  # per partition, the words each round retired
+    driver = relaxed.decompose_driver
+
+    def spy(n_words, budget_words, step):
+        retired = []
+        runs.append(retired)
+        return driver(n_words, budget_words,
+                      lambda hint: retired.append(step(hint)) or retired[-1])
+
+    monkeypatch.setattr(relaxed, "decompose_driver", spy)
+    meter = SpaceMeter()
+    meter_scope(meter, 1 << 62, lambda: quicksort_relaxed(a, Rng(seed), cfg))
     assert np.array_equal(a, ref)
-    assert sink
-    for stats in sink:
-        *full, last = stats.committed_per_round
+    assert runs
+    for retired in runs:
+        *full, last = retired
         assert all(done == b for done in full)
         assert 1 <= last <= b
-    total = sum(stats.rounds for stats in sink)
+    total = sum(len(retired) for retired in runs)
+    assert meter.rounds == total
     assert total <= 4 * (n // b) * int(np.log2(n // b))
 
 

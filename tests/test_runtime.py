@@ -8,12 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pipal import runtime
+from pipal.detres import decompose_driver, run_rounds
 from pipal.runtime import (
     M64,
     SCRATCH_WORDS,
     EpsilonConfig,
     Rng,
     SpaceMeter,
+    add_rounds,
     alloc,
     aux,
     compact_by_mask,
@@ -90,6 +92,37 @@ def test_bool_buffers_charged_in_words():
         assert meter.current_words == 8
         release(buf)
     assert meter.current_words == 0
+
+
+def test_rounds_land_on_the_innermost_meter():
+    outer, inner = SpaceMeter(), SpaceMeter()
+    with metered(outer):
+        add_rounds(2)
+        with metered(inner):
+            add_rounds(3)
+            decompose_driver(10, 4, lambda hint: hint)  # 3 rounds
+        add_rounds(1)
+    assert (outer.rounds, inner.rounds) == (3, 6)
+
+
+def test_rounds_outside_any_meter_run_without_error():
+    assert runtime._active_meter() is None
+    add_rounds(5)
+    assert decompose_driver(10, 4, lambda hint: hint).rounds == 3
+    assert SpaceMeter().rounds == 0
+
+
+def test_one_run_rounds_call_adds_exactly_its_rounds():
+    def commit_first_half(view):
+        view.committed[:(len(view.ids) + 1) // 2] = True
+
+    meter = SpaceMeter()
+    with metered(meter):
+        add_rounds(7)
+        stats = run_rounds(100, 16, lambda view: None, commit_first_half,
+                           lambda view: None)
+    assert stats.rounds > 100 // 16 + 1 and stats.total_committed == 100
+    assert meter.rounds == 7 + stats.rounds
 
 
 def test_rng_pure_and_seed_sensitive():

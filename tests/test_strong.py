@@ -254,7 +254,7 @@ def test_partition_step_at_tiny_blocks(vals, t, block):
         m = strong._partition_block(a, pred, buf, m, pos, min(block, len(a) - pos))
     check(a, m)
     a = ref.copy()
-    check(a, relaxed._partition_rounds(a, pred, block, None))
+    check(a, relaxed._partition_rounds(a, pred, block))
 
 
 @pytest.mark.parametrize("n", [0, 1, 3, 100, 10_000, 50_000])
