@@ -8,11 +8,11 @@ write-max run built by one sort per round, over the cache-capped prefix
 ``budget.round_words(n)`` <= b(n); filter,
 partition and quicksort retire one budget-sized prefix per round.  All of
 them run on :func:`pipal.detres.decompose_driver`, the one round loop, with
-its one livelock rule.  Partition is the strong partition's step over
+its one livelock rule.  Partition and quicksort run the strong steps over
 b(n)-word blocks through one charged buffer, and merging is the strong
 merge's bisection recursion with max(SCRATCH_WORDS, 3·b(n))-word leaves,
 each sorted in place, so the merges charge nothing; mergesort merges every
-segment with the whole array's b(n), as quicksort partitions with it.
+segment with the whole array's b(n), as quicksort splits with it.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .strong import (
     _mergesort,
     _partition_block,
     _quicksort,
+    _split_block,
     _run_args,
     merge_strong,
     rotate,
@@ -221,35 +222,41 @@ def partition_relaxed(a: np.ndarray, pred,
 
 
 def _partition_rounds(a: np.ndarray, pred, b: int) -> int:
-    """Partition ``a`` by ``pred`` in rounds of ``b`` words, each one
-    strong partition step through one charged buffer of min(b, len(a))
-    words; return the number of matches."""
+    """Partition ``a`` by ``pred`` in rounds of ``b`` words."""
+    return _step_rounds(a, b, _partition_block, pred)
+
+
+def _step_rounds(a: np.ndarray, b: int, step, *args) -> int:
+    """Run the strong partition step ``step(a, *args, buf, m, pos, take)``
+    over one ``b``-word block of ``a`` per round, through one charged buffer
+    of min(b, len(a)) words; return the match count."""
     n = len(a)
     if n == 0:
         return 0
     state = {"m": 0, "pos": 0}
     with aux(min(b, n)) as buf:
-        def step(hint: int) -> int:
+        def round_step(hint: int) -> int:
             pos = state["pos"]
             take = min(hint, n - pos)
-            state["m"] = _partition_block(a, pred, buf, state["m"], pos, take)
+            state["m"] = step(a, *args, buf, state["m"], pos, take)
             state["pos"] = pos + take
             return take
 
-        decompose_driver(n, b, step)
+        decompose_driver(n, b, round_step)
     return state["m"]
 
 
 def quicksort_relaxed(a: np.ndarray, rng,
                       budget: EpsilonConfig = DEFAULT_BUDGET) -> None:
-    """The shared quicksort with partitions in b(n)-word rounds, for the
-    whole array's b(n); segments of at most max(SCRATCH_WORDS, b(n)) words
-    are sorted directly.  Segments run one at a time, so the peak footprint
-    is a single partition's buffer.  Every partition's rounds go to the
-    active meter, so the meter holds the sort's rounds."""
+    """The shared quicksort with each segment split by the strong split step
+    in b(n)-word rounds, for the whole array's b(n); segments of at most
+    max(SCRATCH_WORDS, b(n)) words are sorted directly.  Segments run one at
+    a time, so the peak footprint is a single split's buffer.  Every split's
+    rounds go to the active meter, so the meter holds the sort's rounds."""
     as_words(a)
     b = budget.prefix_words(len(a))
-    _quicksort(a, rng, lambda seg, pred: _partition_rounds(seg, pred, b),
+    _quicksort(a, rng, lambda seg, key, inclusive:
+               _step_rounds(seg, b, _split_block, key, inclusive),
                max(SCRATCH_WORDS, b))
 
 

@@ -2,10 +2,10 @@
 
 Operations here never allocate through the space meter; per-call scratch is
 bounded by ``runtime.SCRATCH_WORDS`` and is treated as stack space.  Scan and
-reduce add mod 2^64.  The partition steps through ``SCRATCH_WORDS``-word
-blocks; the merge bisects by dual binary search and rotation down to
-``SCRATCH_WORDS``-word leaves, each sorted in place.  The relaxed model
-runs both kernels over larger blocks and leaves.
+reduce add mod 2^64.  The partition and quicksort's split (an in-place
+selection) step through ``SCRATCH_WORDS``-word blocks; the merge bisects by
+dual binary search and rotation down to ``SCRATCH_WORDS``-word leaves, each
+sorted in place.  The relaxed model runs these over larger blocks and leaves.
 """
 
 from __future__ import annotations
@@ -214,26 +214,52 @@ def _partition_block(a: np.ndarray, pred, buf: np.ndarray, m: int, pos: int,
     return m + t
 
 
-def partition_unstable(a: np.ndarray, pred) -> int:
-    """Unstable partition: pred-true elements first, multiset preserved.
-
-    One pass of the partition step over ``SCRATCH_WORDS``-word blocks; its
-    one-block buffer is stack scratch and is not charged.
-    """
-    as_words(a)
+def _step_blocks(a: np.ndarray, step, *args) -> int:
+    """Run ``step(a, *args, buf, m, pos, take)`` over a's ``SCRATCH_WORDS``-word
+    blocks in order through one uncharged one-block buffer; return m."""
     n = len(a)
     buf = np.empty(min(SCRATCH_WORDS, n), dtype=WORD)
     m = 0
     for pos in range(0, n, SCRATCH_WORDS):
-        m = _partition_block(a, pred, buf, m, pos, min(SCRATCH_WORDS, n - pos))
+        m = step(a, *args, buf, m, pos, min(SCRATCH_WORDS, n - pos))
     return m
 
 
-def _quicksort(a: np.ndarray, rng, partition, base: int) -> None:
+def partition_unstable(a: np.ndarray, pred) -> int:
+    """Unstable partition: pred-true elements first, multiset preserved.
+
+    One pass of the partition step over ``SCRATCH_WORDS``-word blocks.
+    """
+    as_words(a)
+    return _step_blocks(a, _partition_block, pred)
+
+
+def _split_block(a: np.ndarray, key, inclusive: bool, buf: np.ndarray,
+                 m: int, pos: int, take: int) -> int:
+    """The quicksorts' step: split a[pos:pos+take] onto a[:pos], whose first
+    m words are below ``key`` (at most ``key`` if inclusive) and the rest
+    not; returns the new m.  The block's t matches are its t smallest words,
+    so ``ndarray.partition`` (in-place introselect) moves them first; then
+    its last d = min(t, pos - m) swap through buf with a[m:m+d]."""
+    block = a[pos:pos + take]
+    t = int(np.count_nonzero(block <= key if inclusive else block < key))
+    if t == 0 or (t == take and m == pos):
+        return m + t
+    if t < take:
+        block.partition(t)
+    d = min(t, pos - m)
+    buf[:d] = a[m:m + d]
+    a[m:m + d] = a[pos + t - d:pos + t]
+    a[pos + t - d:pos + t] = buf[:d]
+    return m + t
+
+
+def _quicksort(a: np.ndarray, rng, split, base: int) -> None:
     """Quicksort shared by both space models.
 
-    ``partition(seg, pred)`` moves seg's pred-true elements first and returns
-    their count; segments of at most ``base`` words are sorted directly.  The
+    ``split(seg, key, inclusive)`` moves seg's words below the key (at most
+    the key if inclusive) first, by the split step, and returns their count;
+    segments of at most ``base`` words are sorted directly.  The
     smaller side recurses and the larger one loops, so the recursion depth is
     at most log2(n).  After 4*log2(n) partitions on one path the pivot
     stream restarts, which bounds a path against a run of bad pivots.
@@ -248,9 +274,10 @@ def _quicksort(a: np.ndarray, rng, partition, base: int) -> None:
             if depth > limit:
                 attempt += 1
                 depth = 0
-            pv = int(a[lo + rng.word(((lo << 21) ^ hi) + attempt * 0x9E37) % (hi - lo)])
-            less = partition(a[lo:hi], lambda b: b < WORD(pv))
-            equal = partition(a[lo + less:hi], lambda b: b == WORD(pv))
+            pv = a[lo + rng.word(((lo << 21) ^ hi) + attempt * 0x9E37) % (hi - lo)]
+            less = split(a[lo:hi], pv, False)
+            # a[lo + less:hi] holds no word below pv, so <= pv is == pv
+            equal = split(a[lo + less:hi], pv, True)
             left_hi = lo + less
             right_lo = lo + less + equal
             depth += 1
@@ -269,13 +296,14 @@ def _quicksort(a: np.ndarray, rng, partition, base: int) -> None:
 
 
 def quicksort_strong(a: np.ndarray, rng) -> None:
-    """In-place quicksort over unstable partition with random pivots.
+    """In-place quicksort by the split step with random pivots.
 
     Recursion depth is at most log2(n) (the smaller side recurses); after
     4*log2(n) partitions on one path the pivot stream restarts.
     """
     as_words(a)
-    _quicksort(a, rng, partition_unstable, SCRATCH_WORDS)
+    _quicksort(a, rng, lambda seg, key, inclusive:
+               _step_blocks(seg, _split_block, key, inclusive), SCRATCH_WORDS)
 
 
 # ---------------------------------------------------------------------------

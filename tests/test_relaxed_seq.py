@@ -17,6 +17,7 @@ from pipal.relaxed import (
     quicksort_relaxed,
 )
 from pipal.runtime import (
+    M64,
     POWER_ONLY_FRACTION,
     SCRATCH_WORDS,
     EpsilonConfig,
@@ -116,8 +117,12 @@ def test_quicksort_relaxed_duplicates():
 def _edge_input(kind, n):
     if kind == "all-equal":
         return np.full(n, 12345, dtype=WORD)
+    if kind == "all-max":
+        return np.full(n, M64, dtype=WORD)
     if kind == "two-valued":
         return rand_words(21, n) % WORD(2) + WORD(7)
+    if kind == "top-bit":
+        return rand_words(23, n) | WORD(1 << 63)
     a = np.sort(rand_words(22, n))
     return a if kind == "sorted" else a[::-1].copy()
 
@@ -128,6 +133,24 @@ def test_quicksort_relaxed_edge_inputs(kind, budget):
     a = _edge_input(kind, 1 << 16)
     ref = np.sort(a)
     quicksort_relaxed(a, Rng(5), *([] if budget is None else [budget]))
+    assert np.array_equal(a, ref)
+
+
+QUICKSORTS = {
+    "strong": lambda a: strong.quicksort_strong(a, Rng(6)),
+    "relaxed": lambda a: quicksort_relaxed(a, Rng(6)),
+}
+
+
+@pytest.mark.parametrize("n", [SCRATCH_WORDS - 1, SCRATCH_WORDS + 1,
+                               3 * SCRATCH_WORDS + 7, 1 << 16])
+@pytest.mark.parametrize("kind", ["all-equal", "two-valued", "sorted", "reverse",
+                                  "all-max", "top-bit"])
+@pytest.mark.parametrize("model", sorted(QUICKSORTS))
+def test_quicksorts_on_edge_shapes(model, kind, n):
+    a = _edge_input(kind, n)
+    ref = np.sort(a)
+    QUICKSORTS[model](a)
     assert np.array_equal(a, ref)
 
 
@@ -308,6 +331,39 @@ def test_partitions_step_over_their_blocks(monkeypatch):
     assert 0 < takes[-1] <= b and sum(takes) == n
 
 
+def test_quicksorts_split_over_their_blocks(monkeypatch):
+    # both quicksorts run the one split step, the strong one over
+    # SCRATCH_WORDS-word blocks and the relaxed one over b(n)-word rounds;
+    # neither runs the predicate step
+    calls = []  # per split step: (segment length, pos, take)
+    step = strong._split_block
+
+    def record(seg, key, inclusive, buf, m, pos, take):
+        calls.append((len(seg), pos, take))
+        return step(seg, key, inclusive, buf, m, pos, take)
+
+    def refuse(*args):
+        raise AssertionError("a quicksort entered the predicate step")
+
+    for module in (strong, relaxed):
+        monkeypatch.setattr(module, "_split_block", record)
+        monkeypatch.setattr(module, "_partition_block", refuse)
+    n = 1 << 16
+    cfg = EpsilonConfig(0.5, POWER_ONLY_FRACTION)
+    b = cfg.prefix_words(n)
+    assert b == 256
+    for sort, block in ((lambda a: strong.quicksort_strong(a, Rng(2)), SCRATCH_WORDS),
+                        (lambda a: quicksort_relaxed(a, Rng(2), cfg), b)):
+        calls.clear()
+        a = rand_words(10, n)
+        ref = np.sort(a)
+        sort(a)
+        assert np.array_equal(a, ref)
+        assert calls[0] == (n, 0, block)
+        assert all(pos % block == 0 and take == min(block, size - pos)
+                   for size, pos, take in calls)
+
+
 def test_array_ops_keep_the_whole_budget(monkeypatch):
     # only the round engine's clients run over the capped round_words(n);
     # the array ops keep b(n), where they are fastest
@@ -392,6 +448,20 @@ def test_relaxed_merges_charge_nothing(op, eps):
     assert np.array_equal(a, ref)
     assert meter.current_words == 0
     assert report.peak_words == 0, report.peak_words
+
+
+def test_quicksort_relaxed_traced_peak_is_two_buffers(traced_peak):
+    # the split's charged b(n)-word buffer and its block temporaries,
+    # nothing that grows with the segment
+    n = 1 << 18
+    cfg = EpsilonConfig(0.5)
+    b = cfg.prefix_words(n)
+    assert b == 5242
+    a = rand_words(44, n)
+    ref = np.sort(a)
+    peak, _ = traced_peak(lambda: quicksort_relaxed(a, Rng(1), cfg))
+    assert np.array_equal(a, ref)
+    assert peak <= 2 * 8 * b, peak
 
 
 @pytest.mark.parametrize("budget", [

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pipal import baselines as bl
@@ -257,6 +257,36 @@ def test_partition_step_at_tiny_blocks(vals, t, block):
     check(a, relaxed._partition_rounds(a, pred, block))
 
 
+@settings(max_examples=300, deadline=None)
+@given(vals=st.lists(st.integers(0, 3), max_size=64), key=st.integers(0, 3),
+       inclusive=st.booleans(), block=st.integers(1, 8))
+@example(vals=[3] * 9, key=0, inclusive=False, block=4)  # t = 0 throughout
+@example(vals=[0] * 9, key=0, inclusive=True, block=4)  # matches onto matches
+@example(vals=[3, 3, 1, 0, 0, 1], key=1, inclusive=True, block=2)  # t = take
+def test_split_step_at_tiny_blocks(vals, key, inclusive, block):
+    # values 0-3 against < key or <= key give every count 0..take and
+    # already split prefixes; both drivers of the one split step must split
+    below = (lambda x: x <= WORD(key)) if inclusive else (lambda x: x < WORD(key))
+    ref = words(vals)
+    count = int(np.count_nonzero(below(ref)))
+
+    def check(a, m):
+        assert m == count
+        assert np.all(below(a[:m])) and not np.any(below(a[m:]))
+        assert np.array_equal(np.sort(a), np.sort(ref))
+
+    a = ref.copy()
+    buf = np.empty(block, dtype=WORD)
+    m = 0
+    for pos in range(0, len(a), block):
+        m = strong._split_block(a, WORD(key), inclusive, buf, m, pos,
+                                min(block, len(a) - pos))
+    check(a, m)
+    a = ref.copy()
+    check(a, relaxed._step_rounds(a, block, strong._split_block, WORD(key),
+                                  inclusive))
+
+
 @pytest.mark.parametrize("n", [0, 1, 3, 100, 10_000, 50_000])
 def test_quicksort_strong_matches_sorted_oracle(n):
     a = rand_words(n + 1, n)
@@ -472,6 +502,16 @@ def test_strong_traced_peak_is_a_constant(op, n, traced_peak):
     args = _strong_args(op, n)
     peak, _ = traced_peak(lambda: getattr(strong, op)(*args))
     assert peak <= TRACED_BOUND_BYTES, (op, n, peak)
+
+
+def test_quicksort_strong_traced_peak_is_one_block(traced_peak):
+    # the split step selects in place and swaps through its one-block
+    # buffer, so at 2^20 the sort traces about one block plus temporaries
+    a = rand_words(3, 1 << 20)
+    ref = np.sort(a)
+    peak, _ = traced_peak(lambda: strong.quicksort_strong(a, Rng(1)))
+    assert np.array_equal(a, ref)
+    assert peak <= 64 * 1024, peak
 
 
 @pytest.mark.parametrize("threads", [1, 2, 4])
