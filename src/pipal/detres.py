@@ -29,9 +29,10 @@ from .runtime import (
     add_rounds,
     alloc,
     alloc_bool,
-    compact_by_mask,
+    keep_block,
     release,
     run_starts,
+    step_blocks,
 )
 
 __all__ = ["ReservationTable", "RoundStats", "RoundView", "decompose_driver",
@@ -222,7 +223,8 @@ def run_rounds(n_iterates: int, prefix_size: int, reserve, commit, clean,
         reserve(view)
         commit(view)
         clean(view)
-        state["fill"] = compact_by_mask(ids, lambda s, e: ~committed[s:e], 0, fill)
+        state["fill"] = step_blocks(ids[:fill], keep_block,
+                                    lambda s, e: ~committed[s:e])
         return fill - state["fill"]
 
     try:

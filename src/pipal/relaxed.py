@@ -5,14 +5,14 @@ keeps its charged auxiliary footprint within a small constant times
 ``budget.prefix_words(n)``.  Random permutation runs on the deterministic
 reservations engine with one target-keyed reservation table, a sorted
 write-max run built by one sort per round, over the cache-capped prefix
-``budget.round_words(n)`` <= b(n); filter,
-partition and quicksort retire one budget-sized prefix per round.  All of
-them run on :func:`pipal.detres.decompose_driver`, the one round loop, with
-its one livelock rule.  Partition and quicksort run the strong steps over
-b(n)-word blocks through one charged buffer, and merging is the strong
-merge's bisection recursion with max(SCRATCH_WORDS, 3·b(n))-word leaves,
-each sorted in place, so the merges charge nothing; mergesort merges every
-segment with the whole array's b(n), as quicksort splits with it.
+``budget.round_words(n)`` <= b(n).  Filter, partition and quicksort run the
+strong steps (compaction, partition, split) through :func:`_step_rounds`,
+the relaxed block loop: one b(n)-word block per round through one charged
+buffer.  All of them run on :func:`pipal.detres.decompose_driver`, the one
+round loop, with its one livelock rule.  Merging is the strong merge's
+bisection recursion with max(SCRATCH_WORDS, 3·b(n))-word leaves, each sorted
+in place, so the merges charge nothing; mergesort merges every segment with
+the whole array's b(n), as quicksort splits with it.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .runtime import (
     as_words,
     aux,
     ix,
+    keep_block,
     release,
 )
 from .strong import (
@@ -189,28 +190,10 @@ def random_permutation(a: np.ndarray, h: np.ndarray, variant: str = "final",
 
 def filter_relaxed(a: np.ndarray, pred,
                    budget: EpsilonConfig = DEFAULT_BUDGET) -> int:
-    """Stable filter, one budget-sized prefix per round through a buffer."""
+    """Stable filter: the strong filter's step in b(n)-word rounds."""
     as_words(a)
-    n = len(a)
-    if n == 0:
-        return 0
-    b = budget.prefix_words(n)
-    state = {"m": 0, "pos": 0}
-    with aux(b) as buf:
-        def step(hint: int) -> int:
-            pos, m = state["pos"], state["m"]
-            take = min(hint, n - pos)
-            chunk = a[pos:pos + take]
-            mask = np.asarray(pred(chunk), dtype=bool)
-            cnt = int(np.count_nonzero(mask))
-            np.compress(mask, chunk, out=buf[:cnt])
-            a[m:m + cnt] = buf[:cnt]
-            state["m"] = m + cnt
-            state["pos"] = pos + take
-            return take
-
-        decompose_driver(n, b, step)
-    return state["m"]
+    return _step_rounds(a, budget.prefix_words(len(a)), keep_block,
+                        lambda s, e: pred(a[s:e]))
 
 
 def partition_relaxed(a: np.ndarray, pred,
@@ -218,18 +201,13 @@ def partition_relaxed(a: np.ndarray, pred,
     """Unstable partition: the strong partition's step over one b(n)-word
     block per round, preserving the multiset."""
     as_words(a)
-    return _partition_rounds(a, pred, budget.prefix_words(len(a)))
-
-
-def _partition_rounds(a: np.ndarray, pred, b: int) -> int:
-    """Partition ``a`` by ``pred`` in rounds of ``b`` words."""
-    return _step_rounds(a, b, _partition_block, pred)
+    return _step_rounds(a, budget.prefix_words(len(a)), _partition_block, pred)
 
 
 def _step_rounds(a: np.ndarray, b: int, step, *args) -> int:
-    """Run the strong partition step ``step(a, *args, buf, m, pos, take)``
-    over one ``b``-word block of ``a`` per round, through one charged buffer
-    of min(b, len(a)) words; return the match count."""
+    """The relaxed block loop: run ``step(a, *args, buf, m, pos, take)`` over
+    one ``b``-word block of ``a`` per round through one charged buffer of
+    min(b, len(a)) words (which also covers keep_block's gather); return m."""
     n = len(a)
     if n == 0:
         return 0

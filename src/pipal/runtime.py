@@ -1,4 +1,5 @@
-"""Shared runtime: sequential ``fork_join``, space metering, splittable RNG.
+"""Shared runtime: sequential ``fork_join``, space metering, splittable RNG,
+and the strong block loop with the compaction step that both models run.
 
 Every algorithm in this package operates in place on 1-D contiguous numpy
 arrays of unsigned 64-bit words.  Auxiliary heap space is counted in 64-bit
@@ -37,7 +38,7 @@ __all__ = [
     "SpaceMeter", "MeterReport", "meter_scope", "metered", "add_rounds",
     "alloc", "alloc_bool", "release", "aux",
     "Rng", "EpsilonConfig", "POWER_ONLY_FRACTION",
-    "compact_by_mask", "run_starts",
+    "keep_block", "step_blocks", "run_starts",
 ]
 
 
@@ -305,28 +306,30 @@ def run_starts(x: np.ndarray) -> np.ndarray:
     return first
 
 
-def compact_by_mask(arr: np.ndarray, block_mask, lo: int, hi: int) -> int:
-    """Stable in-place compaction of arr[lo:hi); returns the end of the kept run.
+def keep_block(a: np.ndarray, keep, buf: np.ndarray, m: int, pos: int,
+               take: int) -> int:
+    """Stably compact a[pos:pos+take] onto the m words kept so far in a[:m];
+    returns the new m.  ``keep(s, e)`` gives the keep mask of a[s:e].
 
-    ``block_mask(s, e)`` gives the keep mask of arr[s:e] for one block of at
-    most SCRATCH_WORDS words; it is read before any element of the block
-    moves.  Every write lands in the kept run so far, which ends below s
-    unless nothing has been dropped, and then nothing has been written; so
-    block_mask(s, e) may also read arr[s - 1], which still holds its input
-    word.  Only one block is held at a time, so the scratch is constant and
-    zero-heap operations may use it.
-    """
-    w = lo
-    s = lo
-    while s < hi:
-        e = min(s + SCRATCH_WORDS, hi)
-        idx = np.flatnonzero(block_mask(s, e))
-        cnt = len(idx)
-        if cnt:
-            if w == s and cnt == e - s:
-                w = e
-            else:
-                arr[w:w + cnt] = arr[s:e][idx]
-                w += cnt
-        s = e
-    return w
+    The kept words are gathered to a[m:m+cnt], a run that ends below
+    a[pos+take-1] unless the block is kept whole onto an undropped a[:pos],
+    and such a block moves nothing; so keep(s, e) may also read a[s - 1],
+    which still holds its input word.  buf is not used: the gather is a
+    frame-local temporary of at most ``take`` words."""
+    idx = np.flatnonzero(keep(pos, pos + take))
+    cnt = len(idx)
+    if cnt and not (m == pos and cnt == take):
+        a[m:m + cnt] = a[pos:pos + take][idx]
+    return m + cnt
+
+
+def step_blocks(a: np.ndarray, step, *args) -> int:
+    """The strong block loop: run ``step(a, *args, buf, m, pos, take)`` over
+    a's ``SCRATCH_WORDS``-word blocks in order through one uncharged
+    one-block buffer; return m."""
+    n = len(a)
+    buf = np.empty(min(SCRATCH_WORDS, n), dtype=WORD)
+    m = 0
+    for pos in range(0, n, SCRATCH_WORDS):
+        m = step(a, *args, buf, m, pos, min(SCRATCH_WORDS, n - pos))
+    return m

@@ -2,10 +2,11 @@
 
 Operations here never allocate through the space meter; per-call scratch is
 bounded by ``runtime.SCRATCH_WORDS`` and is treated as stack space.  Scan and
-reduce add mod 2^64.  The partition and quicksort's split (an in-place
-selection) step through ``SCRATCH_WORDS``-word blocks; the merge bisects by
-dual binary search and rotation down to ``SCRATCH_WORDS``-word leaves, each
-sorted in place.  The relaxed model runs these over larger blocks and leaves.
+reduce add mod 2^64.  Every array pass runs one step, ``runtime.keep_block``,
+the partition or the split (an in-place selection), over ``SCRATCH_WORDS``
+blocks through ``runtime.step_blocks``; the merge bisects down to sorted
+``SCRATCH_WORDS``-word leaves.  The relaxed model runs these over larger
+blocks and leaves.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ from .runtime import (
     SCRATCH_WORDS,
     WORD,
     as_words,
-    compact_by_mask,
     fork_join,
+    keep_block,
     run_starts,
+    step_blocks,
 )
 
 __all__ = [
@@ -180,12 +182,12 @@ def scan_blocked(a: np.ndarray) -> ScanResult:
 def filter_kway(a: np.ndarray, pred) -> int:
     """Stable in-place filter: kept elements end up in a[0:m); returns m.
 
-    One left-to-right block compaction.  The paper's sqrt(n)-chunk schedule
+    One pass of the keep step over blocks.  The paper's sqrt(n)-chunk schedule
     (count, compact and move chunks in parallel) is not kept: fork_join runs
     in order, so the chunks would only add passes.
     """
     as_words(a)
-    return compact_by_mask(a, lambda s, e: pred(a[s:e]), 0, len(a))
+    return step_blocks(a, keep_block, lambda s, e: pred(a[s:e]))
 
 
 def _partition_block(a: np.ndarray, pred, buf: np.ndarray, m: int, pos: int,
@@ -214,24 +216,13 @@ def _partition_block(a: np.ndarray, pred, buf: np.ndarray, m: int, pos: int,
     return m + t
 
 
-def _step_blocks(a: np.ndarray, step, *args) -> int:
-    """Run ``step(a, *args, buf, m, pos, take)`` over a's ``SCRATCH_WORDS``-word
-    blocks in order through one uncharged one-block buffer; return m."""
-    n = len(a)
-    buf = np.empty(min(SCRATCH_WORDS, n), dtype=WORD)
-    m = 0
-    for pos in range(0, n, SCRATCH_WORDS):
-        m = step(a, *args, buf, m, pos, min(SCRATCH_WORDS, n - pos))
-    return m
-
-
 def partition_unstable(a: np.ndarray, pred) -> int:
     """Unstable partition: pred-true elements first, multiset preserved.
 
     One pass of the partition step over ``SCRATCH_WORDS``-word blocks.
     """
     as_words(a)
-    return _step_blocks(a, _partition_block, pred)
+    return step_blocks(a, _partition_block, pred)
 
 
 def _split_block(a: np.ndarray, key, inclusive: bool, buf: np.ndarray,
@@ -276,8 +267,8 @@ def _quicksort(a: np.ndarray, rng, split, base: int) -> None:
                 depth = 0
             pv = a[lo + rng.word(((lo << 21) ^ hi) + attempt * 0x9E37) % (hi - lo)]
             less = split(a[lo:hi], pv, False)
-            # a[lo + less:hi] holds no word below pv, so <= pv is == pv
-            equal = split(a[lo + less:hi], pv, True)
+            # less > 0 shrinks both sides; else <= pv splits off the == pv
+            equal = 0 if less else split(a[lo:hi], pv, True)
             left_hi = lo + less
             right_lo = lo + less + equal
             depth += 1
@@ -303,7 +294,7 @@ def quicksort_strong(a: np.ndarray, rng) -> None:
     """
     as_words(a)
     _quicksort(a, rng, lambda seg, key, inclusive:
-               _step_blocks(seg, _split_block, key, inclusive), SCRATCH_WORDS)
+               step_blocks(seg, _split_block, key, inclusive), SCRATCH_WORDS)
 
 
 # ---------------------------------------------------------------------------
@@ -402,23 +393,21 @@ def mergesort_strong(a: np.ndarray) -> None:
 
 def set_union(a: np.ndarray, split: int, debug: bool = False) -> int:
     """Union of two sorted duplicate-free runs; result in a[0:m), returns m."""
-    n = _run_args(a, split, debug, _check_set_run)
+    _run_args(a, split, debug, _check_set_run)
     merge_strong(a, split)
 
     def first_of_pair(s: int, e: int) -> np.ndarray:
-        # a[s - 1] still holds its merged word (see compact_by_mask)
+        # a[s - 1] still holds its merged word (see keep_block)
         keep = run_starts(a[s:e])
         keep[0] = s == 0 or a[s] != a[s - 1]
         return keep
 
-    return compact_by_mask(a, first_of_pair, 0, n)
+    return step_blocks(a, keep_block, first_of_pair)
 
 
-def _compact_members(a: np.ndarray, lo: int, hi: int, run: np.ndarray,
-                     keep_found: bool) -> int:
-    """Compact a[lo:hi) to the words found (keep_found) or not found in the
-    nonempty sorted run, which must lie outside a[lo:hi); returns the kept
-    run's end."""
+def _compact_members(a: np.ndarray, run: np.ndarray, keep_found: bool) -> int:
+    """Compact a to the words found (keep_found) or not found in the
+    nonempty sorted run, which must lie outside a; returns the kept count."""
     last = len(run) - 1
 
     def member(s: int, e: int) -> np.ndarray:
@@ -428,7 +417,7 @@ def _compact_members(a: np.ndarray, lo: int, hi: int, run: np.ndarray,
         found = run[idx] == block
         return found if keep_found else ~found
 
-    return compact_by_mask(a, member, lo, hi)
+    return step_blocks(a, keep_block, member)
 
 
 def set_intersect(a: np.ndarray, split: int, debug: bool = False) -> int:
@@ -438,8 +427,8 @@ def set_intersect(a: np.ndarray, split: int, debug: bool = False) -> int:
         return 0
     # probe the smaller run against the larger
     if split <= n - split:
-        return _compact_members(a, 0, split, a[split:], keep_found=True)
-    m = _compact_members(a, split, n, a[:split], keep_found=True) - split
+        return _compact_members(a[:split], a[split:], keep_found=True)
+    m = _compact_members(a[split:], a[:split], keep_found=True)
     a[:m] = a[split:split + m]  # disjoint: m <= n - split < split
     return m
 
@@ -449,4 +438,4 @@ def set_difference(a: np.ndarray, split: int, debug: bool = False) -> int:
     n = _run_args(a, split, debug, _check_set_run)
     if split == 0 or split == n:
         return split
-    return _compact_members(a, 0, split, a[split:], keep_found=False)
+    return _compact_members(a[:split], a[split:], keep_found=False)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import pytest
@@ -95,3 +96,18 @@ def test_every_private_definition_is_referenced(name):
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                     ast.ClassDef))}
     assert sorted(n for n in defined if n.startswith("_") and n not in used) == []
+
+
+def test_decompose_driver_has_one_caller_per_loop():
+    # the round engine and the relaxed block loop are the only round loops;
+    # every other relaxed pass runs a step through the block loop
+    root = pathlib.Path(pipal.__file__).parent
+    callers = set()
+    for path in sorted(root.rglob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "decompose_driver" in (
+                        getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None)):
+                    callers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert callers == {"detres.run_rounds", "relaxed._step_rounds"}

@@ -18,14 +18,15 @@ from pipal.runtime import (
     add_rounds,
     alloc,
     aux,
-    compact_by_mask,
     fork_join,
     ix,
+    keep_block,
     meter_scope,
     metered,
     release,
     run_starts,
     set_num_threads,
+    step_blocks,
 )
 
 
@@ -219,7 +220,7 @@ def test_compact_by_mask_matches_boolean_indexing(mask, seed):
     keep = np.array(mask, dtype=bool)
     arr = rng.integers(0, 1 << 64, size=len(keep), dtype=np.uint64)
     expected = arr[keep].tolist()
-    cnt = compact_by_mask(arr, lambda s, e: keep[s:e], 0, len(arr))
+    cnt = step_blocks(arr, keep_block, lambda s, e: keep[s:e])
     assert arr[:cnt].tolist() == expected
 
 

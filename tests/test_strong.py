@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pipal import baselines as bl
-from pipal import relaxed, strong
+from pipal import relaxed, runtime, strong
 from pipal.runtime import (
     M64,
     SCRATCH_WORDS,
@@ -14,6 +16,7 @@ from pipal.runtime import (
     Rng,
     SpaceMeter,
     meter_scope,
+    run_starts,
     set_num_threads,
 )
 
@@ -254,7 +257,7 @@ def test_partition_step_at_tiny_blocks(vals, t, block):
         m = strong._partition_block(a, pred, buf, m, pos, min(block, len(a) - pos))
     check(a, m)
     a = ref.copy()
-    check(a, relaxed._partition_rounds(a, pred, block))
+    check(a, relaxed._step_rounds(a, block, strong._partition_block, pred))
 
 
 @settings(max_examples=300, deadline=None)
@@ -287,6 +290,36 @@ def test_split_step_at_tiny_blocks(vals, key, inclusive, block):
                                   inclusive))
 
 
+@settings(max_examples=300, deadline=None)
+@given(vals=st.lists(st.integers(0, 3), max_size=64), block=st.integers(1, 8),
+       first_of_run=st.booleans())
+@example(vals=[1] * 9 + [0, 1, 1], block=4, first_of_run=False)
+@example(vals=[0, 1, 2, 3] * 2 + [3, 3, 0], block=4, first_of_run=True)
+@example(vals=[0, 0, 1, 1, 2], block=1, first_of_run=True)
+def test_keep_step_at_tiny_blocks(vals, block, first_of_run):
+    # odd values 0-3 give all-kept, none-kept and undropped prefixes before
+    # a drop; the first-of-run mask reads a[s - 1] across block edges, as
+    # set_union's does; both loops of the one keep step compact stably
+    ref = words(vals)
+    expected = ref[run_starts(ref) if first_of_run else (ref & WORD(1)) == 1]
+
+    def keep_for(a):
+        def first(s, e):
+            keep = run_starts(a[s:e])
+            keep[0] = s == 0 or a[s] != a[s - 1]
+            return keep
+
+        return first if first_of_run else lambda s, e: (a[s:e] & WORD(1)) == 1
+
+    a = ref.copy()
+    with mock.patch.object(runtime, "SCRATCH_WORDS", block):
+        m = runtime.step_blocks(a, runtime.keep_block, keep_for(a))
+    assert a[:m].tolist() == expected.tolist()
+    a = ref.copy()
+    m = relaxed._step_rounds(a, block, runtime.keep_block, keep_for(a))
+    assert a[:m].tolist() == expected.tolist()
+
+
 @pytest.mark.parametrize("n", [0, 1, 3, 100, 10_000, 50_000])
 def test_quicksort_strong_matches_sorted_oracle(n):
     a = rand_words(n + 1, n)
@@ -301,6 +334,26 @@ def test_quicksort_strong_duplicates():
     a = words([3, 1, 2] * SCRATCH_WORDS)
     strong.quicksort_strong(a, Rng(5))
     assert np.array_equal(a, np.sort(words([3, 1, 2] * SCRATCH_WORDS)))
+
+
+def test_quicksort_strong_splits_off_equals_only_at_a_minimum_pivot(monkeypatch):
+    # the == split runs only when the pivot is its segment's minimum, which
+    # a distinct-word segment of thousands of words almost never draws
+    blocks = {False: 0, True: 0}  # split-step calls per inclusive flag
+    step = strong._split_block
+
+    def record(a, key, inclusive, buf, m, pos, take):
+        blocks[inclusive] += 1
+        return step(a, key, inclusive, buf, m, pos, take)
+
+    monkeypatch.setattr(strong, "_split_block", record)
+    n = 1 << 16
+    a = rand_words(12, n)
+    assert len(np.unique(a)) == n
+    ref = np.sort(a)
+    strong.quicksort_strong(a, Rng(4))
+    assert np.array_equal(a, ref)
+    assert blocks[False] > 0 and blocks[True] == 0, blocks
 
 
 # ---------------------------------------------------------------------------
