@@ -1,4 +1,4 @@
-"""The round driver, the deterministic-reservations engine and the write-max
+"""The round driver, the deterministic-reservations engine and a write-max
 reservation table.
 
 :func:`decompose_driver` is the one round loop behind every relaxed
@@ -9,12 +9,10 @@ meter (:func:`pipal.runtime.add_rounds`).  :func:`run_rounds` is one step
 of that loop over a packed prefix of pending iterates: refill from the id
 source, reserve phase, barrier, commit phase, barrier, cleaning phase, then
 failure packing.  Phase callbacks receive the whole active prefix at once
-and operate on it with array operations; write-max claims go through
-:class:`ReservationTable`, whose batch updates are linearizable per key by
-construction, so results are independent of thread count.  The table is one
-sorted run of distinct keys: a reservation sorts its batch with the run and
-keeps each key's maximum, and a lookup sorts its batch and searches the
-run.
+and operate on it with array operations, so results are independent of
+thread count.  Each client resolves its own write-max claims: random
+permutation by one sort of packed (target, position) words per round, the
+contractions by comparing neighbor priorities.
 """
 
 from __future__ import annotations
@@ -50,6 +48,10 @@ class LivelockError(RuntimeError):
 
 class ReservationTable:
     """Word->word map with write-max semantics, kept as one sorted run.
+
+    No library operation uses it: random permutation now sorts its own
+    packed claims.  It stays, with its tests, because perfbench's tracer
+    patches its ``reserve_max``, ``lookup`` and ``delete`` by name.
 
     ``keys[:count]`` are the distinct keys in ascending order and
     ``vals[:count]`` their values; the run holds at most ``capacity``
@@ -212,9 +214,9 @@ def run_rounds(n_iterates: int, prefix_size: int, reserve, commit, clean,
     def step(_hint: int) -> int:
         fill = state["fill"]
         fresh = source(prefix - fill)
-        if len(fresh):
-            ids[fill:fill + len(fresh)] = fresh
-            fill += len(fresh)
+        ids[fill:fill + len(fresh)] = fresh
+        fill += len(fresh)
+        del fresh  # free the source's array before the phases allocate
         if fill == 0:
             raise RuntimeError("id source ran dry before every iterate "
                                "committed")

@@ -3,12 +3,12 @@
 Each operation takes an :class:`~pipal.runtime.EpsilonConfig` budget and
 keeps its charged auxiliary footprint within a small constant times
 ``budget.prefix_words(n)``.  Random permutation runs on the deterministic
-reservations engine with one target-keyed reservation table, a sorted
-write-max run built by one sort per round, over the cache-capped prefix
-``budget.round_words(n)`` <= b(n).  Filter, partition and quicksort run the
-strong steps (compaction, partition, split) through :func:`_step_rounds`,
-the relaxed block loop: one b(n)-word block per round through one charged
-buffer.  All of them run on :func:`pipal.detres.decompose_driver`, the one
+reservations engine over the cache-capped prefix ``budget.round_words(n)``
+<= b(n); each round finds its write-max winners with one sort of packed
+(target, position) words in one charged buffer.  Filter, partition and
+quicksort run the strong steps (compaction, partition, split) through
+:func:`_step_rounds`, the relaxed block loop: one b(n)-word block per round
+through one charged buffer.  All of them run on :func:`pipal.detres.decompose_driver`, the one
 round loop, with its one livelock rule.  Merging is the strong merge's
 bisection recursion with max(SCRATCH_WORDS, 3·b(n))-word leaves, each sorted
 in place, so the merges charge nothing; mergesort merges every segment with
@@ -19,12 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .detres import (
-    ReservationTable,
-    RoundStats,
-    decompose_driver,
-    run_rounds,
-)
+from .detres import RoundStats, decompose_driver, run_rounds
 from .runtime import (
     SCRATCH_WORDS,
     WORD,
@@ -35,6 +30,7 @@ from .runtime import (
     ix,
     keep_block,
     release,
+    run_starts,
 )
 from .strong import (
     _check_sorted_run,
@@ -60,6 +56,10 @@ __all__ = [
 DEFAULT_BUDGET = EpsilonConfig(epsilon=0.5)
 
 RP_VARIANTS = ("final",)
+
+# a round's packed claim: the target above 32 bits, the batch position below
+_SHIFT = WORD(32)
+_LOW = WORD((1 << 32) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -97,24 +97,24 @@ def _check_swaps(h: np.ndarray, block: int) -> int:
 class _RpClient:
     """Round callbacks and storage for random permutation.
 
-    Swap targets are staged in a prefix-sized array, and one reservation
-    table, a sorted run of at most prefix keys, is keyed by target only: an
-    iterate writes its id at its target with write-max.  It commits when
-    its target holds its own id and its own position was not claimed as
-    anyone's target this round (a claim there always comes from a larger
-    id, since h[j] < j).  The run is emptied after each round.
+    Each round packs every iterate's claim into one prefix-sized buffer,
+    its target above its batch position, and sorts it.  The round's ids
+    strictly descend (failures stay in order ahead of the fresh ids, and
+    every fresh id is below every earlier one), so each target's run starts
+    at its smallest position, which holds its largest id: the write-max
+    winner.  An iterate commits when it heads its target's run and no
+    iterate targets its own position (a claim there always comes from a
+    larger id, since h[j] < j).
     """
 
     def __init__(self, a: np.ndarray, h: np.ndarray, prefix: int):
         self.a = a
         self.h = h
-        self.rtable = ReservationTable(prefix)
-        self.hcache = alloc(prefix)
+        self.claims = alloc(prefix)
         self.cursor = len(a) - 1
 
     def release(self) -> None:
-        release(self.hcache)
-        self.rtable.release()
+        release(self.claims)
 
     # -- iterate source: descending ids, self-swaps retired at ingestion
     def next_ids(self, count: int) -> np.ndarray:
@@ -134,25 +134,37 @@ class _RpClient:
     # -- phases
     def reserve(self, view) -> None:
         ids = view.ids
-        hv = self.hcache[:len(ids)]
-        np.take(self.h, ix(ids), out=hv)
-        self.rtable.reserve_max(hv, ids)
+        claims = self.claims[:len(ids)]
+        np.take(self.h, ix(ids), out=claims)
+        claims <<= _SHIFT
+        claims |= np.arange(len(ids), dtype=WORD)
+        claims.sort()
 
     def commit(self, view) -> None:
         ids = view.ids
-        hv = self.hcache[:len(ids)]
-        own_found = self.rtable.lookup(ids)[1]
-        tgt_vals, tgt_found = self.rtable.lookup(hv)
-        view.committed[:] = ~own_found & tgt_found & (tgt_vals == ids)
+        claims = self.claims[:len(ids)]
+        claimed = view.committed  # by position, until the commit mask
+        tgt = claims >> _SHIFT
+        # one sorted search of the ascending ids[::-1]; an id above every
+        # target clips to the last one, which differs from it
+        np.equal(tgt.take(np.searchsorted(tgt, ids[::-1]), mode="clip"),
+                 ids[::-1], out=claimed[::-1])
+        won = claims[run_starts(tgt)]
+        del tgt  # free each temporary early: commit sets rp's traced peak
+        won = won[~claimed[ix(won & _LOW)]]
+        dst = ix(won >> _SHIFT)
+        won &= _LOW
+        view.committed[:] = False
+        view.committed[ix(won)] = True
 
-        src = ix(ids[view.committed])
-        dst = ix(hv[view.committed])
+        src = ix(ids[ix(won)])
+        del won
         tmp = self.a[src]
         self.a[src] = self.a[dst]
         self.a[dst] = tmp
 
     def clean(self, view) -> None:
-        self.rtable.clear()
+        pass
 
 
 def random_permutation(a: np.ndarray, h: np.ndarray, variant: str = "final",
@@ -161,13 +173,18 @@ def random_permutation(a: np.ndarray, h: np.ndarray, variant: str = "final",
 
     The output equals the sequential shuffle with the same ``h``: rounds
     work on the first pending swaps in sequential order and only commit
-    swaps whose source and target reservations both succeeded.  Rounds run
-    over ``budget.round_words(n)`` ids, and the reservation run and target
-    stage are sized to that prefix, so the charged peak is 4·p + ⌈p/8⌉
-    words for p = round_words(n) <= b(n).
+    swaps that win their target and whose own position nobody claims.
+    Rounds run over p = ``budget.round_words(n)`` <= b(n) ids, and each
+    round sorts one p-word buffer of packed claims, so the charged peak is
+    2·p + ⌈p/8⌉ words: that buffer, the engine's p-word prefix and its
+    p-byte commit mask.  Targets are packed into 32 bits, so ``a`` must
+    hold fewer than 2^32 words.
     ``variant`` must be one of :data:`RP_VARIANTS`.
     """
     as_words(a)
+    if len(a) >= 1 << 32:
+        raise ValueError("random permutation supports fewer than 2^32 "
+                         "elements")
     if len(h) != len(a):
         raise ValueError("swap sequence length must match the array")
     if variant not in RP_VARIANTS:

@@ -39,10 +39,16 @@ def traced_peak():
 def capture_rounds(monkeypatch):
     """``capture_rounds(module)`` wraps ``module.run_rounds`` for the rest of
     the test and returns a list that gains one (ids, committed ids) pair of
-    lists per round: the ids reserve sees, and those committed after commit."""
+    lists per round: the ids reserve sees, and those committed after commit.
+    Called again for the same module, it empties and returns the same list,
+    so a hypothesis test can take a fresh list per example."""
+    captured = {}
 
     def capture(module):
-        rounds = []
+        if module in captured:
+            captured[module].clear()
+            return captured[module]
+        rounds = captured[module] = []
         real = module.run_rounds
 
         def wrapped(n, prefix, reserve, commit, clean, **kwargs):

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from pipal import baselines as bl
 from pipal import relaxed
@@ -154,16 +156,15 @@ def test_default_budget_charges_at_most_8b(n):
     (1000, EpsilonConfig(0.99, prefix_fraction=POWER_ONLY_FRACTION)),
 ])
 def test_charged_peak_is_4b_plus_mask(n, budget):
-    # for the round prefix p = round_words(n) <= b(n): the p-key run (2p
-    # words), the p-word target stage, the engine's p-word prefix and its
-    # p-byte commit mask
+    # for the round prefix p = round_words(n) <= b(n): the engine's p-word
+    # prefix and its p-byte commit mask, plus the p-word claims buffer
     b, p = budget.prefix_words(n), budget.round_words(n)
     assert p == (SCRATCH_WORDS if b > SCRATCH_WORDS else b)
     h = make_swap_sequence(n, Rng(1))
     a = np.arange(n, dtype=np.uint64)
     meter = SpaceMeter()
     report = meter_scope(meter, 8 * b, lambda: random_permutation(a, h, budget=budget))
-    assert report.peak_words == 4 * p + -(-p // 8), (p, report.peak_words)
+    assert report.peak_words == 2 * p + -(-p // 8), (p, report.peak_words)
     assert np.array_equal(a, seq_result(n, h))
 
 
@@ -206,6 +207,47 @@ def test_rounds_match_reference(capture_rounds, budget):
     expect = _reference_rounds(h, budget.round_words(n))
     assert [sorted(done) for _, done in rounds] == [sorted(r) for r in expect]
     assert np.array_equal(a, seq_result(n, h))
+
+
+@st.composite
+def _narrow_cases(draw):
+    n = draw(st.integers(0, 64))
+    h = [draw(st.integers(0, i)) for i in range(n)]
+    return words(h), draw(st.sampled_from([0.5, 0.7, 0.9, 0.99]))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_narrow_cases())
+@example((words([0] * 40), 0.7))  # every id targets 0
+@example((words([0] + list(range(39))), 0.7))  # every id its predecessor
+@example((words([0]), 0.5))
+def test_narrow_prefix_rounds_match_reference(capture_rounds, case):
+    # p = ceil(n^(1-eps)) runs from 1 to 8, so failures carry over for many
+    # rounds ahead of the fresh ids: the round's ids must still descend
+    h, eps = case
+    n = len(h)
+    budget = EpsilonConfig(eps, prefix_fraction=POWER_ONLY_FRACTION)
+    a = np.arange(n, dtype=np.uint64)
+    rounds = capture_rounds(relaxed)
+    random_permutation(a, h, budget=budget)
+    expect = _reference_rounds(h, budget.round_words(n))
+    assert [sorted(done) for _, done in rounds] == [sorted(r) for r in expect]
+    assert np.array_equal(a, seq_result(n, h))
+
+
+def test_rejects_2_to_the_32_elements():
+    # the round packs each target into 32 bits; the cap is checked from the
+    # length alone, before any word is read or charged
+    class Huge(np.ndarray):
+        def __len__(self):
+            return 1 << 32
+
+    a = np.zeros(4, dtype=np.uint64).view(Huge)
+    meter = SpaceMeter()
+    with pytest.raises(ValueError, match="2\\^32"):
+        meter_scope(meter, 1, lambda: random_permutation(a, a))
+    assert meter.current_words == 0
 
 
 def test_round_stats_conservation():
