@@ -415,8 +415,8 @@ class _TreeClient:
         self.pa[c] = pa[cm]
 
         pm = pa != _NILW
-        for node in v[~pm].tolist():
-            self.roots[node] = int(self.values[node])
+        r = vi[~pm]
+        self.roots.update(zip(r.tolist(), self.values[r].tolist()))
         v, pa, child = v[pm], pa[pm], child[pm]
         is_left = self.lf[ix(pa)] == v
         fresh = []

@@ -2,17 +2,20 @@
 
 Vertices are sampled as centers with probability 1/k (k = m^epsilon); only
 per-center state is stored, and queries run local searches instead of
-reading stored labels.  Connectivity labels come from one breadth-first
-search per center, covering the whole non-center region around it, to its
-neighboring centers, plus hook-and-contract rounds over the tiny center
-graph; the minimum spanning forest runs Boruvka rounds over the
-decomposition's clusters, labelled by the same hook-and-contract, and
-stores only the committed inter-center forest edges.  Effective edge weights are the pairs (weight, edge id), so ties are
+reading stored labels.  Connectivity labels come from breadth-first
+searches that share one visited bitmap: each non-center region is walked
+once, by the first center that touches it, which links that center to every
+center on the region's boundary; hook-and-contract rounds over the tiny
+center graph then join the linked centers.  The minimum spanning forest
+runs Boruvka rounds over the decomposition's clusters, labelled by the same
+hook-and-contract, and stores only the committed inter-center forest edges.
+Effective edge weights are the pairs (weight, edge id), so ties are
 impossible and the MSF is unique.
 
 Every breadth-first search, at build and at query time, expands a whole
-frontier level with one gather through the ingestion-time CSR index.  An
-MSF-edge query holds one n-byte visited bitmap.
+frontier level with one gather through the ingestion-time CSR index.  The
+connectivity build and an MSF-edge query each hold one n-byte visited
+bitmap.
 """
 
 from __future__ import annotations
@@ -135,25 +138,21 @@ class ConnectivityOracle:
 
 
 def _bfs_to_centers(g: GraphEdges, dec: ImplicitDecomposition, start: int,
-                    visited: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """BFS from a center through the whole non-center region around it, one
-    CSR gather per level; returns (neighbor centers, visited levels), both
-    as per-level sorted arrays."""
-    visited[start] = True
+                    visited: np.ndarray) -> list[np.ndarray]:
+    """BFS from a center through the unvisited non-center region around it,
+    one CSR gather per level; marks the region's vertices in ``visited`` and
+    returns the centers it meets as per-level sorted arrays.  Centers are
+    never marked, so every search still meets its neighboring centers."""
     frontier = np.array([start], dtype=np.int64)
-    levels = [frontier]
     found: list[np.ndarray] = []
     while len(frontier):
         nbr = g.neighbor_vertices(frontier)
         cand = _distinct(nbr[~visited[nbr]])
-        if not len(cand):
-            break
-        visited[cand] = True
-        levels.append(cand)
         centers = dec.is_center(cand)
         found.append(cand[centers])
         frontier = cand[~centers]
-    return found, levels
+        visited[frontier] = True
+    return found
 
 
 def _hook(lab: np.ndarray, ca: np.ndarray, cb: np.ndarray) -> None:
@@ -178,8 +177,9 @@ def _hook(lab: np.ndarray, ca: np.ndarray, cb: np.ndarray) -> None:
 
 
 def build_connectivity(g: GraphEdges, epsilon: float, seed: int) -> ConnectivityOracle:
-    """Center graph by one search per center over the whole non-center
-    region around it, then hook-and-contract labels."""
+    """Center graph by one search per center over the non-center regions
+    no earlier search walked, so every vertex is expanded at most once,
+    then hook-and-contract labels."""
     dec = ImplicitDecomposition.sample(g, epsilon, seed)
     centers = ix(dec.center_ids)
 
@@ -188,12 +188,9 @@ def build_connectivity(g: GraphEdges, epsilon: float, seed: int) -> Connectivity
     eb: list[np.ndarray] = []
     try:
         for i, c in enumerate(centers.tolist()):
-            found, levels = _bfs_to_centers(g, dec, c, visited)
-            for f in found:
+            for f in _bfs_to_centers(g, dec, c, visited):
                 ea.append(np.full(len(f), i, dtype=np.int64))
                 eb.append(np.searchsorted(centers, f))
-            for lvl in levels:
-                visited[lvl] = False
     finally:
         release(visited)
 
@@ -282,15 +279,22 @@ def _prim_to_anchor(g: GraphEdges, dec: ImplicitDecomposition, v: int,
     return anchor
 
 
+def _anchor_all(g: GraphEdges, dec: ImplicitDecomposition,
+                anchor_of: np.ndarray, collect: list | None = None) -> None:
+    """Cluster sweep: one ``_prim_to_anchor`` from every vertex that no
+    earlier search anchored."""
+    for v in range(g.n):
+        if anchor_of[v] == WORD(NIL):
+            _prim_to_anchor(g, dec, v, anchor_of, collect)
+
+
 def build_msf(g: GraphEdges, epsilon: float, seed: int) -> MsfOracle:
     """Boruvka over the decomposition clusters: each round commits every
     live cluster's minimum outgoing edge by (weight, edge id) and hooks the
     clusters it joins.  Distinct keys make each round's picks a forest."""
     dec = ImplicitDecomposition.sample(g, epsilon, seed)
     anchor_of = alloc(g.n, fill=NIL)
-    for v in range(g.n):
-        if anchor_of[v] == WORD(NIL):
-            _prim_to_anchor(g, dec, v, anchor_of)
+    _anchor_all(g, dec, anchor_of)
     anchors = _distinct(anchor_of)
     eu = np.searchsorted(anchors, anchor_of[ix(g.u)])
     ev = np.searchsorted(anchors, anchor_of[ix(g.v)])
@@ -322,19 +326,11 @@ def msf_full_edge_set(oracle: MsfOracle) -> list[int]:
     plus the committed inter-center edges (verification helper)."""
     g = oracle.graph
     dec = oracle.decomposition
-    anchor_of = np.full(g.n, NIL, dtype=WORD)
     edges: list[int] = []
-    for v in range(g.n):
-        if anchor_of[v] == WORD(NIL):
-            _prim_to_anchor(g, dec, v, anchor_of, collect=edges)
+    _anchor_all(g, dec, np.full(g.n, NIL, dtype=WORD), collect=edges)
     eids = set(edges)
     eids.update(oracle.committed_eids.tolist())
     return sorted(eids)
-
-
-def msf_total_weight(oracle: MsfOracle) -> int:
-    eids = np.array(msf_full_edge_set(oracle), dtype=np.int64)
-    return int(np.sum(oracle.graph.w[eids], dtype=np.uint64)) if len(eids) else 0
 
 
 def query_msf_edge(oracle: MsfOracle, e: int) -> bool:

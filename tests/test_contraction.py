@@ -378,6 +378,17 @@ def test_tree_forest_of_many_roots():
     t = BinaryTree(words([None, None, None]), words([None] * 3), words([None] * 3))
     roots, _ = tree_contract(t, words([2, 0, 1]), words([5, 6, 7]), budget=FULL)
     assert roots == {0: 5, 1: 6, 2: 7}
+    # more bare roots than one round's prefix holds, so they commit over
+    # many rounds
+    n = 3 * SCRATCH_WORDS + 7
+    t = BinaryTree(*(np.full(n, NIL, dtype=np.uint64) for _ in range(3)))
+    vals = np.random.default_rng(5).integers(0, 1 << 64, size=n, dtype=np.uint64)
+    ref = bl.seq_tree_eval(t.parent, t.left, t.right, vals)
+    for budget in (FULL, PURE(0.5)):
+        roots, stats = tree_contract(t, make_priorities(n, Rng(4)), vals.copy(),
+                                     budget=budget)
+        assert roots == ref
+        assert stats.rounds > 1
 
 
 def test_tree_frontier_is_fifo_and_overflow_raises():
