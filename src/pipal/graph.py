@@ -7,26 +7,27 @@ searches that share one visited bitmap: each non-center region is walked
 once, by the first center that touches it, which links that center to every
 center on the region's boundary; hook-and-contract rounds over the tiny
 center graph then join the linked centers.  The minimum spanning forest
-runs Boruvka rounds over the decomposition's clusters, labelled by the same
-hook-and-contract, and stores only the committed inter-center forest edges.
-Effective edge weights are the pairs (weight, edge id), so ties are
-impossible and the MSF is unique.
+runs vectorized Boruvka over the edge list on one n-word label array,
+joined by the same hook-and-contract: first only the fragments that hold
+no center pick, which grows the decomposition's clusters, then every
+cluster picks; only the second phase's inter-center forest edges are
+stored.  Effective edge weights are the pairs (weight, edge id), so ties
+are impossible and the MSF is unique.
 
 Every breadth-first search, at build and at query time, expands a whole
-frontier level with one gather through the ingestion-time CSR index.  The
-connectivity build and an MSF-edge query each hold one n-byte visited
-bitmap.
+frontier level with one gather through the ingestion-time CSR index; the
+MSF build reads no adjacency.  The connectivity build and an MSF-edge
+query each hold one n-byte visited bitmap.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .runtime import (
-    NIL,
+    M64,
     WORD,
     Rng,
     alloc,
@@ -242,79 +243,71 @@ class MsfOracle:
     graph: GraphEdges
 
 
-def _prim_to_anchor(g: GraphEdges, dec: ImplicitDecomposition, v: int,
-                    anchor_of: np.ndarray, collect: list | None = None) -> int:
-    """Grow a minimum-edge tree from v until it touches a center or an
-    already-anchored vertex; every edge taken is an MSF edge (cut property).
-    Exhaustion without a hit anchors the component at its minimum id."""
-    tree = {v}
-    heap: list[tuple[int, int, int]] = []
-    w = g.w
-    nbr, eid = g.neighbors(v)
-    for y, e in zip(nbr.tolist(), eid.tolist()):
-        heapq.heappush(heap, (int(w[e]), int(e), y))
-    anchor = -1
-    while heap:
-        _, e, y = heapq.heappop(heap)
-        if y in tree:
-            continue
-        if collect is not None:
-            collect.append(e)
-        if anchor_of[y] != WORD(NIL):
-            anchor = int(anchor_of[y])
-            break
-        if dec.is_center_one(y):
-            anchor = y
-            anchor_of[y] = WORD(y)
-            break
-        tree.add(y)
-        nbr, eid = g.neighbors(y)
-        for z, e2 in zip(nbr.tolist(), eid.tolist()):
-            if z not in tree:
-                heapq.heappush(heap, (int(w[e2]), int(e2), z))
-    if anchor < 0:
-        anchor = min(tree)
-    ids = np.array(sorted(tree), dtype=np.int64)
-    anchor_of[ids] = WORD(anchor)
-    return anchor
+def _min_edges(g: GraphEdges, lab: np.ndarray, live: np.ndarray,
+               anchored: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One Boruvka step over the classes of ``lab``: drop from ``live`` the
+    edges inside a class, then pick each class root's minimum outgoing edge
+    by (weight, edge id), except for the roots in ``anchored``.  Returns
+    the live edges left and the sorted distinct picks.  The minimum needs
+    no sort: one ``np.minimum.at`` per edge side finds each root's lightest
+    weight, and one per side its least edge id among the edges at that
+    weight."""
+    lu = ix(lab[ix(g.u)[live]])
+    lv = ix(lab[ix(g.v)[live]])
+    cross = lu != lv
+    live = live[cross]
+    lu = lu[cross]
+    lv = lv[cross]
+    w = g.w[live]
+    least = np.full(g.n, M64, dtype=WORD)
+    np.minimum.at(least, lu, w)
+    np.minimum.at(least, lv, w)
+    pick = np.full(g.n, g.m, dtype=np.int64)
+    at = w == least[lu]
+    np.minimum.at(pick, lu[at], live[at])
+    at = w == least[lv]
+    np.minimum.at(pick, lv[at], live[at])
+    pick[ix(anchored)] = g.m
+    return live, _distinct(pick[pick < g.m])
 
 
-def _anchor_all(g: GraphEdges, dec: ImplicitDecomposition,
-                anchor_of: np.ndarray, collect: list | None = None) -> None:
-    """Cluster sweep: one ``_prim_to_anchor`` from every vertex that no
-    earlier search anchored."""
-    for v in range(g.n):
-        if anchor_of[v] == WORD(NIL):
-            _prim_to_anchor(g, dec, v, anchor_of, collect)
+def _boruvka(g: GraphEdges, lab: np.ndarray, live: np.ndarray,
+             centers: np.ndarray, picked: list[np.ndarray]) -> np.ndarray:
+    """Boruvka rounds on ``lab`` until no class that holds none of
+    ``centers`` has an outgoing edge in ``live``.  Each round's picks are
+    appended to ``picked`` and joined by ``_hook``; the live edges left are
+    returned.  A class that holds a center is anchored and does not pick;
+    ``lab[centers]`` names the anchored roots afresh each round."""
+    while True:
+        live, picks = _min_edges(g, lab, live, lab[centers])
+        if not len(picks):
+            return live
+        picked.append(picks)
+        _hook(lab, ix(g.u)[picks], ix(g.v)[picks])
+
+
+def _grow(g: GraphEdges, dec: ImplicitDecomposition, lab: np.ndarray,
+          picked: list[np.ndarray]) -> np.ndarray:
+    """Growth phase: Boruvka from single vertices in which only centerless
+    fragments pick.  Every such fragment picks one edge and no anchored one
+    picks, so each component of a round's picks holds at most one center;
+    every final cluster holds exactly one center or is a whole centerless
+    component.  Every pick is an MSF edge by the cut property."""
+    return _boruvka(g, lab, np.arange(g.m), ix(dec.center_ids), picked)
 
 
 def build_msf(g: GraphEdges, epsilon: float, seed: int) -> MsfOracle:
-    """Boruvka over the decomposition clusters: each round commits every
-    live cluster's minimum outgoing edge by (weight, edge id) and hooks the
-    clusters it joins.  Distinct keys make each round's picks a forest."""
+    """Boruvka in two phases on one charged n-word label array: the growth
+    phase (``_grow``) forms the decomposition clusters, then every cluster
+    picks its minimum outgoing edge each round, and only these inter-center
+    picks are committed.  Distinct (weight, edge id) keys make each round's
+    picks a forest."""
     dec = ImplicitDecomposition.sample(g, epsilon, seed)
-    anchor_of = alloc(g.n, fill=NIL)
-    _anchor_all(g, dec, anchor_of)
-    anchors = _distinct(anchor_of)
-    eu = np.searchsorted(anchors, anchor_of[ix(g.u)])
-    ev = np.searchsorted(anchors, anchor_of[ix(g.v)])
-    release(anchor_of)
-
-    lab = alloc(len(anchors))
-    lab[:] = np.arange(len(anchors), dtype=WORD)
+    lab = alloc(g.n)
+    lab[:] = np.arange(g.n, dtype=WORD)
+    live = _grow(g, dec, lab, [])
     committed = [np.empty(0, dtype=np.int64)]
-    while True:
-        lu = lab[eu]
-        lv = lab[ev]
-        idx = np.flatnonzero(lu != lv)
-        if not len(idx):
-            break
-        cl = np.concatenate([lu[idx], lv[idx]])
-        ee = np.concatenate([idx, idx])
-        order = np.lexsort((ee, g.w[ee], cl))
-        picks = _distinct(ee[order[run_starts(cl[order])]])
-        committed.append(picks)
-        _hook(lab, eu[picks], ev[picks])
+    _boruvka(g, lab, live, np.empty(0, dtype=np.int64), committed)
     release(lab)
     return MsfOracle(decomposition=dec,
                      committed_eids=np.sort(np.concatenate(committed)),
@@ -322,15 +315,13 @@ def build_msf(g: GraphEdges, epsilon: float, seed: int) -> MsfOracle:
 
 
 def msf_full_edge_set(oracle: MsfOracle) -> list[int]:
-    """Materialize the whole forest: cluster-internal minimum-tree edges
-    plus the committed inter-center edges (verification helper)."""
+    """Materialize the whole forest: the growth phase's picks, rerun on an
+    uncharged label array, plus the committed inter-center edges
+    (verification helper)."""
     g = oracle.graph
-    dec = oracle.decomposition
-    edges: list[int] = []
-    _anchor_all(g, dec, np.full(g.n, NIL, dtype=WORD), collect=edges)
-    eids = set(edges)
-    eids.update(oracle.committed_eids.tolist())
-    return sorted(eids)
+    grown = [oracle.committed_eids]
+    _grow(g, oracle.decomposition, np.arange(g.n, dtype=WORD), grown)
+    return np.sort(np.concatenate(grown)).tolist()
 
 
 def query_msf_edge(oracle: MsfOracle, e: int) -> bool:

@@ -176,11 +176,9 @@ def _charge_words(nbytes: int) -> int:
     return (nbytes + 7) // 8
 
 
-def alloc(n: int, dtype=WORD, fill=None) -> np.ndarray:
+def alloc(n: int, dtype=WORD) -> np.ndarray:
     """Allocate a charged auxiliary buffer of ``n`` elements."""
     arr = np.empty(n, dtype=dtype)
-    if fill is not None:
-        arr.fill(fill)
     m = _active_meter()
     if m is not None:
         m.acquire(_charge_words(arr.nbytes))
@@ -189,7 +187,9 @@ def alloc(n: int, dtype=WORD, fill=None) -> np.ndarray:
 
 def alloc_bool(n: int) -> np.ndarray:
     """A charged all-False bitmap of ``n`` bytes."""
-    return alloc(n, dtype=np.bool_, fill=False)
+    arr = alloc(n, dtype=np.bool_)
+    arr.fill(False)
+    return arr
 
 
 def release(arr: np.ndarray) -> None:
