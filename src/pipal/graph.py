@@ -16,8 +16,11 @@ are impossible and the MSF is unique.
 
 Every breadth-first search, at build and at query time, expands a whole
 frontier level with one gather through the ingestion-time CSR index; the
-MSF build reads no adjacency.  The connectivity build and an MSF-edge
-query each hold one n-byte visited bitmap.
+MSF build reads no adjacency.  The connectivity build holds one n-byte
+visited bitmap; a connectivity query tests each level against the sorted
+center ids.  An MSF-edge query searches lighter edges from both ends at
+once, expanding the smaller frontier each level, and holds one n-byte side
+array that marks which end reached a vertex.
 """
 
 from __future__ import annotations
@@ -124,9 +127,6 @@ class ImplicitDecomposition:
     def is_center(self, vs: np.ndarray) -> np.ndarray:
         return Rng(self.seed).words_at(vs) % WORD(self.k) == 0
 
-    def is_center_one(self, x: int) -> bool:
-        return Rng(self.seed).word(x) % self.k == 0
-
 
 # ---------------------------------------------------------------------------
 # Connectivity
@@ -209,15 +209,18 @@ def build_connectivity(g: GraphEdges, epsilon: float, seed: int) -> Connectivity
 
 def query_connectivity(oracle: ConnectivityOracle, x: int) -> int:
     """Component label of x: BFS to the first center (minimum id at the
-    minimum depth); a centerless component labels as its minimum vertex id."""
+    minimum depth); a centerless component labels as its minimum vertex id.
+    Each level is deduplicated, then tested against the sorted center ids
+    with one ``searchsorted``."""
     g = oracle.graph
     if not 0 <= x < g.n:
         raise IndexError("vertex out of range")
-    dec = oracle.decomposition
-    if dec.is_center_one(x):
-        return oracle.center_label[x]
+    label = oracle.center_label.get(x)
+    if label is not None:
+        return label
+    centers = ix(oracle.decomposition.center_ids)
     seen = np.array([x], dtype=np.int64)     # sorted
-    frontier = seen
+    frontier = x
     best = x
     while True:
         cand = _distinct(g.neighbor_vertices(frontier))
@@ -225,9 +228,11 @@ def query_connectivity(oracle: ConnectivityOracle, x: int) -> int:
         cand = cand[seen[pos] != cand]
         if not len(cand):
             return best
-        hits = cand[dec.is_center(cand)]
-        if len(hits):
-            return oracle.center_label[int(hits[0])]
+        if len(centers):
+            pos = np.minimum(np.searchsorted(centers, cand), len(centers) - 1)
+            hits = cand[centers[pos] == cand]
+            if len(hits):
+                return oracle.center_label[int(hits[0])]
         seen = np.sort(np.concatenate((seen, cand)))
         best = min(best, int(cand[0]))
         frontier = cand
@@ -326,7 +331,13 @@ def msf_full_edge_set(oracle: MsfOracle) -> list[int]:
 
 def query_msf_edge(oracle: MsfOracle, e: int) -> bool:
     """Membership by the cycle property: e = (x, y) is in the unique MSF iff
-    no path of strictly lighter effective weight connects x and y."""
+    no path of strictly lighter effective weight connects x and y.
+
+    Lighter-edge searches grow from x and from y at once, one level of the
+    side with the smaller frontier at a time, and mark their vertices 1 and
+    2 in one n-byte side array.  A lighter edge from one side to a vertex
+    of the other is such a path; a side whose frontier runs out has
+    reached its whole lighter component without meeting the other."""
     g = oracle.graph
     if not 0 <= e < g.m:
         raise IndexError("edge id out of range")
@@ -334,20 +345,25 @@ def query_msf_edge(oracle: MsfOracle, e: int) -> bool:
     x, y = int(g.u[e]), int(g.v[e])
     if x == y:
         return False
-    visited = alloc_bool(g.n)
+    side = alloc(g.n, dtype=np.uint8)
     try:
-        visited[x] = True
-        frontier = np.array([x], dtype=np.int64)
+        side.fill(0)
+        side[x], side[y] = 1, 2
+        fronts = [x, y]
+        sizes = [1, 1]
         while True:
-            nbr, eid = g.neighbors(frontier)
+            s = int(sizes[1] < sizes[0])
+            nbr, eid = g.neighbors(fronts[s])
             w = g.w[eid]
             ends = nbr[(w < we) | ((w == we) & (eid < e))]
-            ends = _distinct(ends[~visited[ends]])
+            mark = side[ends]
+            if bool((mark == 2 - s).any()):     # side s marks s + 1
+                return False
+            ends = _distinct(ends[mark == 0])
             if not len(ends):
                 return True
-            visited[ends] = True
-            if visited[y]:
-                return False
-            frontier = ends
+            side[ends] = s + 1
+            fronts[s] = ends
+            sizes[s] = len(ends)
     finally:
-        release(visited)
+        release(side)

@@ -279,6 +279,17 @@ def _same_components(g, args, oracle) -> bool:
     return len(set(remap.values())) == len(remap)
 
 
+def _same_forest(g, args, oracle) -> bool:
+    """The whole forest is Kruskal's, and ``query_msf_edge`` answers its
+    membership on every ceil(m/1000)-th edge."""
+    ref = bl.kruskal_msf(g.n, g.u, g.v, g.w)
+    if graph.msf_full_edge_set(oracle) != ref:
+        return False
+    members = set(ref)
+    return all(graph.query_msf_edge(oracle, e) == (e in members)
+               for e in range(0, g.m, max(1, -(-g.m // 1000))))
+
+
 _scanned_in_place = lambda data, args, res: _scanned(data, args[0], res.total)
 _graph_args = lambda g, cfg: (g, cfg.epsilon, cfg.seed)
 _even_in_rounds = lambda data, cfg: (data.copy(), EVEN, cfg.budget())
@@ -332,9 +343,7 @@ ALGOS = {
             t.parent, t.left, t.right, _tree_values(len(t), args[-1]))),
     "connectivity": Algo("graph", "graph", _graph_args, graph.build_connectivity,
                          _same_components),
-    "msf": Algo("graph", "graph", _graph_args, graph.build_msf,
-                lambda g, args, oracle: graph.msf_full_edge_set(oracle)
-                == bl.kruskal_msf(g.n, g.u, g.v, g.w)),
+    "msf": Algo("graph", "graph", _graph_args, graph.build_msf, _same_forest),
     "nonip-scan": Algo("ints", "comparator", _copy, bl.nonip_scan,
                        lambda data, args, res: _scanned(data, *res)),
     "nonip-filter": Algo("ints", "comparator", _with_even, bl.nonip_filter,

