@@ -332,6 +332,14 @@ class _TreeClient:
         self.cursor = 0
 
     # -- frontier queue
+    def _ready(self, at) -> np.ndarray:
+        """Which nodes ``at`` (a slice or an index array) can contract:
+        bare ones, and parented ones with at most one child.  A root keeps
+        collecting rakes until bare."""
+        lnil = self.lf[at] == _NILW
+        rnil = self.rt[at] == _NILW
+        return (lnil & rnil) | ((lnil | rnil) & (self.pa[at] != _NILW))
+
     def _push(self, ids: np.ndarray) -> None:
         end = self.qsize + len(ids)
         if end > len(self.queue):
@@ -341,16 +349,12 @@ class _TreeClient:
 
     def _scan_fill(self) -> None:
         while self.qsize < self.prefix and self.cursor < self.n:
-            hi = min(self.cursor + SCRATCH_WORDS, self.n)
-            blk = slice(self.cursor, hi)
-            zero = (self.lf[blk] == _NILW) & (self.rt[blk] == _NILW)
-            unary = (self.lf[blk] == _NILW) | (self.rt[blk] == _NILW)
-            # a root keeps collecting rakes until bare, so only parented
-            # nodes are contractible while they still have a child
-            ready = zero | (unary & (self.pa[blk] != _NILW))
-            ids = np.flatnonzero(ready)
-            ids += self.cursor
+            # about half of a window's ids are leaves, so 2·need ids usually
+            # fill the queue; the loop sweeps on if they fall short
             need = self.prefix - self.qsize
+            hi = min(self.cursor + min(SCRATCH_WORDS, 2 * need), self.n)
+            ids = np.flatnonzero(self._ready(slice(self.cursor, hi)))
+            ids += self.cursor
             if len(ids) > need:
                 # leave the surplus ahead of the cursor for later sweeps
                 ids = ids[:need]
@@ -375,64 +379,80 @@ class _TreeClient:
         with both ends in ``ids``, given ``up``, the parents of ``ids``: one
         sort of (id << 32) | pos and (parent << 32) | 2^31 | pos puts each
         id ahead of the entries naming it.  The ids are distinct and below
-        2^31, and NIL packs to key 2^32 - 1, which no id reaches."""
-        k = len(ids)
-        pos = np.arange(k, dtype=WORD)
+        2^31, and NIL packs to key 2^32 - 1, which no id reaches.  A key's
+        run is its id's entry, if any, then the entries of its at most two
+        children: a first child differs from the entry before it in the
+        tag alone, and a second child matches the first child's entry in
+        key and tag."""
+        pos = np.arange(len(ids), dtype=WORD)
         buf = np.concatenate((ids << WORD(32) | pos,
                               up << WORD(32) | pos | _TAG))
         buf.sort()
-        # an entry is an edge when its run head, the last id entry at or
-        # before it, has the same key and the other tag
-        head = np.where(buf & _TAG, 0, np.arange(2 * k))
-        np.maximum.accumulate(head, out=head)
-        hit = np.flatnonzero((buf[head] ^ buf) >> WORD(31) == WORD(1))
-        return ix(buf[hit] & _POS), ix(buf[head[hit]] & _POS)
+        x = buf[1:] ^ buf[:-1]
+        x >>= WORD(31)
+        par = np.flatnonzero(x == WORD(1))
+        kid = par + 1
+        # past the end, clip reads x[par] itself, which is 1
+        two = par[x.take(kid, mode="clip") == WORD(0)]
+        par = np.concatenate((par, two))
+        kid = np.concatenate((kid, two + 2))
+        return ix(buf[kid] & _POS), ix(buf[par] & _POS)
 
     def reserve(self, view) -> None:
         ids = view.ids
         i = ix(ids)
         pv = self.p[i]
         pa = self.pa[i]
+        # every id can contract when queued and stays so: a node only loses
+        # children, and a compress hands its child a parent; so only the
+        # in-prefix edges can fail an id
+        if self.debug and not self._ready(i).all():
+            raise AssertionError("a prefix id is neither parented nor bare, "
+                                 "or has two children")
         ok = view.committed
-        ok[:] = (pa != _NILW) | ((self.lf[i] == _NILW)
-                                 & (self.rt[i] == _NILW))
+        ok[:] = True
         kid, up = self._edges(ids, pa)
         ok[kid] &= pv[kid] < pv[up]
         ok[up] &= pv[up] < pv[kid]
 
     def commit(self, view) -> None:
         v = view.ids[view.committed]
-        vi = ix(v)
-        pa = self.pa[vi]
+        pa = self.pa[ix(v)]
         if self.debug and len(self._edges(v, pa)[0]):
             raise AssertionError("a parent and its child contracted together")
-        # the one child, if any (NIL is the largest word); no parent commits
-        # with its child, so no fold repeats a target or hits a committed node
+        pm = pa != _NILW
+        if not pm.all():
+            # a committed root is bare, so no fold below reaches it
+            r = ix(v[~pm])
+            self.roots.update(zip(r.tolist(), self.values[r].tolist()))
+            v, pa = v[pm], pa[pm]
+        vi = ix(v)
+        pi = ix(pa)
+        # the one child, if any (NIL is the largest word).  A node folds
+        # into its child, or into its parent when it has none (a rake); no
+        # parent commits with its child, so no fold reads a folded value
         child = np.minimum(self.lf[vi], self.rt[vi])
         cm = child != _NILW
+        np.add.at(self.values, ix(np.where(cm, child, pa)), self.values[vi])
         c = ix(child[cm])
-        np.add.at(self.values, c, self.values[vi[cm]])
         self.pa[c] = pa[cm]
 
-        pm = pa != _NILW
-        r = vi[~pm]
-        self.roots.update(zip(r.tolist(), self.values[r].tolist()))
-        v, pa, child = v[pm], pa[pm], child[pm]
-        is_left = self.lf[ix(pa)] == v
-        fresh = []
-        for side, other, m in ((self.lf, self.rt, is_left),
-                               (self.rt, self.lf, ~is_left)):
-            p, k = pa[m], child[m]
-            side[ix(p)] = k
-            rake = k == _NILW
-            p = p[rake]
-            pi = ix(p)
-            np.add.at(self.values, pi, self.values[ix(v[m][rake])])
-            # fresh: a non-root parent that had two children (its other side
-            # still holds one) or a bare root; either passes on one side only
-            fresh.append(p[((other[pi] != _NILW) == (self.pa[pi] != _NILW))
-                           & (p < WORD(self.cursor))])
-        self._push(np.sort(np.concatenate(fresh)))
+        # fresh: a rake's parent that had two children and has a parent, or
+        # that is left a bare root.  Each rake reads its sibling slot: a left
+        # rake before the round's writes, a right rake after them, so a
+        # parent raked from both sides passes on one side only
+        is_left = self.lf[pi] == v
+        rake = ~cm
+        p = pa[rake]
+        q = ix(p)
+        on_left = is_left[rake]
+        sib = self.rt[q]
+        self.lf[pi[is_left]] = child[is_left]
+        is_right = ~is_left
+        self.rt[pi[is_right]] = child[is_right]
+        np.copyto(sib, self.lf[q], where=~on_left)
+        self._push(np.sort(p[((sib != _NILW) == (self.pa[q] != _NILW))
+                             & (p < WORD(self.cursor))]))
 
     def clean(self, view) -> None:
         pass
@@ -444,8 +464,9 @@ def tree_contract(tree: BinaryTree, p: np.ndarray, values: np.ndarray,
     """Contract the forest; returns ({root id: folded value}, stats).
 
     ``values`` is caller storage and is folded in place by sum mod 2^64.
-    In debug mode every round raises ``AssertionError`` if a parent and
-    its child contract together.
+    In debug mode every round raises ``AssertionError`` if a prefix id
+    cannot contract (each must be bare, or parented with at most one
+    child), or if a parent and its child contract together.
     """
     as_words(p)
     as_words(values)

@@ -74,20 +74,22 @@ def make_swap_sequence(n: int, rng) -> np.ndarray:
 
 
 def validate_swap_sequence(h: np.ndarray) -> None:
-    _check_swaps(h, len(h))
+    _check_swaps(h)
 
 
-def _check_swaps(h: np.ndarray, block: int) -> int:
-    """Check H[i] <= i over blocks of ``block`` words (so the temporaries
-    stay O(block)); return the number of non-self swaps."""
+def _check_swaps(h: np.ndarray) -> int:
+    """Check H[i] <= i over ``SCRATCH_WORDS``-word blocks (so the
+    temporaries stay O(1)); return the number of non-self swaps."""
     as_words(h)
     iterates = 0
-    for lo in range(0, len(h), max(block, 1)):
-        hb = h[lo:lo + block]
-        pos = np.arange(lo, lo + len(hb), dtype=WORD)
-        if bool(np.any(hb > pos)):
+    pos = np.arange(min(len(h), SCRATCH_WORDS), dtype=WORD)
+    for lo in range(0, len(h), SCRATCH_WORDS):
+        hb = h[lo:lo + SCRATCH_WORDS]
+        at = pos[:len(hb)]
+        if bool(np.any(hb > at)):
             raise ValueError("invalid swap sequence: H[i] must lie in [0, i]")
-        iterates += len(hb) - int(np.count_nonzero(hb == pos))
+        iterates += len(hb) - int(np.count_nonzero(hb == at))
+        pos += WORD(SCRATCH_WORDS)
     return iterates
 
 
@@ -118,18 +120,25 @@ class _RpClient:
 
     # -- iterate source: descending ids, self-swaps retired at ingestion
     def next_ids(self, count: int) -> np.ndarray:
+        """The next ``count`` non-self swap ids below the cursor, descending
+        (fewer only when the ids run out).  The first window is exactly
+        ``count`` words; self-swaps in it leave a shortfall, which later
+        windows of at least ``SCRATCH_WORDS`` words make up, so a long run
+        of self-swaps costs few windows."""
         h = self.h
+        parts = []
+        width = count
         while count > 0 and self.cursor >= 0:
-            hi = self.cursor
-            lo = max(0, hi - max(count, SCRATCH_WORDS) + 1)
-            idx = np.flatnonzero(h[lo:hi + 1][::-1]
-                                 != np.arange(hi, lo - 1, -1, dtype=WORD))[:count]
-            if len(idx):
-                ids = (hi - idx).astype(WORD)
-                self.cursor = int(ids[-1]) - 1
-                return ids
-            self.cursor = lo - 1
-        return np.empty(0, dtype=WORD)
+            hi = self.cursor + 1
+            lo = max(0, hi - width)
+            idx = np.flatnonzero(h[lo:hi] != np.arange(lo, hi, dtype=WORD))
+            idx = idx[max(0, len(idx) - count):]
+            idx += lo
+            self.cursor = int(idx[0]) - 1 if len(idx) == count else lo - 1
+            parts.append(idx[::-1].view(WORD))
+            count -= len(idx)
+            width = max(count, SCRATCH_WORDS)
+        return np.concatenate(parts) if parts else np.empty(0, dtype=WORD)
 
     # -- phases
     def reserve(self, view) -> None:
@@ -190,7 +199,7 @@ def random_permutation(a: np.ndarray, h: np.ndarray, variant: str = "final",
     if variant not in RP_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     prefix = budget.round_words(len(a))
-    n_iterates = _check_swaps(h, prefix)
+    n_iterates = _check_swaps(h)
     if n_iterates == 0:
         return RoundStats()
 

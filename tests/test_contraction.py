@@ -701,6 +701,95 @@ def test_tree_edges_match_nested_loop(batch):
     assert len(oracle) == len(kid)
 
 
+def random_forest(rng, sizes):
+    """Random full binary trees of the given odd sizes over one random
+    relabelling of 0..n-1, so the trees' ids interleave."""
+    n = sum(sizes)
+    relabel = rng.permutation(n)
+    links = [np.full(n, NIL, dtype=np.uint64) for _ in range(3)]
+    lo = 0
+    for size in sizes:
+        tree = random_full_binary_tree(rng, size)
+        ids = relabel[lo:lo + size]
+        for src, dst in zip((tree.parent, tree.left, tree.right), links):
+            live = src != NIL
+            dst[ids[live]] = ids[src[live].astype(np.int64)]
+        lo += size
+    return BinaryTree(*links)
+
+
+def complete_tree(depth):
+    """The complete binary tree of 2^depth - 1 nodes in heap order."""
+    n = (1 << depth) - 1
+    ids = np.arange(n)
+    pa = np.full(n, NIL, dtype=np.uint64)
+    lf = np.full(n, NIL, dtype=np.uint64)
+    rt = np.full(n, NIL, dtype=np.uint64)
+    inner = ids[:n // 2]
+    lf[inner] = 2 * inner + 1
+    rt[inner] = 2 * inner + 2
+    pa[1:] = (ids[1:] - 1) // 2
+    return BinaryTree(pa, lf, rt)
+
+
+@pytest.mark.parametrize("before, ids", [
+    pytest.param(LEAVES_UNDER_1, [3, 1], id="parented-with-two-children"),
+    pytest.param(([_, 0], [_, _], [1, _]), [0], id="root-with-one-child"),
+])
+def test_tree_debug_check_fires_on_a_prefix_id_that_cannot_contract(before, ids):
+    tree = BinaryTree(*map(words, before))
+    n = len(tree)
+    for debug in (False, True):
+        client = contraction._TreeClient(tree, words(range(n)),
+                                         words([0] * n), n, debug)
+        view = RoundView(ids=words(ids), committed=np.zeros(len(ids), bool))
+        if debug:
+            with pytest.raises(AssertionError, match="neither parented nor"):
+                client.reserve(view)
+        else:
+            client.reserve(view)  # only debug mode checks
+
+
+TREE_SHAPES = {
+    "random": lambda: random_full_binary_tree(np.random.default_rng(41),
+                                              20_001),
+    "forest": lambda: random_forest(np.random.default_rng(42),
+                                    [9_001, 6_001, 2_999, 1, 1, 3, 2_001]),
+    "caterpillar": lambda: caterpillar(10_000),
+    "complete": lambda: complete_tree(14),
+}
+
+
+@pytest.mark.parametrize("budget", [contraction.DEFAULT_BUDGET, PURE(0.5)],
+                         ids=["default", "power"])
+@pytest.mark.parametrize("shape", sorted(TREE_SHAPES))
+def test_tree_debug_check_holds_on_shapes(monkeypatch, capture_rounds, shape,
+                                          budget):
+    # every prefix id can contract (bare, or parented with at most one
+    # child): the debug check runs on every id of every round and never fires
+    tree = TREE_SHAPES[shape]()
+    validate_binary_tree(tree)
+    n = len(tree)
+    vals = Rng(43).words(0, n)
+    ref = bl.seq_tree_eval(tree.parent, tree.left, tree.right, vals)
+    checked = []
+    ready = contraction._TreeClient._ready
+
+    def spy(self, at):
+        out = ready(self, at)
+        if not isinstance(at, slice):
+            checked.append(len(out))
+        return out
+
+    monkeypatch.setattr(contraction._TreeClient, "_ready", spy)
+    rounds = capture_rounds(contraction)
+    roots, stats = tree_contract(tree, make_priorities(n, Rng(44)), vals,
+                                 budget=budget, debug=True)
+    assert roots == ref
+    assert checked == [len(ids) for ids, _ in rounds]
+    assert len(checked) == stats.rounds > 1
+
+
 def test_tree_debug_check_fires_on_co_contraction(monkeypatch):
     def admit_all(self, view):
         view.committed[:] = True

@@ -44,6 +44,27 @@ def test_validate_rejects_bad_sequence():
         validate_swap_sequence(words([0, 2]))
 
 
+def test_validate_traced_peak_is_constant(traced_peak):
+    # the check walks SCRATCH_WORDS-word blocks: no n-word temporary
+    n = 1 << 20
+    h = make_swap_sequence(n, Rng(9))
+    peak, _ = traced_peak(lambda: validate_swap_sequence(h))
+    assert peak < 4 * SCRATCH_WORDS * 8, peak
+
+
+@pytest.mark.parametrize("at", [SCRATCH_WORDS - 1, SCRATCH_WORDS,
+                                3 * SCRATCH_WORDS, 3 * SCRATCH_WORDS + 6],
+                         ids=["block-end", "block-start", "last-block-start",
+                              "last-word"])
+def test_validate_rejects_at_block_edges(at):
+    n = 3 * SCRATCH_WORDS + 7  # the last block holds 7 words
+    h = make_swap_sequence(n, Rng(10))
+    validate_swap_sequence(h)
+    h[at] = at + 1
+    with pytest.raises(ValueError, match="must lie in"):
+        validate_swap_sequence(h)
+
+
 def test_all_self_swaps_is_identity():
     n = 64
     a = np.arange(n, dtype=np.uint64)
@@ -176,11 +197,13 @@ def _reference_rounds(h, prefix):
     unclaimed or holds the id."""
     h = h.tolist()
     fresh = [i for i in range(len(h) - 1, -1, -1) if h[i] != i]
+    next_fresh = 0
     pending: list[int] = []
     rounds = []
-    while pending or fresh:
+    while pending or next_fresh < len(fresh):
         take = prefix - len(pending)
-        ids, fresh = pending + fresh[:take], fresh[take:]
+        ids = pending + fresh[next_fresh:next_fresh + take]
+        next_fresh += take
         best: dict[int, int] = {}
         for i in ids:
             best[h[i]] = max(best.get(h[i], 0), i)
@@ -207,6 +230,45 @@ def test_rounds_match_reference(capture_rounds, budget):
     expect = _reference_rounds(h, budget.round_words(n))
     assert [sorted(done) for _, done in rounds] == [sorted(r) for r in expect]
     assert np.array_equal(a, seq_result(n, h))
+
+
+@pytest.mark.parametrize("eps, p", [(0.5, 512), (0.7, 43)])
+def test_refill_is_exact_across_self_swap_runs(capture_rounds, eps, p):
+    # runs of self-swaps across the first refill's window and across a
+    # later refill, one of them longer than SCRATCH_WORDS: the rounds still
+    # take exactly p ids while that many remain
+    n = 1 << 18
+    budget = EpsilonConfig(eps, prefix_fraction=POWER_ONLY_FRACTION)
+    assert budget.round_words(n) == p
+    h = make_swap_sequence(n, Rng(31))
+    for lo, hi in ((n - p - 20, n - p + 20), (n // 2 - SCRATCH_WORDS - 900,
+                                                n // 2)):
+        h[lo:hi] = np.arange(lo, hi, dtype=WORD)
+    a = np.arange(n, dtype=np.uint64)
+    rounds = capture_rounds(relaxed)
+    random_permutation(a, h, budget=budget)
+    expect = _reference_rounds(h, p)
+    assert [sorted(done) for _, done in rounds] == [sorted(r) for r in expect]
+    assert len(rounds[0][0]) == len(rounds[1][0]) == p
+    assert np.array_equal(a, seq_result(n, h))
+
+
+def test_rp_id_source_takes_exactly_count():
+    # every refill returns the largest `count` pending non-self ids,
+    # descending, whatever runs of self-swaps lie below the cursor
+    n = 3 * SCRATCH_WORDS
+    h = make_swap_sequence(n, Rng(32))
+    h[100:SCRATCH_WORDS + 300] = np.arange(100, SCRATCH_WORDS + 300, dtype=WORD)
+    h[n - 5:n - 2] = np.arange(n - 5, n - 2, dtype=WORD)
+    pending = [i for i in range(n - 1, -1, -1) if h[i] != i]
+    client = relaxed._RpClient(np.arange(n, dtype=WORD), h, 8)
+    try:
+        for count in (4, 1, 2 * SCRATCH_WORDS, 7, 500, n):
+            assert client.next_ids(count).tolist() == pending[:count]
+            pending = pending[count:]
+    finally:
+        client.release()
+    assert not pending
 
 
 @st.composite
