@@ -14,13 +14,14 @@ cluster picks; only the second phase's inter-center forest edges are
 stored.  Effective edge weights are the pairs (weight, edge id), so ties
 are impossible and the MSF is unique.
 
-Every breadth-first search, at build and at query time, expands a whole
-frontier level with one gather through the ingestion-time CSR index; the
-MSF build reads no adjacency.  The connectivity build holds one n-byte
-visited bitmap; a connectivity query tests each level against the sorted
-center ids.  An MSF-edge query searches lighter edges from both ends at
-once, expanding the smaller frontier each level, and holds one n-byte side
-array that marks which end reached a vertex.
+The connectivity build's searches and the MSF-edge query's two searches
+expand a whole frontier level with one gather through the ingestion-time
+CSR index; the MSF build reads no adjacency.  The connectivity build holds
+one n-byte visited bitmap.  A connectivity query walks the CSR slices one
+vertex at a time, in queue order, and stops at the first center it meets.
+An MSF-edge query searches lighter edges from both ends at once, expanding
+the smaller frontier each level, and holds one n-byte side array that
+marks which end reached a vertex.
 """
 
 from __future__ import annotations
@@ -208,34 +209,32 @@ def build_connectivity(g: GraphEdges, epsilon: float, seed: int) -> Connectivity
 
 
 def query_connectivity(oracle: ConnectivityOracle, x: int) -> int:
-    """Component label of x: BFS to the first center (minimum id at the
-    minimum depth); a centerless component labels as its minimum vertex id.
-    Each level is deduplicated, then tested against the sorted center ids
-    with one ``searchsorted``."""
+    """Component label of x: a breadth-first search in queue order, one
+    vertex at a time, that returns the label of the first center it meets;
+    a centerless component labels as its minimum vertex id.  The build
+    labels every center of a component alike, so the first center met
+    answers as the minimum-id center at the minimum depth would.  The
+    search holds a set and a queue of the ids it has seen, no per-vertex
+    array."""
     g = oracle.graph
     if not 0 <= x < g.n:
         raise IndexError("vertex out of range")
-    label = oracle.center_label.get(x)
+    labels = oracle.center_label
+    label = labels.get(x)
     if label is not None:
         return label
-    centers = ix(oracle.decomposition.center_ids)
-    seen = np.array([x], dtype=np.int64)     # sorted
-    frontier = x
-    best = x
-    while True:
-        cand = _distinct(g.neighbor_vertices(frontier))
-        pos = np.minimum(np.searchsorted(seen, cand), len(seen) - 1)
-        cand = cand[seen[pos] != cand]
-        if not len(cand):
-            return best
-        if len(centers):
-            pos = np.minimum(np.searchsorted(centers, cand), len(centers) - 1)
-            hits = cand[centers[pos] == cand]
-            if len(hits):
-                return oracle.center_label[int(hits[0])]
-        seen = np.sort(np.concatenate((seen, cand)))
-        best = min(best, int(cand[0]))
-        frontier = cand
+    off, nbr = g.adj_off, g.adj_nbr
+    seen = {x}
+    queue = [x]
+    for v in queue:
+        for u in nbr[off[v]:off[v + 1]].tolist():
+            if u not in seen:
+                label = labels.get(u)
+                if label is not None:
+                    return label
+                seen.add(u)
+                queue.append(u)
+    return min(seen)
 
 
 # ---------------------------------------------------------------------------

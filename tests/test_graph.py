@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -17,8 +19,8 @@ from pipal.graph import (
     query_connectivity,
     query_msf_edge,
 )
-from pipal.ops import generate_input
-from pipal.runtime import SpaceMeter, meter_scope
+from pipal.ops import gen_graph, generate_input
+from pipal.runtime import Rng, SpaceMeter, ix, meter_scope
 
 
 def graph_from(n, triples):
@@ -144,11 +146,47 @@ def test_star_graph_single_label():
 
 
 def test_center_queries_label_without_expansion():
+    # a center's query reads its stored label only: on a copy of the graph
+    # whose adjacency index is empty it still answers, while a non-center's
+    # query, which must search, cannot
     g = path_graph(100)
     o = build_connectivity(g, 0.5, seed=5)
-    if len(o.decomposition.center_ids):
-        c = int(o.decomposition.center_ids[0])
-        assert query_connectivity(o, c) == o.center_label[c]
+    centers = o.decomposition.center_ids.tolist()
+    assert centers
+    stripped = copy.copy(g)
+    stripped.adj_off = np.empty(0, dtype=np.int64)
+    stripped.adj_nbr = np.empty(0, dtype=np.int64)
+    blind = dataclasses.replace(o, graph=stripped)
+    for c in centers:
+        assert query_connectivity(blind, c) == o.center_label[c] \
+            == query_connectivity(o, c)
+    x = next(x for x in range(g.n) if x not in o.center_label)
+    with pytest.raises(IndexError):
+        query_connectivity(blind, x)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_connectivity_labels_are_the_component_minimum_center(seed):
+    # one edge per vertex leaves many small components, some with a center
+    # and some without; the query returns at the first center it meets,
+    # which is exact only because the build labels every center of a
+    # component alike
+    n = 2000
+    g = gen_graph(n, Rng(seed), edges_per_vertex=1)
+    comp = bl.union_find_components(g.n, g.u, g.v).astype(np.int64)
+    for eps in (0.3, 0.5, 0.7):
+        o = build_connectivity(g, eps, seed)
+        centers = ix(o.decomposition.center_ids)
+        assert sorted(o.center_label) == centers.tolist()
+        labels_of = {}
+        for c, label in o.center_label.items():
+            labels_of.setdefault(int(comp[c]), set()).add(label)
+        assert all(len(s) == 1 for s in labels_of.values()), eps
+        min_center = np.full(n, n, dtype=np.int64)
+        np.minimum.at(min_center, comp[centers], centers)
+        want = np.where(min_center[comp] < n, min_center[comp], comp)
+        assert 0 < len(labels_of) < len(np.unique(comp)), eps   # both kinds occur
+        assert [query_connectivity(o, x) for x in range(n)] == want.tolist(), eps
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -219,6 +257,30 @@ def test_connectivity_when_no_center_is_sampled():
     assert not o.center_label
     assert oracle_partition(g, 0.7, seed) \
         == bl.union_find_components(g.n, g.u, g.v).tolist()
+
+
+def test_connectivity_query_work():
+    # each query looks up the label of each new vertex it meets, one at a
+    # time, and stops at the first center: 408,210 lookups over these 2000
+    # queries (bounded at 1.05x), against 455,628 when every neighbor is
+    # looked up before the seen test and 1,394,415 vertices in the levels
+    # that a search testing whole levels reaches
+    g = generate_input("graph", 10_000, 14)
+    o = build_connectivity(g, 0.5, 14)
+
+    class CountedLabels(dict):
+        looked_up = 0
+
+        def get(self, key, default=None):
+            self.looked_up += 1
+            return super().get(key, default)
+
+    o.center_label = CountedLabels(o.center_label)
+    xs = (Rng(14).words(0, 2000) % np.uint64(g.n)).tolist()
+    got = [query_connectivity(o, x) for x in xs]
+    ref = bl.union_find_components(g.n, g.u, g.v)[xs].tolist()
+    assert partitions_equal(got, ref)
+    assert o.center_label.looked_up <= 430_000, o.center_label.looked_up
 
 
 def test_query_rejects_out_of_range():
