@@ -26,7 +26,7 @@ from .contraction import (
     validate_binary_tree,
     validate_linked_list,
 )
-from .runtime import NIL, WORD, Rng, ix
+from .runtime import NIL, WORD, Rng, ix, run_starts
 
 __all__ = [
     "EVEN", "gen_list", "gen_tree", "gen_graph", "check_size", "Kind", "KINDS",
@@ -62,33 +62,49 @@ def check_size(kind: str, n: int) -> None:
     if kind == "tree" and n % 2 == 0:
         raise ValueError("tree inputs need an odd node count "
                          "(internal nodes have exactly two children)")
+    if kind == "tree" and n >= 1 << 33:
+        raise ValueError(f"tree inputs need fewer than 2^33 nodes, got {n}")
 
 
 def gen_tree(n: int, rng: Rng) -> BinaryTree:
+    """A random binary tree on n nodes (n odd), grown by random leaf expansion.
+
+    The ids are a random permutation of 0..n-1 and ids[0] is the root.  Step
+    s, for s < (n - 1) / 2, expands one of the s + 1 current leaves into the
+    children l_s = ids[2s + 1] and r_s = ids[2s + 2].  The leaves sit in a
+    swap-remove list: step s takes the leaf at position
+    p_s = ``rng.derive(0x7EE).word(s)`` % (s + 1), moves the last entry,
+    position s, into p_s and appends l_s and r_s at positions s and s + 1.
+
+    So before step s, position s holds r_{s-1} = ids[2s] (the root at s = 0),
+    and a position p < s was last written either by step p (with l_p) or by a
+    later step t with p_t = p (with r_{t-1} = ids[2t]).  The leaf that step s
+    expands is therefore ids[2t] for the latest earlier step t with the same
+    pick and t > p_s; failing that ids[2p_s + 1] if p_s < s, else ids[2s].
+    One sort of the packed words p_s << 32 | s lists the steps of each pick in
+    order, so that latest earlier step is the previous word of the same run.
+    ``check_size`` keeps the step count below 2^32.
+    """
     check_size("tree", n)
     ids = np.arange(n, dtype=WORD)
     if n > 1:
         relaxed.random_permutation(ids, relaxed.make_swap_sequence(n, rng))
+    steps = np.arange(n // 2, dtype=WORD)
+    picks = rng.derive(0x7EE).words(0, len(steps)) % (steps + WORD(1))
+    key = np.sort((picks << WORD(32)) | steps)
+    p, s = key >> WORD(32), key & WORD(0xFFFFFFFF)
+    prev = np.roll(s, 1)
+    later = ~run_starts(p) & (prev > p)
+    src = np.where(later, 2 * prev, np.where(p < s, 2 * p + 1, 2 * s))
+    node = np.empty_like(steps)
+    node[ix(s)] = ids[ix(src)]
     parent = np.full(n, NIL, dtype=WORD)
     left = np.full(n, NIL, dtype=WORD)
     right = np.full(n, NIL, dtype=WORD)
-    leaves = [int(ids[0])]
-    used = 1
-    pick_rng = rng.derive(0x7EE)
-    step = 0
-    while used < n:
-        pick = pick_rng.word(step) % len(leaves)
-        step += 1
-        node = leaves[pick]
-        leaves[pick] = leaves[-1]
-        leaves.pop()
-        l, r = int(ids[used]), int(ids[used + 1])
-        used += 2
-        left[node] = l
-        right[node] = r
-        parent[l] = node
-        parent[r] = node
-        leaves.extend([l, r])
+    left[ix(node)] = ids[1::2]
+    right[ix(node)] = ids[2::2]
+    parent[ix(ids[1::2])] = node
+    parent[ix(ids[2::2])] = node
     return BinaryTree(parent, left, right)
 
 

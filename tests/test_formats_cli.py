@@ -17,11 +17,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pipal
-from pipal import cli, formats, graph
+from pipal import cli, formats, graph, relaxed
 from pipal.cli import BenchConfig, generate_input, run_bench
-from pipal.contraction import LinkedList, validate_binary_tree, validate_linked_list
-from pipal.ops import ALGOS, KINDS, NAMES
-from pipal.runtime import NIL, POWER_ONLY_FRACTION, SCRATCH_WORDS, WORD
+from pipal.contraction import (
+    BinaryTree,
+    LinkedList,
+    validate_binary_tree,
+    validate_linked_list,
+)
+from pipal.ops import ALGOS, KINDS, NAMES, check_size, gen_tree
+from pipal.runtime import NIL, POWER_ONLY_FRACTION, SCRATCH_WORDS, WORD, Rng
 
 
 def test_ints_file_roundtrip_and_size(tmp_path):
@@ -58,6 +63,63 @@ def test_generated_inputs_validate():
     validate_binary_tree(generate_input("tree", 2001, seed=9))
     h = generate_input("perm", 500, seed=2)
     assert bool(np.all(h <= np.arange(500, dtype=np.uint64)))
+
+
+def _tree_ids(n, rng):
+    ids = np.arange(n, dtype=WORD)
+    if n > 1:
+        relaxed.random_permutation(ids, relaxed.make_swap_sequence(n, rng))
+    return ids
+
+
+def _gen_tree_loop(n, rng):
+    """gen_tree's random process run leaf by leaf: step s expands the leaf at
+    position word(s) % (s + 1) of a swap-remove list into ids[2s + 1] and
+    ids[2s + 2]."""
+    ids = _tree_ids(n, rng)
+    parent, left, right = (np.full(n, NIL, dtype=WORD) for _ in range(3))
+    leaves = [int(ids[0])]
+    pick_rng = rng.derive(0x7EE)
+    for step in range(n // 2):
+        pick = pick_rng.word(step) % len(leaves)
+        node = leaves[pick]
+        leaves[pick] = leaves[-1]
+        leaves.pop()
+        l, r = int(ids[2 * step + 1]), int(ids[2 * step + 2])
+        left[node], right[node] = l, r
+        parent[l] = parent[r] = node
+        leaves.extend([l, r])
+    return BinaryTree(parent, left, right)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 14, 99])
+def test_gen_tree_matches_the_leaf_by_leaf_process(seed):
+    for n in [*range(1, 402, 2), 1001, 4097, (1 << 16) + 1]:
+        got, want = gen_tree(n, Rng(seed)), _gen_tree_loop(n, Rng(seed))
+        for f in ("parent", "left", "right"):
+            assert np.array_equal(getattr(got, f), getattr(want, f)), (n, f)
+
+
+def test_gen_tree_shapes():
+    one = gen_tree(1, Rng(3))
+    assert [a.tolist() for a in (one.parent, one.left, one.right)] == [[int(NIL)]] * 3
+    for seed in (1, 2, 3):
+        ids = _tree_ids(3, Rng(seed)).tolist()
+        three = gen_tree(3, Rng(seed))
+        assert (int(three.left[ids[0]]), int(three.right[ids[0]])) == (ids[1], ids[2])
+        assert three.parent[ids[1]] == three.parent[ids[2]] == ids[0]
+    for n in (1, 3, 5, 7, 99, 2001):
+        for seed in (1, 7):
+            tree = gen_tree(n, Rng(seed))
+            validate_binary_tree(tree)
+            roots = np.flatnonzero(tree.parent == NIL).tolist()
+            assert roots == [int(_tree_ids(n, Rng(seed))[0])]
+
+
+def test_tree_size_limit_is_checked_before_any_allocation():
+    check_size("tree", (1 << 33) - 1)
+    with pytest.raises(ValueError, match="2\\^33"):
+        generate_input("tree", (1 << 33) + 1, 1)
 
 
 def test_gen_is_deterministic_per_seed():
@@ -270,9 +332,12 @@ def test_cli_sweep_rows(tmp_path):
 _OUT_OF_RANGE = {
     "gen-graph-n": ["gen", "--kind", "graph", "--n", "-2"],
     "gen-ints-n": ["gen", "--kind", "ints", "--n", "-4"],
+    "gen-tree-too-large": ["gen", "--kind", "tree", "--n", str((1 << 33) + 1)],
     "sweep-n": ["sweep", "--algo", "rp", "--n", "-3"],
     "sweep-later-n": ["sweep", "--algo", "rp", "--n", "100", "-3"],
     "sweep-later-even-tree": ["sweep", "--algo", "tree-contract", "--n", "101", "100"],
+    "sweep-tree-too-large": ["sweep", "--algo", "tree-contract", "--n",
+                             str((1 << 33) + 1)],
     "sweep-threads": ["sweep", "--algo", "rp", "--n", "16", "--threads", "0"],
     "sweep-epsilon": ["sweep", "--algo", "rp", "--n", "16", "--epsilon", "1.5"],
     "sweep-prefix-frac": ["sweep", "--algo", "rp", "--n", "16",
