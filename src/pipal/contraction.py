@@ -21,6 +21,7 @@ and p-byte commit mask, plus tree contraction's 2p + 8 word frontier queue.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -324,7 +325,6 @@ class _TreeClient:
         self.p = p
         self.values = values
         self.debug = debug
-        self.roots: dict[int, int] = {}
         self.prefix = prefix
         # packed frontier: queue[:qsize], oldest first
         self.queue = alloc(2 * prefix + 8)
@@ -422,9 +422,8 @@ class _TreeClient:
             raise AssertionError("a parent and its child contracted together")
         pm = pa != _NILW
         if not pm.all():
-            # a committed root is bare, so no fold below reaches it
-            r = ix(v[~pm])
-            self.roots.update(zip(r.tolist(), self.values[r].tolist()))
+            # a committed root is bare and its value final; dropping it
+            # keeps its NIL parent from indexing the folds below
             v, pa = v[pm], pa[pm]
         vi = ix(v)
         pi = ix(pa)
@@ -458,12 +457,42 @@ class _TreeClient:
         pass
 
 
+class _Roots(Mapping):
+    """{root id: folded value} read from ``parent`` and ``values`` on
+    demand: the roots are the ids with a NIL parent (no commit writes NIL
+    into a parent slot), found one ``SCRATCH_WORDS``-word block at a time."""
+
+    def __init__(self, parent: np.ndarray, values: np.ndarray):
+        self._parent = parent
+        self._values = values
+
+    def __getitem__(self, key) -> int:
+        if (not isinstance(key, (int, np.integer))
+                or not 0 <= key < len(self._parent) or self._parent[key] != _NILW):
+            raise KeyError(key)
+        return int(self._values[key])
+
+    def _blocks(self):
+        for s in range(0, len(self._parent), SCRATCH_WORDS):
+            yield s, np.flatnonzero(self._parent[s:s + SCRATCH_WORDS] == _NILW)
+
+    def __iter__(self):
+        for s, r in self._blocks():
+            yield from (r + s).tolist()
+
+    def __len__(self) -> int:
+        return sum(len(r) for _, r in self._blocks())
+
+
 def tree_contract(tree: BinaryTree, p: np.ndarray, values: np.ndarray,
                   budget: EpsilonConfig = DEFAULT_BUDGET,
-                  debug: bool = False) -> tuple[dict[int, int], RoundStats]:
+                  debug: bool = False) -> tuple[Mapping[int, int], RoundStats]:
     """Contract the forest; returns ({root id: folded value}, stats).
 
     ``values`` is caller storage and is folded in place by sum mod 2^64.
+    The returned mapping is a read-only view that reads ``tree.parent``
+    and ``values`` when asked, so nothing in it grows with the root count;
+    changing those arrays afterwards changes its answers.
     In debug mode every round raises ``AssertionError`` if a prefix id
     cannot contract (each must be bare, or parented with at most one
     child), or if a parent and its child contract together.
@@ -476,7 +505,7 @@ def tree_contract(tree: BinaryTree, p: np.ndarray, values: np.ndarray,
     if n >= 1 << 31:
         raise ValueError("tree contraction supports fewer than 2^31 nodes")
     if n == 0:
-        return {}, RoundStats()
+        return _Roots(tree.parent, values), RoundStats()
     prefix = budget.round_words(n)
     client = _TreeClient(tree, p, values, prefix, debug)
     try:
@@ -484,4 +513,4 @@ def tree_contract(tree: BinaryTree, p: np.ndarray, values: np.ndarray,
                            client.clean, id_source=client.next_ids)
     finally:
         release(client.queue)
-    return client.roots, stats
+    return _Roots(tree.parent, values), stats

@@ -114,7 +114,7 @@ def gen_graph(n: int, rng: Rng, edges_per_vertex: int = 5) -> graph.GraphEdges:
     v = rng.derive(0xEDFE).words(0, m) % WORD(max(n - 1, 1))
     v = np.where(v >= u, v + WORD(1), v) % WORD(n)  # no self-loops for n > 1
     w = rng.derive(0x3E16).words(0, m)
-    return graph.GraphEdges(n, u.astype(WORD), v.astype(WORD), w)
+    return graph.GraphEdges(n, u, v, w)
 
 
 @dataclass(frozen=True)
@@ -312,8 +312,6 @@ _even_in_rounds = lambda data, cfg: (data.copy(), EVEN, cfg.budget())
 
 ALGOS = {
     "scan": Algo("ints", "strong", _copy, strong.scan, _scanned_in_place),
-    "scan-blocked": Algo("ints", "strong", _copy, strong.scan_blocked,
-                         _scanned_in_place),
     "reduce": Algo("ints", "strong", _copy, strong.reduce,
                    lambda data, args, total: total == bl.seq_scan(data)[1]),
     "rotate": Algo("ints", "strong", lambda data, cfg: (data.copy(), len(data) // 3),

@@ -73,11 +73,7 @@ def make_swap_sequence(n: int, rng) -> np.ndarray:
     return words % (np.arange(n, dtype=WORD) + WORD(1))
 
 
-def validate_swap_sequence(h: np.ndarray) -> None:
-    _check_swaps(h)
-
-
-def _check_swaps(h: np.ndarray) -> int:
+def validate_swap_sequence(h: np.ndarray) -> int:
     """Check H[i] <= i over ``SCRATCH_WORDS``-word blocks (so the
     temporaries stay O(1)); return the number of non-self swaps."""
     as_words(h)
@@ -199,7 +195,7 @@ def random_permutation(a: np.ndarray, h: np.ndarray, variant: str = "final",
     if variant not in RP_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     prefix = budget.round_words(len(a))
-    n_iterates = _check_swaps(h)
+    n_iterates = validate_swap_sequence(h)
     if n_iterates == 0:
         return RoundStats()
 

@@ -2,11 +2,13 @@
 
 Operations here never allocate through the space meter; per-call scratch is
 bounded by ``runtime.SCRATCH_WORDS`` and is treated as stack space.  Scan and
-reduce add mod 2^64.  Every array pass runs one step, ``runtime.keep_block``,
-the partition or the split (an in-place selection), over ``SCRATCH_WORDS``
-blocks through ``runtime.step_blocks``; the merge bisects down to sorted
-``SCRATCH_WORDS``-word leaves.  The relaxed model runs these over larger
-blocks and leaves.
+reduce add mod 2^64 over ``SCRATCH_WORDS``-word blocks; the scan keeps its
+block sums inside the array and scans them by the same blocked pass, so it
+recurses log_{SCRATCH_WORDS}(n) deep.  Every array pass runs one step,
+``runtime.keep_block``, the partition or the split (an in-place selection),
+over ``SCRATCH_WORDS`` blocks through ``runtime.step_blocks``; the merge
+bisects down to sorted ``SCRATCH_WORDS``-word leaves.  The relaxed model
+runs these over larger blocks and leaves.
 """
 
 from __future__ import annotations
@@ -39,17 +41,13 @@ __all__ = [
 # Reduce and rotate
 
 def reduce(a: np.ndarray) -> int:
-    """Sum of the array mod 2^64; the array is not modified."""
+    """Sum of the array mod 2^64, one ``SCRATCH_WORDS``-word block at a
+    time; the array is not modified."""
     as_words(a)
-
-    def rec(s: int, t: int) -> int:
-        if t - s <= SCRATCH_WORDS:
-            return int(np.sum(a[s:t], dtype=WORD))
-        mid = s + (t - s) // 2
-        left, right = fork_join(lambda: rec(s, mid), lambda: rec(mid, t))
-        return (left + right) & M64
-
-    return rec(0, len(a))
+    total = 0
+    for s in range(0, len(a), SCRATCH_WORDS):
+        total += int(np.sum(a[s:s + SCRATCH_WORDS], dtype=WORD))
+    return total & M64
 
 
 def _swap_ranges(a: np.ndarray, p: int, q: int, cnt: int) -> None:
@@ -95,23 +93,12 @@ def rotate(a: np.ndarray, o: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Scan (recursive up-sweep / down-sweep, all partials kept inside the array)
+# Scan (blocked: all partials kept inside the array)
 
 @dataclass
 class ScanResult:
     array: np.ndarray
     total: int
-
-
-def _up_sweep_add(a: np.ndarray, s: int, t: int, base: int) -> None:
-    # inclusive positions [s, t]
-    if t - s + 1 <= base:
-        np.cumsum(a[s:t + 1], dtype=WORD, out=a[s:t + 1])
-        return
-    mid = (s + t) // 2
-    fork_join(lambda: _up_sweep_add(a, s, mid, base),
-              lambda: _up_sweep_add(a, mid + 1, t, base))
-    a[t] = WORD((int(a[t]) + int(a[mid])) & M64)
 
 
 def _shift_exclusive(seg: np.ndarray, offset: int) -> None:
@@ -121,59 +108,42 @@ def _shift_exclusive(seg: np.ndarray, offset: int) -> None:
     seg[0] = WORD(offset)
 
 
-def _down_sweep_add(a: np.ndarray, s: int, t: int, p: int, base: int) -> None:
-    if t - s + 1 <= base:
-        _shift_exclusive(a[s:t + 1], p)
-        return
-    mid = (s + t) // 2
-    left_sum = int(a[mid])
-    fork_join(lambda: _down_sweep_add(a, s, mid, p, base),
-              lambda: _down_sweep_add(a, mid + 1, t, (p + left_sum) & M64, base))
-
-
-def _scan_add(v: np.ndarray) -> int:
+def _scan_blocks(v: np.ndarray, block: int) -> int:
     """Exclusive add-scan of a 1-D (possibly strided) view in place; returns
-    its total."""
+    its total.
+
+    Each block gets an inclusive cumsum.  The full blocks' last words, now
+    the block sums, are scanned by this function through a strided view,
+    which leaves each full block's offset in its last word.  Each full block
+    then shifts to an exclusive scan plus that offset, and the tail block
+    to one plus the full blocks' total.  The recursion is log_block(n) deep;
+    ``block`` must be at least 2, or it would recurse on the same view."""
     n = len(v)
     if n == 0:
         return 0
-    _up_sweep_add(v, 0, n - 1, SCRATCH_WORDS)
-    total = int(v[n - 1])
-    _down_sweep_add(v, 0, n - 1, 0, SCRATCH_WORDS)
+    for s in range(0, n, block):
+        np.cumsum(v[s:s + block], dtype=WORD, out=v[s:s + block])
+    full = n - n % block
+    total = _scan_blocks(v[block - 1:full:block], block)
+    for s in range(0, full, block):
+        seg = v[s:s + block]
+        _shift_exclusive(seg, int(seg[-1]))
+    if full < n:
+        seg = v[full:]
+        tail_total = int(seg[-1])
+        _shift_exclusive(seg, total)
+        total = (total + tail_total) & M64
     return total
 
 
 def scan(a: np.ndarray) -> ScanResult:
     """Exclusive in-place scan; returns the rewritten array and the total."""
     as_words(a)
-    return ScanResult(a, _scan_add(a))
+    return ScanResult(a, _scan_blocks(a, SCRATCH_WORDS))
 
 
-def scan_blocked(a: np.ndarray) -> ScanResult:
-    """Blocked scan: sequential per-block pass, scan over block sums, offset add.
-
-    Same contract as :func:`scan`.
-    """
-    as_words(a)
-    n = len(a)
-    block = SCRATCH_WORDS
-    for s in range(0, n, block):
-        np.cumsum(a[s:s + block], dtype=WORD, out=a[s:s + block])
-
-    # exclusive scan over the last element of each full block, in place
-    total = _scan_add(a[block - 1::block])
-
-    tail = n - n % block
-    for s in range(0, tail, block):
-        seg = a[s:s + block]
-        _shift_exclusive(seg, int(seg[-1]))
-
-    if tail < n:
-        seg = a[tail:]
-        tail_total = int(seg[-1])
-        _shift_exclusive(seg, total)
-        total = (total + tail_total) & M64
-    return ScanResult(a, total)
+# perfbench calls and traces both names; the alias goes with ROADMAP item 6
+scan_blocked = scan
 
 
 # ---------------------------------------------------------------------------

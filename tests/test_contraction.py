@@ -440,6 +440,72 @@ def test_tree_traced_peak_is_sublinear(budget, traced_peak):
     assert peak <= 12 * 8 * b + 4 * SCRATCH_WORDS * 8, peak
 
 
+def joined_forest(trees):
+    """One forest of the given trees, their ids offset to follow each other."""
+    links = {k: [words([])] for k in ("parent", "left", "right")}
+    base = 0
+    for t in trees:
+        for k, parts in links.items():
+            a = getattr(t, k)
+            parts.append(np.where(a == NIL, a, a + np.uint64(base)))
+        base += len(t)
+    return BinaryTree(*(np.concatenate(parts) for parts in links.values()))
+
+
+def bare_forest(n):
+    return BinaryTree(*(np.full(n, NIL, dtype=np.uint64) for _ in range(3)))
+
+
+THREE = BinaryTree(words([None, 0, 0]), words([1, None, None]),
+                   words([2, None, None]))
+
+
+@pytest.mark.parametrize("shape", ["singletons", "three-node-trees"])
+def test_tree_forest_traced_peak_is_sublinear(shape, traced_peak):
+    # the roots are read from tree.parent and values, so a forest of 2^16
+    # to 3·2^16 roots traces within the same bound as one tree
+    n = 3 << 16
+    budget = contraction.DEFAULT_BUDGET
+    b = budget.prefix_words(n)
+    tree = bare_forest(n) if shape == "singletons" else joined_forest([THREE] * (n // 3))
+    vals = Rng(8).words(0, n)
+    ref = bl.seq_tree_eval(tree.parent, tree.left, tree.right, vals)
+    p = make_priorities(n, Rng(9))
+    peak, (roots, _) = traced_peak(lambda: tree_contract(tree, p, vals, budget))
+    assert roots == ref and len(roots) == len(ref)
+    assert peak <= 12 * 8 * b + 4 * SCRATCH_WORDS * 8, peak
+
+
+@pytest.mark.parametrize("shape", ["empty", "one-tree", "forest"])
+def test_tree_roots_view_matches_sequential_fold(shape):
+    rng = np.random.default_rng(12)
+    trees = {"empty": [],
+             "one-tree": [random_full_binary_tree(rng, 2 * SCRATCH_WORDS + 1)],
+             "forest": [random_full_binary_tree(rng, int(rng.integers(0, 300)) | 1)
+                        for _ in range(40)] + [bare_forest(SCRATCH_WORDS + 5)]}[shape]
+    tree = joined_forest(trees)
+    n = len(tree)
+    vals = rng.integers(0, 1 << 64, size=n, dtype=np.uint64)
+    ref = bl.seq_tree_eval(tree.parent, tree.left, tree.right, vals)
+    roots, _ = tree_contract(tree, make_priorities(n, Rng(13)), vals,
+                             budget=PURE(0.5), debug=True)
+    assert roots == ref
+    assert len(roots) == len(ref) and list(roots) == sorted(ref)
+
+
+def test_tree_roots_view_has_only_root_keys():
+    vals = words([10, 20, 30])
+    roots, _ = tree_contract(THREE, words([2, 0, 1]), vals, budget=FULL)
+    assert roots[0] == 60 and 0 in roots
+    for key in (1, 2, 3, -1, "0"):
+        with pytest.raises(KeyError):
+            roots[key]
+        assert key not in roots
+    # the view reads the caller's values when asked
+    vals[0] = 5
+    assert roots[0] == 5
+
+
 @pytest.mark.parametrize("budget", [contraction.DEFAULT_BUDGET, PURE(0.5)],
                          ids=["b5242", "b512"])
 def test_list_traced_peak_is_sublinear(budget, traced_peak):

@@ -111,3 +111,11 @@ def test_decompose_driver_has_one_caller_per_loop():
                         getattr(node.func, "attr", None)):
                     callers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
     assert callers == {"detres.run_rounds", "relaxed._step_rounds"}
+
+
+def test_no_two_algorithms_share_a_body():
+    # one algorithm has one table entry; a second would run it twice over
+    by_body = {}
+    for name, algo in importlib.import_module("pipal.ops").ALGOS.items():
+        by_body.setdefault(id(algo.body), []).append(name)
+    assert [names for names in by_body.values() if len(names) > 1] == []

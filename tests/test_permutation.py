@@ -59,7 +59,8 @@ def test_validate_traced_peak_is_constant(traced_peak):
 def test_validate_rejects_at_block_edges(at):
     n = 3 * SCRATCH_WORDS + 7  # the last block holds 7 words
     h = make_swap_sequence(n, Rng(10))
-    validate_swap_sequence(h)
+    # the count of non-self swaps, which random_permutation runs as iterates
+    assert validate_swap_sequence(h) == int(np.count_nonzero(h != np.arange(n)))
     h[at] = at + 1
     with pytest.raises(ValueError, match="must lie in"):
         validate_swap_sequence(h)

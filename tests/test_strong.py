@@ -41,8 +41,11 @@ def test_reduce_identity_and_analytic():
 
 
 def test_reduce_matches_sequential_fold():
-    a = rand_words(1, 100_000)
-    assert strong.reduce(a) == int(np.sum(a, dtype=np.uint64))
+    # sizes about the block edge, and a run of many blocks
+    for n in (SCRATCH_WORDS - 1, SCRATCH_WORDS, SCRATCH_WORDS + 1,
+              3 * SCRATCH_WORDS + 57, 100_000):
+        a = rand_words(1, n)
+        assert strong.reduce(a) == int(np.sum(a, dtype=np.uint64)), n
 
 
 def test_rotate_examples():
@@ -118,7 +121,7 @@ def test_scan_matches_oracle_small():
 
 @pytest.mark.parametrize("n", [2, 3, 255, 256, 257, 1000, SCRATCH_WORDS - 1,
                                SCRATCH_WORDS, SCRATCH_WORDS + 1,
-                               3 * SCRATCH_WORDS + 57])
+                               3 * SCRATCH_WORDS + 57, 65536, 100_001])
 def test_scan_matches_oracle_sizes(n):
     a = rand_words(n, n)
     ref, total = bl.seq_scan(a)
@@ -136,42 +139,16 @@ def test_scan_reconstruction_recovers_input():
     assert np.array_equal(rec, orig)
 
 
-def _walk_upsweep_nodes(n, base):
-    """Internal recursion nodes of the up-sweep, per the same splitting rule."""
-    nodes = []
-
-    def rec(s, t):
-        if t - s + 1 <= base:
-            return
-        mid = (s + t) // 2
-        nodes.append((s, mid, t))
-        rec(s, mid)
-        rec(mid + 1, t)
-
-    if n:
-        rec(0, n - 1)
-    return nodes
-
-
-@pytest.mark.parametrize("base", [1, 256, SCRATCH_WORDS])
-@pytest.mark.parametrize("n", [1, 2, 7, 300, 2**12, 2 * SCRATCH_WORDS + 3])
-def test_upsweep_midpoint_invariant(n, base):
-    orig = rand_words(n * 7 + base, n)
-    a = orig.copy()
-    strong._up_sweep_add(a, 0, n - 1, base)
-    assert int(a[n - 1]) == int(np.sum(orig, dtype=np.uint64))
-    for s, mid, _t in _walk_upsweep_nodes(n, base):
-        assert int(a[mid]) == int(np.sum(orig[s:mid + 1], dtype=np.uint64))
-
-
-@pytest.mark.parametrize("n", [1, 5, 255, 256, 1000, SCRATCH_WORDS - 1,
-                               SCRATCH_WORDS, 65536, 100_001])
-def test_scan_blocked_bit_identical_to_scan(n):
-    a1 = rand_words(n, n)
-    a2 = a1.copy()
-    r1 = strong.scan(a1)
-    r2 = strong.scan_blocked(a2)
-    assert np.array_equal(a1, a2) and r1.total == r2.total
+@pytest.mark.parametrize("block", [2, 3, 7])
+def test_scan_blocks_at_block_edges(block):
+    # small blocks run one to three levels of the block-sum recursion, with
+    # and without a tail block; words spread over 64 bits wrap the sums
+    for n in (0, 1, block - 1, block, block + 1, block ** 2, block ** 2 + 1,
+              block ** 3 + block - 1):
+        v = rand_words(7 * n + block, n)
+        ref, ref_total = bl.seq_scan(v)
+        assert strong._scan_blocks(v, block) == ref_total, n
+        assert np.array_equal(v, ref), n
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +375,9 @@ def test_merge_strong_matches_two_finger_oracle(sizes):
 @given(st.lists(st.integers(0, 7), max_size=300), st.integers(2, 8), st.data())
 @settings(max_examples=200, deadline=None)
 def test_recursions_below_the_scratch_size(vals, base, data):
-    # a leaf of 2-8 words drives the merge bisection, the mergesort
-    # recursion and both sweeps through many levels, which inputs under
-    # SCRATCH_WORDS never reach otherwise
+    # a leaf or block of 2-8 words drives the merge bisection, the
+    # mergesort recursion and the scan's block-sum recursion through many
+    # levels, which inputs under SCRATCH_WORDS never reach otherwise
     split = data.draw(st.integers(0, len(vals)))
     x = np.sort(words(vals[:split]))
     y = np.sort(words(vals[split:]))
@@ -414,10 +391,7 @@ def test_recursions_below_the_scratch_size(vals, base, data):
 
     v = words(vals) * WORD(0x9E3779B97F4A7C15)  # spread over 64 bits, wrapping
     ref, ref_total = bl.seq_scan(v)
-    if len(v):
-        strong._up_sweep_add(v, 0, len(v) - 1, base)
-        assert int(v[-1]) == ref_total
-        strong._down_sweep_add(v, 0, len(v) - 1, 0, base)
+    assert strong._scan_blocks(v, base) == ref_total
     assert np.array_equal(v, ref)
 
 
