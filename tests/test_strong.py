@@ -151,6 +151,20 @@ def test_scan_blocks_at_block_edges(block):
         assert np.array_equal(v, ref), n
 
 
+@pytest.mark.parametrize("n", [1, 5, 255, 256, 1000, SCRATCH_WORDS - 1,
+                               SCRATCH_WORDS, 65536, 100_001])
+def test_scan_blocked_bit_identical_to_scan(n):
+    # scan_blocked is kept as a public name; both must give the sequential
+    # oracle's prefix sums and total, bit for bit
+    a1 = rand_words(n, n)
+    a2 = a1.copy()
+    ref, total = bl.seq_scan(a1)
+    r1 = strong.scan(a1)
+    r2 = strong.scan_blocked(a2)
+    assert np.array_equal(a1, a2) and r1.total == r2.total
+    assert np.array_equal(a2, ref) and r2.total == total
+
+
 # ---------------------------------------------------------------------------
 # filter / partition / quicksort
 
