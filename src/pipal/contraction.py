@@ -313,7 +313,11 @@ class _TreeClient:
     Every pending contractible node is discovered exactly once, and the
     queue plus in-flight failures never exceed twice the prefix.  A queued
     node keeps at most one child, so each edge with both ends active is
-    found once, from its child; a tie fails both ends.
+    found once, from its child; a tie fails both ends.  The commit turns
+    each split (compress or rake, left or right side, fresh parent or not)
+    into an index list once and gathers and scatters through it: the splits
+    are about half True at random places, where boolean-mask indexing is
+    slowest.
     """
 
     def __init__(self, tree: BinaryTree, p: np.ndarray, values: np.ndarray,
@@ -433,25 +437,24 @@ class _TreeClient:
         child = np.minimum(self.lf[vi], self.rt[vi])
         cm = child != _NILW
         np.add.at(self.values, ix(np.where(cm, child, pa)), self.values[vi])
-        c = ix(child[cm])
-        self.pa[c] = pa[cm]
+        k = np.flatnonzero(cm)
+        self.pa[ix(child.take(k))] = pa.take(k)
 
         # fresh: a rake's parent that had two children and has a parent, or
         # that is left a bare root.  Each rake reads its sibling slot: a left
         # rake before the round's writes, a right rake after them, so a
         # parent raked from both sides passes on one side only
         is_left = self.lf[pi] == v
-        rake = ~cm
-        p = pa[rake]
-        q = ix(p)
-        on_left = is_left[rake]
+        r = np.flatnonzero(~cm)
+        q = pi.take(r)
         sib = self.rt[q]
-        self.lf[pi[is_left]] = child[is_left]
-        is_right = ~is_left
-        self.rt[pi[is_right]] = child[is_right]
-        np.copyto(sib, self.lf[q], where=~on_left)
-        self._push(np.sort(p[((sib != _NILW) == (self.pa[q] != _NILW))
-                             & (p < WORD(self.cursor))]))
+        for side, at in ((self.lf, is_left), (self.rt, ~is_left)):
+            s = np.flatnonzero(at)
+            side[pi.take(s)] = child.take(s)
+        np.copyto(sib, self.lf[q], where=~is_left.take(r))
+        fresh = (sib != _NILW) == (self.pa[q] != _NILW)
+        fresh &= q < self.cursor
+        self._push(np.sort(pa.take(r.take(np.flatnonzero(fresh)))))
 
     def clean(self, view) -> None:
         pass

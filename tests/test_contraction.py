@@ -30,6 +30,7 @@ from pipal.runtime import (
     Rng,
     SpaceMeter,
     WORD,
+    ix,
     meter_scope,
 )
 
@@ -574,6 +575,20 @@ FRESH_PARENT_CASES = [
                  [1, 4], 6, [3],
                  ([_, 0, 0, 0, 3, 3], [3, 3, _, _, _, _], [2, _, _, 5, _, _]),
                  [1, 10, 100, 11010, 10000, 100000], id="compress-and-rake"),
+    # 1's unary children 3 and 4 compress: each side's scatter writes its
+    # own slot of 1, which keeps two children and is not queued
+    pytest.param(([_, 0, 0, 1, 1, 3, 4], [1, 3, _, 5, _, _, _],
+                  [2, 4, _, _, 6, _, _]), [3, 4], 7, [],
+                 ([_, 0, 0, 1, 1, 1, 1], [1, 5, _, 5, _, _, _],
+                  [2, 6, _, _, 6, _, _]),
+                 [1, 10, 100, 1000, 10000, 101000, 1010000],
+                 id="parent-compressed-both-sides"),
+    # 1 loses its left leaf 3 and keeps 4's child 5 on its right: queued once
+    pytest.param(([_, 0, 0, 1, 1, 4], [1, 3, _, _, _, _], [2, 4, _, _, 5, _]),
+                 [3, 4], 6, [1],
+                 ([_, 0, 0, 1, 1, 1], [1, _, _, _, _, _], [2, 5, _, _, 5, _]),
+                 [1, 1010, 100, 1000, 10000, 110000],
+                 id="left-rake-right-compress"),
 ]
 
 
@@ -689,21 +704,6 @@ def test_rank_rounds_match_reference(capture_rounds, budget):
     p = make_priorities(n, Rng(14))
     assert np.array_equal(list_rank(lst, p, budget), ref)
     check_list_rounds(nxt, prv, p, budget.round_words(n), rounds)
-
-
-@pytest.mark.parametrize("budget", REFERENCE_BUDGETS)
-def test_tree_rounds_match_reference(capture_rounds, budget):
-    n = 4001
-    rounds = capture_rounds(contraction)
-    rng = np.random.default_rng(15)
-    tree = random_full_binary_tree(rng, n)
-    start = BinaryTree(tree.parent.copy(), tree.left.copy(), tree.right.copy())
-    vals = rng.integers(0, 1 << 64, size=n, dtype=np.uint64)
-    ref = bl.seq_tree_eval(tree.parent, tree.left, tree.right, vals)
-    p = make_priorities(n, Rng(16))
-    roots, stats = tree_contract(tree, p, vals, budget=budget)
-    assert roots == ref and len(rounds) == stats.rounds
-    check_tree_rounds(start, p, rounds)
 
 
 def test_list_reserve_tie_fails_both():
@@ -854,6 +854,76 @@ def test_tree_debug_check_holds_on_shapes(monkeypatch, capture_rounds, shape,
     assert roots == ref
     assert checked == [len(ids) for ids, _ in rounds]
     assert len(checked) == stats.rounds > 1
+
+
+@pytest.mark.parametrize("budget", REFERENCE_BUDGETS)
+@pytest.mark.parametrize("shape", sorted(TREE_SHAPES))
+def test_tree_rounds_match_reference(capture_rounds, shape, budget):
+    # on a caterpillar every compress is of a left child (a spine node)
+    rounds = capture_rounds(contraction)
+    tree = TREE_SHAPES[shape]()
+    n = len(tree)
+    start = BinaryTree(tree.parent.copy(), tree.left.copy(), tree.right.copy())
+    vals = Rng(15).words(0, n)
+    ref = bl.seq_tree_eval(tree.parent, tree.left, tree.right, vals)
+    p = make_priorities(n, Rng(16))
+    roots, stats = tree_contract(tree, p, vals, budget=budget)
+    assert roots == ref and len(rounds) == stats.rounds
+    check_tree_rounds(start, p, rounds)
+
+
+def _reference_commit(self, view):
+    """The tree commit with a boolean-mask compress for every split: what
+    ``_TreeClient.commit`` computed before it gathered and scattered
+    through index lists."""
+    v = view.ids[view.committed]
+    pa = self.pa[ix(v)]
+    if self.debug and len(self._edges(v, pa)[0]):
+        raise AssertionError("a parent and its child contracted together")
+    pm = pa != NIL
+    if not pm.all():
+        v, pa = v[pm], pa[pm]
+    vi = ix(v)
+    pi = ix(pa)
+    child = np.minimum(self.lf[vi], self.rt[vi])
+    cm = child != NIL
+    np.add.at(self.values, ix(np.where(cm, child, pa)), self.values[vi])
+    self.pa[ix(child[cm])] = pa[cm]
+    is_left = self.lf[pi] == v
+    rake = ~cm
+    p = pa[rake]
+    q = ix(p)
+    on_left = is_left[rake]
+    sib = self.rt[q]
+    self.lf[pi[is_left]] = child[is_left]
+    is_right = ~is_left
+    self.rt[pi[is_right]] = child[is_right]
+    np.copyto(sib, self.lf[q], where=~on_left)
+    self._push(np.sort(p[((sib != NIL) == (self.pa[q] != NIL))
+                         & (p < WORD(self.cursor))]))
+
+
+@pytest.mark.parametrize("budget", REFERENCE_BUDGETS)
+@pytest.mark.parametrize("shape", sorted(TREE_SHAPES))
+def test_tree_commit_matches_mask_reference(monkeypatch, capture_rounds,
+                                            shape, budget):
+    # the index-list commit makes the mask commit's writes: the same links,
+    # values, rounds and queue order
+    runs = []
+    for commit in (contraction._TreeClient.commit, _reference_commit):
+        monkeypatch.setattr(contraction._TreeClient, "commit", commit)
+        rounds = capture_rounds(contraction)
+        tree = TREE_SHAPES[shape]()
+        n = len(tree)
+        vals = Rng(45).words(0, n)
+        _, stats = tree_contract(tree, make_priorities(n, Rng(46)), vals,
+                                 budget=budget, debug=True)
+        runs.append((tree.parent, tree.left, tree.right, vals, stats.rounds,
+                     list(rounds)))
+    (*got, got_rounds, got_seen), (*want, want_rounds, want_seen) = runs
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert got_rounds == want_rounds == len(got_seen) > 1
+    assert got_seen == want_seen
 
 
 def test_tree_debug_check_fires_on_co_contraction(monkeypatch):
