@@ -168,7 +168,7 @@ def _jump(up: np.ndarray, dist: np.ndarray | None = None,
     for _ in range(n.bit_length() + 1):
         more = False
         for s in range((n - 1) // block * block, -1, -block):
-            live = np.flatnonzero(up[s:s + block] != _NILW) + s
+            live = (up[s:s + block] != _NILW).nonzero()[0] + s
             hop = ix(up[live])
             if dist is not None:
                 dist[live] += dist[hop]
@@ -189,7 +189,9 @@ class _ListClient:
     NIL (above every id), count as priority infinity.  The ids ascend, since
     failures pack in order ahead of counting fresh ids, and hold every
     pending id up to the last; a live link points at a pending element, so
-    a neighbor is active exactly when it is at most ``ids[-1]``.
+    a neighbor is active exactly when it is at most ``ids[-1]``.  Few are
+    (about 1% of a round's ids at 2^20), so reserve takes each side's
+    active neighbors as one index list, not as masks.
     """
 
     def __init__(self, lst: LinkedList, p: np.ndarray):
@@ -207,8 +209,8 @@ class _ListClient:
         ok = view.committed
         ok[:] = True
         for nbr in (self.nxt[i], self._pred(i)):
-            m = nbr <= ids[-1]
-            ok[m] &= pv[m] < self.p[ix(nbr[m])]
+            k = (nbr <= ids[-1]).nonzero()[0]
+            ok[k] &= pv.take(k) < self.p[ix(nbr.take(k))]
 
     def commit(self, view) -> None:
         v = ix(view.ids[view.committed])
@@ -357,7 +359,7 @@ class _TreeClient:
             # fill the queue; the loop sweeps on if they fall short
             need = self.prefix - self.qsize
             hi = min(self.cursor + min(SCRATCH_WORDS, 2 * need), self.n)
-            ids = np.flatnonzero(self._ready(slice(self.cursor, hi)))
+            ids = self._ready(slice(self.cursor, hi)).nonzero()[0]
             ids += self.cursor
             if len(ids) > need:
                 # leave the surplus ahead of the cursor for later sweeps
@@ -394,7 +396,7 @@ class _TreeClient:
         buf.sort()
         x = buf[1:] ^ buf[:-1]
         x >>= WORD(31)
-        par = np.flatnonzero(x == WORD(1))
+        par = (x == WORD(1)).nonzero()[0]
         kid = par + 1
         # past the end, clip reads x[par] itself, which is 1
         two = par[x.take(kid, mode="clip") == WORD(0)]
@@ -437,7 +439,7 @@ class _TreeClient:
         child = np.minimum(self.lf[vi], self.rt[vi])
         cm = child != _NILW
         np.add.at(self.values, ix(np.where(cm, child, pa)), self.values[vi])
-        k = np.flatnonzero(cm)
+        k = cm.nonzero()[0]
         self.pa[ix(child.take(k))] = pa.take(k)
 
         # fresh: a rake's parent that had two children and has a parent, or
@@ -445,16 +447,16 @@ class _TreeClient:
         # rake before the round's writes, a right rake after them, so a
         # parent raked from both sides passes on one side only
         is_left = self.lf[pi] == v
-        r = np.flatnonzero(~cm)
+        r = (~cm).nonzero()[0]
         q = pi.take(r)
         sib = self.rt[q]
         for side, at in ((self.lf, is_left), (self.rt, ~is_left)):
-            s = np.flatnonzero(at)
+            s = at.nonzero()[0]
             side[pi.take(s)] = child.take(s)
         np.copyto(sib, self.lf[q], where=~is_left.take(r))
         fresh = (sib != _NILW) == (self.pa[q] != _NILW)
         fresh &= q < self.cursor
-        self._push(np.sort(pa.take(r.take(np.flatnonzero(fresh)))))
+        self._push(np.sort(pa.take(r.take(fresh.nonzero()[0]))))
 
     def clean(self, view) -> None:
         pass

@@ -8,11 +8,13 @@ a row that retire nothing, and adds its round count to the active space
 meter (:func:`pipal.runtime.add_rounds`).  :func:`run_rounds` is one step
 of that loop over a packed prefix of pending iterates: refill from the id
 source, reserve phase, barrier, commit phase, barrier, cleaning phase, then
-failure packing.  Phase callbacks receive the whole active prefix at once
-and operate on it with array operations, so results are independent of
-thread count.  Each client resolves its own write-max claims: random
-permutation by one sort of packed (target, position) words per round, the
-contractions by comparing neighbor priorities.
+failure packing: one :func:`pipal.runtime.keep_block` call over the whole
+prefix, which gathers the failed iterates to its front in order.  Phase
+callbacks receive the whole active prefix at once and operate on it with
+array operations, so results are independent of thread count.  Each
+client resolves its own write-max claims: random permutation by one sort
+of packed (target, position) words per round, the contractions by
+comparing neighbor priorities.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .runtime import (
     keep_block,
     release,
     run_starts,
-    step_blocks,
 )
 
 __all__ = ["ReservationTable", "RoundStats", "RoundView", "decompose_driver",
@@ -225,8 +226,8 @@ def run_rounds(n_iterates: int, prefix_size: int, reserve, commit, clean,
         reserve(view)
         commit(view)
         clean(view)
-        state["fill"] = step_blocks(ids[:fill], keep_block,
-                                    lambda s, e: ~committed[s:e])
+        state["fill"] = keep_block(ids, lambda s, e: ~committed[s:e], None,
+                                   0, 0, fill)
         return fill - state["fill"]
 
     try:

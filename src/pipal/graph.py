@@ -223,7 +223,9 @@ def query_connectivity(oracle: ConnectivityOracle, x: int) -> int:
     label = labels.get(x)
     if label is not None:
         return label
-    off, nbr = g.adj_off, g.adj_nbr
+    # zero-copy views: off[v] is a Python int, and a slice's tolist() the
+    # same ids as the array's, with no numpy scalar or view per vertex
+    off, nbr = memoryview(g.adj_off), memoryview(g.adj_nbr)
     seen = {x}
     queue = [x]
     for v in queue:

@@ -127,7 +127,7 @@ class _RpClient:
         while count > 0 and self.cursor >= 0:
             hi = self.cursor + 1
             lo = max(0, hi - width)
-            idx = np.flatnonzero(h[lo:hi] != np.arange(lo, hi, dtype=WORD))
+            idx = (h[lo:hi] != np.arange(lo, hi, dtype=WORD)).nonzero()[0]
             idx = idx[max(0, len(idx) - count):]
             idx += lo
             self.cursor = int(idx[0]) - 1 if len(idx) == count else lo - 1
@@ -150,12 +150,16 @@ class _RpClient:
         claims = self.claims[:len(ids)]
         claimed = view.committed  # by position, until the commit mask
         tgt = claims >> _SHIFT
-        # one sorted search of the ascending ids[::-1]; an id above every
-        # target clips to the last one, which differs from it
-        np.equal(tgt.take(np.searchsorted(tgt, ids[::-1]), mode="clip"),
-                 ids[::-1], out=claimed[::-1])
+        # every round id is at least ids[-1], so only the sorted targets'
+        # tail from ids[-1] on can name one: search that tail into the
+        # ascending ids[::-1] and mark the exact hits.  Every target is
+        # below ids[0] (h[j] < j), so each search lands inside ids
+        tail = tgt[np.searchsorted(tgt, ids[-1]):]
+        at = np.searchsorted(ids[::-1], tail)
+        claimed[::-1][at[ids[::-1].take(at) == tail]] = True
         won = claims[run_starts(tgt)]
-        del tgt  # free each temporary early: commit sets rp's traced peak
+        # free each temporary early: commit sets rp's traced peak
+        del tgt, tail, at
         won = won[~claimed[ix(won & _LOW)]]
         dst = ix(won >> _SHIFT)
         won &= _LOW

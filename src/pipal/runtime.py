@@ -306,8 +306,8 @@ def run_starts(x: np.ndarray) -> np.ndarray:
     return first
 
 
-def keep_block(a: np.ndarray, keep, buf: np.ndarray, m: int, pos: int,
-               take: int) -> int:
+def keep_block(a: np.ndarray, keep, buf: np.ndarray | None, m: int,
+               pos: int, take: int) -> int:
     """Stably compact a[pos:pos+take] onto the m words kept so far in a[:m];
     returns the new m.  ``keep(s, e)`` gives the keep mask of a[s:e].
 
@@ -315,8 +315,13 @@ def keep_block(a: np.ndarray, keep, buf: np.ndarray, m: int, pos: int,
     a[pos+take-1] unless the block is kept whole onto an undropped a[:pos],
     and such a block moves nothing; so keep(s, e) may also read a[s - 1],
     which still holds its input word.  buf is not used: the gather is a
-    frame-local temporary of at most ``take`` words."""
-    idx = np.flatnonzero(keep(pos, pos + take))
+    frame-local temporary of at most ``take`` words.  The block loops call
+    it per block; the round engine calls it once per round over its whole
+    prefix (m = pos = 0, buf None) to pack the failed iterates."""
+    # nonzero, not flatnonzero: the same list on a 1-D mask, without
+    # flatnonzero's ravel and Python wrappers, which on a 512-word mask
+    # cost as much again as the search
+    idx = keep(pos, pos + take).nonzero()[0]
     cnt = len(idx)
     if cnt and not (m == pos and cnt == take):
         a[m:m + cnt] = a[pos:pos + take][idx]

@@ -12,7 +12,7 @@ from pipal.detres import (
     ReservationTable,
     run_rounds,
 )
-from pipal.runtime import SpaceMeter, metered
+from pipal.runtime import SCRATCH_WORDS, SpaceMeter, metered
 
 
 def words(vals):
@@ -182,29 +182,36 @@ def test_single_iterate_single_round():
 
 
 def test_conservation_and_packing_order():
-    # every iterate commits exactly once; failures retry in packed order
-    n = 1000
-    seen: list[int] = []
+    # every iterate commits exactly once; failures retry in packed order,
+    # ahead of the fresh ids.  The second input's prefix spans more than
+    # one SCRATCH_WORDS block, so the packing runs over several blocks' ids
+    for n, prefix in ((1000, 128),
+                      (3 * SCRATCH_WORDS + 7, 2 * SCRATCH_WORDS + 1)):
+        seen: list[int] = []
+        failed = np.empty(0, dtype=np.uint64)
 
-    def reserve(view):
-        pass
+        def reserve(view):
+            # the last round's failures lead the prefix, in order
+            assert np.array_equal(view.ids[:len(failed)], failed)
 
-    def commit(view):
-        ids = view.ids
-        # commit only even ids on their first try; everything on retry
-        ok = (ids % np.uint64(2) == 0) | retried[ids]
-        view.committed[:] = ok
-        seen.extend(ids[ok].tolist())
-        retried[ids] = True
+        def commit(view):
+            nonlocal failed
+            ids = view.ids
+            # commit only even ids on their first try; everything on retry
+            ok = (ids % np.uint64(2) == 0) | retried[ids]
+            view.committed[:] = ok
+            seen.extend(ids[ok].tolist())
+            failed = ids[~ok]
+            retried[ids] = True
 
-    def clean(view):
-        # packed order respected: active prefix must be ascending
-        assert np.all(np.diff(view.ids.astype(np.int64)) > 0)
+        def clean(view):
+            # packed order respected: active prefix must be ascending
+            assert np.all(np.diff(view.ids.astype(np.int64)) > 0)
 
-    retried = np.zeros(n, dtype=bool)
-    stats = run_rounds(n, 128, reserve, commit, clean)
-    assert sorted(seen) == list(range(n))
-    assert stats.total_committed == n
+        retried = np.zeros(n, dtype=bool)
+        stats = run_rounds(n, prefix, reserve, commit, clean)
+        assert sorted(seen) == list(range(n))
+        assert stats.total_committed == n
 
 
 def test_livelock_guard_aborts():
