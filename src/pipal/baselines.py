@@ -4,6 +4,13 @@ These are the correctness oracles for the in-place modules and the
 non-in-place performance comparators.  They deliberately share no code
 with the primary modules: the sequential oracles are single-threaded and
 written in the most direct style possible.
+
+The loop oracles index their arrays through ``memoryview``s, which yield
+plain Python ints, so no input is copied into a Python list (about 40
+bytes a word).  Each one's footprint is its output, plus an O(depth)
+stack for the tree sums, plus O(1) Python objects.  The union-find
+parents are the components' output array; Kruskal also holds its edge
+order (m words) and its parents (n words).
 """
 
 from __future__ import annotations
@@ -47,27 +54,24 @@ def seq_knuth_shuffle(a: np.ndarray, h: np.ndarray) -> None:
     as_words(a)
     if len(h) != len(a):
         raise ValueError("swap sequence length must match the array")
-    hl = h.tolist()
-    al = a.tolist()
-    for i in range(len(al) - 1, -1, -1):
-        j = hl[i]
-        al[i], al[j] = al[j], al[i]
-    a[:] = al
+    av, hv = memoryview(a), memoryview(h)
+    for i in range(len(av) - 1, -1, -1):
+        j = hv[i]
+        av[i], av[j] = av[j], av[i]
 
 
 def seq_list_rank(next_arr: np.ndarray, prev_arr: np.ndarray) -> np.ndarray:
     """Pointer-walk ranks: position of each node within its chain."""
     n = len(next_arr)
     ranks = np.zeros(n, dtype=WORD)
-    nxt = next_arr.tolist()
-    prv = prev_arr.tolist()
+    nxt, prv, rk = memoryview(next_arr), memoryview(prev_arr), memoryview(ranks)
     for head in range(n):
         if prv[head] != NIL:
             continue
         r = 0
         v = head
         while v != NIL:
-            ranks[v] = r
+            rk[v] = r
             r += 1
             v = nxt[v]
     return ranks
@@ -76,13 +80,11 @@ def seq_list_rank(next_arr: np.ndarray, prev_arr: np.ndarray) -> np.ndarray:
 def seq_tree_eval(parent: np.ndarray, left: np.ndarray, right: np.ndarray,
                   values: np.ndarray) -> dict[int, int]:
     """Iterative post-order subtree sums (mod 2^64); returns {root: total}."""
-    n = len(parent)
-    li = left.tolist()
-    ri = right.tolist()
-    vals = values.tolist()
+    par, li, ri = memoryview(parent), memoryview(left), memoryview(right)
+    vals = memoryview(values)
     out: dict[int, int] = {}
-    for root in range(n):
-        if parent[root] != NIL:
+    for root in range(len(par)):
+        if par[root] != NIL:
             continue
         total = 0
         stack = [root]
@@ -99,20 +101,20 @@ def seq_tree_eval(parent: np.ndarray, left: np.ndarray, right: np.ndarray,
 
 def seq_two_finger_merge(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Classic two-finger merge of two sorted runs (ties taken from x)."""
-    xs = x.tolist()
-    ys = y.tolist()
-    out = []
+    xs, ys = memoryview(x), memoryview(y)
+    out = np.empty(len(xs) + len(ys), dtype=WORD)
+    o = memoryview(out)
     i = j = 0
     while i < len(xs) and j < len(ys):
         if xs[i] <= ys[j]:
-            out.append(xs[i])
+            o[i + j] = xs[i]
             i += 1
         else:
-            out.append(ys[j])
+            o[i + j] = ys[j]
             j += 1
-    out.extend(xs[i:])
-    out.extend(ys[j:])
-    return np.array(out, dtype=WORD)
+    out[i + j:len(xs) + j] = x[i:]
+    out[len(xs) + j:] = y[j:]
+    return out
 
 
 def seq_sort(a: np.ndarray) -> np.ndarray:
@@ -121,43 +123,49 @@ def seq_sort(a: np.ndarray) -> np.ndarray:
 
 def union_find_components(n: int, edges_u: np.ndarray, edges_v: np.ndarray) -> np.ndarray:
     """Component label per vertex (label = smallest vertex id in component)."""
-    parent = list(range(n))
+    parent = np.arange(n, dtype=WORD)
+    p = memoryview(parent)
 
     def find(x: int) -> int:
         root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
+        while p[root] != root:
+            root = p[root]
+        while p[x] != root:
+            p[x], x = root, p[x]
         return root
 
-    for u, v in zip(edges_u.tolist(), edges_v.tolist()):
+    for u, v in zip(memoryview(edges_u), memoryview(edges_v)):
         ru, rv = find(u), find(v)
         if ru != rv:
             if ru < rv:
-                parent[rv] = ru
+                p[rv] = ru
             else:
-                parent[ru] = rv
-    return np.array([find(x) for x in range(n)], dtype=WORD)
+                p[ru] = rv
+    # find leaves each vertex pointing straight at its root
+    for x in range(n):
+        find(x)
+    return parent
 
 
 def kruskal_msf(n: int, edges_u: np.ndarray, edges_v: np.ndarray,
                 weights: np.ndarray) -> list[int]:
     """Edge ids of the unique MSF under (weight, edge-id) tie-breaking."""
-    order = np.lexsort((np.arange(len(weights)), weights))
-    parent = list(range(n))
+    order = np.argsort(weights, kind="stable")  # ties by edge id
+    eu, ev = memoryview(edges_u), memoryview(edges_v)
+    parent = np.arange(n, dtype=WORD)
+    p = memoryview(parent)
 
     def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
         return x
 
     taken = []
-    for e in order.tolist():
-        ru, rv = find(int(edges_u[e])), find(int(edges_v[e]))
+    for e in memoryview(order):
+        ru, rv = find(eu[e]), find(ev[e])
         if ru != rv:
-            parent[ru] = rv
+            p[ru] = rv
             taken.append(e)
     taken.sort()
     return taken

@@ -9,6 +9,7 @@ in the package lists the algorithms.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -220,9 +221,9 @@ def _sorted(data, args, result) -> bool:
 
 def _set_op(body, op) -> Algo:
     def check(data, args, m):
+        # the halves are np.unique outputs: sorted and duplicate-free
         a, cut = _dedup_sets(data)
-        want = op(set(a[:cut].tolist()), set(a[cut:].tolist()))
-        return args[0][:m].tolist() == sorted(want)
+        return np.array_equal(args[0][:m], op(a[:cut], a[cut:]))
 
     return Algo("ints", "strong", _dedup_sets, body, check)
 
@@ -325,9 +326,11 @@ ALGOS = {
                       strong.quicksort_strong, _sorted),
     "mergesort": Algo("ints", "strong", _copy, strong.mergesort_strong, _sorted),
     "merge": Algo("ints", "strong", _sorted_halves, strong.merge_strong, _sorted),
-    "set-union": _set_op(strong.set_union, set.union),
-    "set-intersect": _set_op(strong.set_intersect, set.intersection),
-    "set-difference": _set_op(strong.set_difference, set.difference),
+    "set-union": _set_op(strong.set_union, np.union1d),
+    "set-intersect": _set_op(strong.set_intersect,
+                             functools.partial(np.intersect1d, assume_unique=True)),
+    "set-difference": _set_op(strong.set_difference,
+                              functools.partial(np.setdiff1d, assume_unique=True)),
     "filter-relaxed": Algo("ints", "relaxed", _even_in_rounds, relaxed.filter_relaxed,
                            _filtered),
     "partition-relaxed": Algo("ints", "relaxed", _even_in_rounds,

@@ -316,8 +316,9 @@ def keep_block(a: np.ndarray, keep, buf: np.ndarray | None, m: int,
     and such a block moves nothing; so keep(s, e) may also read a[s - 1],
     which still holds its input word.  buf is not used: the gather is a
     frame-local temporary of at most ``take`` words.  The block loops call
-    it per block; the round engine calls it once per round over its whole
-    prefix (m = pos = 0, buf None) to pack the failed iterates."""
+    it per block (the strong loop with buf None); the round engine calls
+    it once per round over its whole prefix (m = pos = 0, buf None) to pack
+    the failed iterates."""
     # nonzero, not flatnonzero: the same list on a 1-D mask, without
     # flatnonzero's ravel and Python wrappers, which on a 512-word mask
     # cost as much again as the search
@@ -331,9 +332,11 @@ def keep_block(a: np.ndarray, keep, buf: np.ndarray | None, m: int,
 def step_blocks(a: np.ndarray, step, *args) -> int:
     """The strong block loop: run ``step(a, *args, buf, m, pos, take)`` over
     a's ``SCRATCH_WORDS``-word blocks in order through one uncharged
-    one-block buffer; return m."""
+    one-block buffer; return m.  ``keep_block`` never reads a buffer, so it
+    gets None and no buffer is made."""
     n = len(a)
-    buf = np.empty(min(SCRATCH_WORDS, n), dtype=WORD)
+    buf = None if step is keep_block else np.empty(min(SCRATCH_WORDS, n),
+                                                    dtype=WORD)
     m = 0
     for pos in range(0, n, SCRATCH_WORDS):
         m = step(a, *args, buf, m, pos, min(SCRATCH_WORDS, n - pos))

@@ -98,6 +98,16 @@ def test_every_private_definition_is_referenced(name):
     assert sorted(n for n in defined if n.startswith("_") and n not in used) == []
 
 
+def test_baselines_copy_no_array_to_a_list():
+    # the sequential oracles read their arrays through memoryviews: a
+    # .tolist() copy costs about 40 bytes a word and sets a verified run's RSS
+    tree = ast.parse(inspect.getsource(importlib.import_module("pipal.baselines")))
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "tolist"]
+    assert calls == []
+
+
 def test_decompose_driver_has_one_caller_per_loop():
     # the round engine and the relaxed block loop are the only round loops;
     # every other relaxed pass runs a step through the block loop
