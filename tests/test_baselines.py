@@ -361,7 +361,9 @@ def _footprint_cases():
     }
 
 
-@pytest.mark.parametrize("oracle", list(_footprint_cases()))
+@pytest.mark.parametrize("oracle", ["seq_knuth_shuffle", "seq_list_rank",
+                                    "seq_tree_eval", "seq_two_finger_merge",
+                                    "union_find_components", "kruskal_msf"])
 def test_oracle_footprint_is_its_output(oracle):
     # no list copy of an input: the traced peak is the output (the bytes
     # still traced when the call returns), Kruskal's working state, a
