@@ -12,11 +12,12 @@ which caps ranking inputs at 2^32 - 2 elements; a spliced element keeps
 rank(v) = dist(v) + rank(parent(v)) (Wyllie 1979), block by block in place,
 so no temporary grows with n; the validators walk the whole array at once
 to check that inputs are free of cycles.  Tree contraction finds a round's
-in-prefix edges with one sort of packed words, for trees below 2^31 nodes.
+in-prefix edges by tagging: each prefix id's own parent slot briefly holds
+its position, and each child reads its parent's slot.
 
 Every round runs over ``budget.round_words(n)`` ids, the cache-capped
 prefix p(n) <= b(n), so the charged state is the engine's p-word prefix
-and p-byte commit mask, plus tree contraction's 2p + 8 word frontier queue.
+and p-byte commit mask, plus tree contraction's p-word frontier queue.
 """
 
 from __future__ import annotations
@@ -48,8 +49,6 @@ DEFAULT_BUDGET = EpsilonConfig(epsilon=0.5)
 
 NIL32 = (1 << 32) - 1
 _NILW = WORD(NIL)
-_TAG = WORD(1 << 31)  # _TreeClient._edges: a parent tag over a position
-_POS = _TAG - WORD(1)
 
 
 @dataclass
@@ -309,17 +308,19 @@ class _TreeClient:
 
     A node with two children cannot contract no matter its priority, so a
     fixed id-order prefix could wedge on a window of internal nodes.  The
-    iterate source is therefore a bounded frontier: a cursor sweeps the ids
-    once, queueing nodes that are contractible when it passes, and a rake
+    iterate source is therefore a request-driven frontier: a cursor sweeps
+    the ids once, queueing nodes that are contractible when it passes until
+    the queue holds the ids asked for, so every take empties it, and a rake
     that makes an already-swept parent contractible queues that parent.
-    Every pending contractible node is discovered exactly once, and the
-    queue plus in-flight failures never exceed twice the prefix.  A queued
-    node keeps at most one child, so each edge with both ends active is
-    found once, from its child; a tie fails both ends.  The commit turns
-    each split (compress or rake, left or right side, fresh parent or not)
-    into an index list once and gathers and scatters through it: the splits
-    are about half True at random places, where boolean-mask indexing is
-    slowest.
+    Every pending contractible node is discovered exactly once.  A commit
+    queues at most one parent per rake, so the queue never outgrows the
+    next request, p less the kept failures: it is p words.  A queued node
+    keeps at most one child, so each edge with both ends active is found
+    once, from its child, by ``_edges``; a tie fails both ends.  The commit
+    turns each split (compress or rake, left or right side, fresh parent or
+    not) into an index list once and gathers and scatters through it: the
+    splits are about half True at random places, where boolean-mask
+    indexing is slowest.
     """
 
     def __init__(self, tree: BinaryTree, p: np.ndarray, values: np.ndarray,
@@ -331,9 +332,8 @@ class _TreeClient:
         self.p = p
         self.values = values
         self.debug = debug
-        self.prefix = prefix
         # packed frontier: queue[:qsize], oldest first
-        self.queue = alloc(2 * prefix + 8)
+        self.queue = alloc(prefix)
         self.qsize = 0
         self.cursor = 0
 
@@ -353,11 +353,11 @@ class _TreeClient:
         self.queue[self.qsize:end] = ids
         self.qsize = end
 
-    def _scan_fill(self) -> None:
-        while self.qsize < self.prefix and self.cursor < self.n:
+    def _scan_fill(self, count: int) -> None:
+        while self.qsize < count and self.cursor < self.n:
             # about half of a window's ids are leaves, so 2·need ids usually
-            # fill the queue; the loop sweeps on if they fall short
-            need = self.prefix - self.qsize
+            # fill the request; the loop sweeps on if they fall short
+            need = count - self.qsize
             hi = min(self.cursor + min(SCRATCH_WORDS, 2 * need), self.n)
             ids = self._ready(slice(self.cursor, hi)).nonzero()[0]
             ids += self.cursor
@@ -370,7 +370,7 @@ class _TreeClient:
             self._push(ids)
 
     def next_ids(self, count: int) -> np.ndarray:
-        self._scan_fill()
+        self._scan_fill(count)
         cnt = min(count, self.qsize)
         out = self.queue[:cnt].copy()
         self.qsize -= cnt
@@ -378,37 +378,28 @@ class _TreeClient:
         return out
 
     # -- phases
-    @staticmethod
-    def _edges(ids: np.ndarray,
+    def _edges(self, ids: np.ndarray,
                up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Positions in ``ids`` of the (child, parent) ends of every edge
-        with both ends in ``ids``, given ``up``, the parents of ``ids``: one
-        sort of (id << 32) | pos and (parent << 32) | 2^31 | pos puts each
-        id ahead of the entries naming it.  The ids are distinct and below
-        2^31, and NIL packs to key 2^32 - 1, which no id reaches.  A key's
-        run is its id's entry, if any, then the entries of its at most two
-        children: a first child differs from the entry before it in the
-        tag alone, and a second child matches the first child's entry in
-        key and tag."""
-        pos = np.arange(len(ids), dtype=WORD)
-        buf = np.concatenate((ids << WORD(32) | pos,
-                              up << WORD(32) | pos | _TAG))
-        buf.sort()
-        x = buf[1:] ^ buf[:-1]
-        x >>= WORD(31)
-        par = (x == WORD(1)).nonzero()[0]
-        kid = par + 1
-        # past the end, clip reads x[par] itself, which is 1
-        two = par[x.take(kid, mode="clip") == WORD(0)]
-        par = np.concatenate((par, two))
-        kid = np.concatenate((kid, two + 2))
-        return ix(buf[kid] & _POS), ix(buf[par] & _POS)
+        with both ends in ``ids``, given ``up``, the parents of ``ids``.
+        Each id's own parent slot briefly holds its position | 2^63, each
+        child reads its parent's slot, and the slots get ``up`` back: an id
+        or NIL xor 2^63 is at least 2^63 - 1, a tag xors to its position.
+        Each id writes only its own slot, so in the fork-join model these
+        are two parallel loops and a barrier."""
+        i = ix(ids)
+        tag = WORD(1 << 63)
+        self.pa[i] = np.arange(len(ids), dtype=WORD) | tag
+        kid = (up != _NILW).nonzero()[0]
+        got = self.pa[ix(up.take(kid))]
+        self.pa[i] = up
+        got ^= tag
+        hit = (got < WORD(len(ids))).nonzero()[0]
+        return kid.take(hit), ix(got.take(hit))
 
     def reserve(self, view) -> None:
         ids = view.ids
         i = ix(ids)
-        pv = self.p[i]
-        pa = self.pa[i]
         # every id can contract when queued and stays so: a node only loses
         # children, and a compress hands its child a parent; so only the
         # in-prefix edges can fail an id
@@ -417,9 +408,11 @@ class _TreeClient:
                                  "or has two children")
         ok = view.committed
         ok[:] = True
-        kid, up = self._edges(ids, pa)
-        ok[kid] &= pv[kid] < pv[up]
-        ok[up] &= pv[up] < pv[kid]
+        kid, up = self._edges(ids, self.pa[i])
+        pv = self.p[i]
+        a, b = pv.take(kid), pv.take(up)
+        ok[kid.take((a >= b).nonzero()[0])] = False
+        ok[up.take((b >= a).nonzero()[0])] = False
 
     def commit(self, view) -> None:
         v = view.ids[view.committed]
@@ -453,7 +446,8 @@ class _TreeClient:
         for side, at in ((self.lf, is_left), (self.rt, ~is_left)):
             s = at.nonzero()[0]
             side[pi.take(s)] = child.take(s)
-        np.copyto(sib, self.lf[q], where=~is_left.take(r))
+        right = (~is_left.take(r)).nonzero()[0]
+        sib[right] = self.lf[q.take(right)]
         fresh = (sib != _NILW) == (self.pa[q] != _NILW)
         fresh &= q < self.cursor
         self._push(np.sort(pa.take(r.take(fresh.nonzero()[0]))))
@@ -507,8 +501,6 @@ def tree_contract(tree: BinaryTree, p: np.ndarray, values: np.ndarray,
     n = len(tree)
     if len(p) != n or len(values) != n:
         raise ValueError("priorities/values length mismatch")
-    if n >= 1 << 31:
-        raise ValueError("tree contraction supports fewer than 2^31 nodes")
     if n == 0:
         return _Roots(tree.parent, values), RoundStats()
     prefix = budget.round_words(n)

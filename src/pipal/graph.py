@@ -228,14 +228,14 @@ def query_connectivity(oracle: ConnectivityOracle, x: int) -> int:
     off, nbr = memoryview(g.adj_off), memoryview(g.adj_nbr)
     seen = {x}
     queue = [x]
+    add, push = seen.add, queue.append
     for v in queue:
         for u in nbr[off[v]:off[v + 1]].tolist():
             if u not in seen:
-                label = labels.get(u)
-                if label is not None:
-                    return label
-                seen.add(u)
-                queue.append(u)
+                if u in labels:
+                    return labels[u]
+                add(u)
+                push(u)
     return min(seen)
 
 

@@ -377,14 +377,20 @@ def set_union(a: np.ndarray, split: int, debug: bool = False) -> int:
 
 def _compact_members(a: np.ndarray, run: np.ndarray, keep_found: bool) -> int:
     """Compact a to the words found (keep_found) or not found in the
-    nonempty sorted run, which must lie outside a; returns the kept count."""
-    last = len(run) - 1
+    nonempty sorted run, which must lie outside a; returns the kept count.
+    A block, sorted, is searched only in the window of the run between its
+    first and last words; an empty window finds nothing."""
 
     def member(s: int, e: int) -> np.ndarray:
         block = a[s:e]
-        idx = np.searchsorted(run, block)
-        np.minimum(idx, last, out=idx)
-        found = run[idx] == block
+        lo = int(np.searchsorted(run, block[0]))
+        hi = int(np.searchsorted(run, block[-1], "right"))
+        if hi <= lo:
+            return np.full(len(block), not keep_found)
+        win = run[lo:hi]
+        idx = np.searchsorted(win, block)
+        np.minimum(idx, hi - lo - 1, out=idx)
+        found = win[idx] == block
         return found if keep_found else ~found
 
     return step_blocks(a, keep_block, member)

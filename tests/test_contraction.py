@@ -314,7 +314,7 @@ def test_rank_budget_metered():
 def test_default_budget_charges_only_engine_state(op):
     """Near n = 2^20 the list ops charge only the engine's prefix and commit
     mask, p + ceil(p/8) words for the round prefix p = round_words(n), below
-    b(n); tree contraction adds its 2p + 8 word frontier queue."""
+    b(n); tree contraction adds its p-word frontier queue."""
     n = (1 << 20) - (op == "tree_contract")  # a full binary tree has odd n
     budget = contraction.DEFAULT_BUDGET
     p = budget.round_words(n)
@@ -327,7 +327,7 @@ def test_default_budget_charges_only_engine_state(op):
         tree = BinaryTree(np.where(ids > 0, (ids - 1) // 2, NIL).astype(np.uint64),
                           kids(2 * ids + 1), kids(2 * ids + 2))
         body = lambda: tree_contract(tree, pri, np.ones(n, dtype=np.uint64))
-        limit = 3 * p + 8 + -(-p // 8)
+        limit = 2 * p + -(-p // 8)
     else:
         order = np.random.default_rng(4).permutation(ids)
         lst = LinkedList(np.full(n, NIL, dtype=np.uint64),
@@ -394,9 +394,11 @@ def test_tree_forest_of_many_roots():
 
 def test_tree_frontier_is_fifo_and_overflow_raises():
     t = BinaryTree(words([None]), words([None]), words([None]))
-    client = contraction._TreeClient(t, words([0]), words([0]), 1, False)
+    client = contraction._TreeClient(t, words([0]), words([0]), 10, False)
     client.cursor = client.n  # nothing left to sweep
-    client._push(np.arange(10, dtype=np.uint64))  # capacity 2 * 1 + 8
+    client._push(np.arange(10, dtype=np.uint64))  # capacity: the prefix, 10
+    with pytest.raises(RuntimeError, match="frontier overflow"):
+        client._push(words([10]))
     assert client.next_ids(3).tolist() == [0, 1, 2]
     client._push(words([10, 11, 12]))
     assert client.next_ids(4).tolist() == [3, 4, 5, 6]
@@ -727,44 +729,43 @@ def test_tree_reserve_tie_fails_both():
     assert view.committed.tolist() == [False, True, False]
 
 
-TOP_ID = (1 << 31) - 2  # the largest id tree contraction accepts
-
-
 @st.composite
 def edge_batches(draw):
-    """(ids, up): distinct ids, each with a parent drawn from the ids, from
-    other ids or NIL, and no parent named by more than two of them."""
-    ids = draw(st.lists(st.integers(0, TOP_ID), unique=True, max_size=40))
-    up, kids = [], {}
-    for _ in ids:
-        kind = draw(st.sampled_from(["id", "other", "nil"]))
-        if kind == "id":
-            q = draw(st.sampled_from(ids))
-        elif kind == "other":
-            q = draw(st.integers(0, TOP_ID).filter(lambda x: x not in ids))
-        if kind == "nil" or kids.get(q, 0) == 2:
-            up.append(None)
-        else:
-            kids[q] = kids.get(q, 0) + 1
-            up.append(q)
-    return ids, up
+    """(parent, ids): a parent array over 0..n-1 whose slots each hold an
+    id or NIL, with no tree shape asked of it (an id may have any number
+    of children, or be its own parent), and a batch of distinct ids in any
+    order."""
+    n = draw(st.integers(1, 24))
+    parent = draw(st.lists(st.one_of(st.none(), st.integers(0, n - 1)),
+                           min_size=n, max_size=n))
+    ids = draw(st.permutations(range(n)).flatmap(
+        lambda perm: st.integers(0, n).map(lambda k: perm[:k])))
+    return parent, ids
 
 
 @given(edge_batches())
-@example(([], []))
-@example(([TOP_ID], [None]))
-@example(([TOP_ID], [TOP_ID]))
-@example(([0], [TOP_ID]))
-@example(([TOP_ID, 0, TOP_ID - 1], [0, TOP_ID, TOP_ID]))
+@example(([None], []))
+@example(([None], [0]))
+@example(([0], [0]))
+@example(([None, 0, 0, 0], [3, 0, 2]))
+@example(([2, 2, None], [2, 1, 0]))
 @settings(max_examples=300, deadline=None)
 def test_tree_edges_match_nested_loop(batch):
-    ids, up = batch
-    kid, par = contraction._TreeClient._edges(words(ids), words(up))
+    parent, ids = batch
+    n = len(parent)
+    pa = words(parent)
+    tree = BinaryTree(pa, words([None] * n), words([None] * n))
+    client = contraction._TreeClient(tree, words(range(n)), words([0] * n),
+                                     n, False)
+    up = pa[words(ids).astype(np.int64)]
+    kid, par = client._edges(words(ids), up)
     assert len(kid) == len(par)
     oracle = {(c, q) for c in range(len(ids)) for q in range(len(ids))
               if up[c] == ids[q]}
     assert set(zip(kid.tolist(), par.tolist())) == oracle
     assert len(oracle) == len(kid)
+    # the tags are gone: every parent slot holds its word again
+    assert pa.tobytes() == words(parent).tobytes()
 
 
 def random_forest(rng, sizes):
@@ -823,6 +824,9 @@ TREE_SHAPES = {
                                     [9_001, 6_001, 2_999, 1, 1, 3, 2_001]),
     "caterpillar": lambda: caterpillar(10_000),
     "complete": lambda: complete_tree(14),
+    "singletons": lambda: BinaryTree(*(np.full(3 * SCRATCH_WORDS + 7, NIL,
+                                               dtype=np.uint64)
+                                       for _ in range(3))),
 }
 
 
@@ -854,6 +858,38 @@ def test_tree_debug_check_holds_on_shapes(monkeypatch, capture_rounds, shape,
     assert roots == ref
     assert checked == [len(ids) for ids, _ in rounds]
     assert len(checked) == stats.rounds > 1
+
+
+@pytest.mark.parametrize("budget", [FULL, contraction.DEFAULT_BUDGET,
+                                    PURE(0.5), PURE(0.99)],
+                         ids=["full", "default", "power", "power-0.99"])
+@pytest.mark.parametrize("shape", sorted(TREE_SHAPES))
+def test_tree_frontier_holds_at_most_the_request(monkeypatch, shape, budget):
+    # the sweep fills only what the engine asks for, and a round's commit
+    # queues at most what the next round asks for: no request finds more
+    # than it asks queued, and the queue never passes the prefix p
+    tree = TREE_SHAPES[shape]()
+    n = len(tree)
+    vals = Rng(48).words(0, n)
+    ref = bl.seq_tree_eval(tree.parent, tree.left, tree.right, vals)
+    next_ids, push = contraction._TreeClient.next_ids, contraction._TreeClient._push
+    requests = []
+
+    def spy_next_ids(self, count):
+        assert self.qsize <= count
+        requests.append(count)
+        return next_ids(self, count)
+
+    def spy_push(self, ids):
+        assert self.qsize + len(ids) <= budget.round_words(n) == len(self.queue)
+        push(self, ids)
+
+    monkeypatch.setattr(contraction._TreeClient, "next_ids", spy_next_ids)
+    monkeypatch.setattr(contraction._TreeClient, "_push", spy_push)
+    roots, stats = tree_contract(tree, make_priorities(n, Rng(49)), vals,
+                                 budget=budget)
+    assert roots == ref
+    assert len(requests) > stats.rounds  # the last request finds nothing
 
 
 @pytest.mark.parametrize("budget", REFERENCE_BUDGETS)

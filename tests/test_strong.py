@@ -461,6 +461,27 @@ def test_set_ops_match_set_algebra_oracle():
             assert a[:m].tolist() == sorted(ref(left, right))
 
 
+@pytest.mark.parametrize("op", ["intersect", "difference"])
+def test_set_probe_windows_at_run_ends_and_gaps(op):
+    # each probe block searches the other run only between its own first
+    # and last words: block 0 straddles that run's start, block 1 falls in
+    # a gap of it and block 3 past its end (both empty windows), and block
+    # 2 straddles its end; the other run holds words just outside block 1
+    b = SCRATCH_WORDS
+    probe = set(range(b))
+    probe |= set(range(100_000, 100_000 + b))
+    probe |= set(range(200_000, 200_000 + 2 * b, 2))
+    probe |= set(range(300_000, 300_000 + b))
+    other = set(range(b - 96, 20_000)) | {99_999, 100_000 + b}
+    other |= set(range(200_000, 203_000, 3))
+    assert len(other) > len(probe)  # intersect probes the smaller run
+    fn, ref = SET_OPS[op]
+    for left, right in ((probe, other), (other, probe)):
+        a, split = _sets_to_array(left, right)
+        m = fn(a, split)
+        assert a[:m].tolist() == sorted(ref(left, right))
+
+
 @pytest.mark.parametrize("debug", [False, True])
 @pytest.mark.parametrize("op", SET_OPS)
 def test_set_ops_take_words_with_the_top_bit_set(op, debug):
