@@ -11,13 +11,16 @@ which caps ranking inputs at 2^32 - 2 elements; a spliced element keeps
 (parent, distance), and ranks come from pointer doubling over that forest,
 rank(v) = dist(v) + rank(parent(v)) (Wyllie 1979), block by block in place,
 so no temporary grows with n; the validators walk the whole array at once
-to check that inputs are free of cycles.  Tree contraction finds a round's
-in-prefix edges by tagging: each prefix id's own parent slot briefly holds
-its position, and each child reads its parent's slot.
+to check that inputs are free of cycles.  Tree contraction is a loop over
+the input's leaves (Shun, Gu, Blelloch, Fineman, Gibbons, SODA 2015): each
+step rakes a leaf into its parent and compresses the parent, or only
+rakes under a root.  Its rounds find the steps whose parent is another's
+grandparent by tagging: each step's parent briefly holds the step's
+position in its own parent slot, and each step reads its grandparent's.
 
 Every round runs over ``budget.round_words(n)`` ids, the cache-capped
-prefix p(n) <= b(n), so the charged state is the engine's p-word prefix
-and p-byte commit mask, plus tree contraction's p-word frontier queue.
+prefix p(n) <= b(n), so the charged state is only the engine's p-word
+prefix and p-byte commit mask.
 """
 
 from __future__ import annotations
@@ -36,13 +39,14 @@ from .runtime import (
     alloc,
     as_words,
     ix,
-    release,
 )
 
+# alloc is unused here; perfbench's tracer patches it by name in this
+# module, so it stays importable from it
 __all__ = [
     "LinkedList", "BinaryTree", "make_priorities",
     "validate_linked_list", "validate_binary_tree",
-    "list_contract", "list_rank", "tree_contract",
+    "list_contract", "list_rank", "tree_contract", "alloc",
 ]
 
 DEFAULT_BUDGET = EpsilonConfig(epsilon=0.5)
@@ -304,27 +308,33 @@ def list_rank(lst: LinkedList, p: np.ndarray,
 # Tree contraction
 
 class _TreeClient:
-    """Rake leaves into parents, compress unary nodes into their child.
+    """Tree contraction as a loop over the input's leaves.
 
-    A node with two children cannot contract no matter its priority, so a
-    fixed id-order prefix could wedge on a window of internal nodes.  The
-    iterate source is therefore a request-driven frontier: a cursor sweeps
-    the ids once, queueing nodes that are contractible when it passes until
-    the queue holds the ids asked for, so every take empties it, and a rake
-    that makes an already-swept parent contractible queues that parent.
-    Every pending contractible node is discovered exactly once.  A commit
-    queues at most one parent per rake, so the queue never outgrows the
-    next request, p less the kept failures: it is p words.  A queued node
-    keeps at most one child, so each edge with both ends active is found
-    once, from its child, by ``_edges``; a tie fails both ends.  The commit
-    turns each split (compress or rake, left or right side, fresh parent or
-    not) into an index list once and gathers and scatters through it: the
-    splits are about half True at random places, where boolean-mask
-    indexing is slowest.
+    The iterates are the input leaves, in id order; a cursor sweeps the ids
+    for ``left == NIL`` and yields exactly the ids each round asks for.  A
+    step takes its leaf l, l's parent p, p's other child s and
+    g = parent(p).  Under a grandparent, it rakes l into p and compresses
+    p: s takes p's slot under g, and l's and p's values fold into s.  Under
+    a root p it only rakes: values[p] += values[l], and l's slot in p gets
+    p's own id, so the root keeps its id and its sum, and a ``left == NIL``
+    slot always means an input leaf.  A bare root's step does nothing.  An
+    input leaf can always step, so no queue is needed.
+
+    Two steps conflict when they are sibling leaves in the same round, or
+    when one step's p is the other's g; the higher priority fails and a tie
+    fails both.  The round's ids ascend and hold every pending leaf up to
+    the last, so a sibling is in the round exactly when it is a leaf at
+    most ``ids[-1]``.  The second case is found by tagging: each
+    compressing step writes its position | 2^63 into its p's parent slot,
+    reads its g's slot, and the slot gets g back.  A tag that is read
+    belongs to one step alone: a step whose p is another's g has a
+    non-leaf sibling, so no sibling shares its p.  Root rakes write no
+    tag: each writes only its own slot of the root, and a compress under
+    the root writes the other one.
     """
 
     def __init__(self, tree: BinaryTree, p: np.ndarray, values: np.ndarray,
-                 prefix: int, debug: bool):
+                 debug: bool):
         self.pa = tree.parent
         self.lf = tree.left
         self.rt = tree.right
@@ -332,128 +342,139 @@ class _TreeClient:
         self.p = p
         self.values = values
         self.debug = debug
-        # packed frontier: queue[:qsize], oldest first
-        self.queue = alloc(prefix)
-        self.qsize = 0
         self.cursor = 0
 
-    # -- frontier queue
-    def _ready(self, at) -> np.ndarray:
-        """Which nodes ``at`` (a slice or an index array) can contract:
-        bare ones, and parented ones with at most one child.  A root keeps
-        collecting rakes until bare."""
-        lnil = self.lf[at] == _NILW
-        rnil = self.rt[at] == _NILW
-        return (lnil & rnil) | ((lnil | rnil) & (self.pa[at] != _NILW))
-
-    def _push(self, ids: np.ndarray) -> None:
-        end = self.qsize + len(ids)
-        if end > len(self.queue):
-            raise RuntimeError("tree contraction frontier overflow")
-        self.queue[self.qsize:end] = ids
-        self.qsize = end
-
-    def _scan_fill(self, count: int) -> None:
-        while self.qsize < count and self.cursor < self.n:
-            # about half of a window's ids are leaves, so 2·need ids usually
-            # fill the request; the loop sweeps on if they fall short
-            need = count - self.qsize
-            hi = min(self.cursor + min(SCRATCH_WORDS, 2 * need), self.n)
-            ids = self._ready(slice(self.cursor, hi)).nonzero()[0]
-            ids += self.cursor
-            if len(ids) > need:
-                # leave the surplus ahead of the cursor for later sweeps
-                ids = ids[:need]
-                self.cursor = int(ids[-1]) + 1
-            else:
-                self.cursor = hi
-            self._push(ids)
+    def count_leaves(self) -> int:
+        """The iterate count, ``SCRATCH_WORDS`` ids at a time."""
+        return sum(int(np.count_nonzero(self.lf[s:s + SCRATCH_WORDS] == _NILW))
+                   for s in range(0, self.n, SCRATCH_WORDS))
 
     def next_ids(self, count: int) -> np.ndarray:
-        self._scan_fill(count)
-        cnt = min(count, self.qsize)
-        out = self.queue[:cnt].copy()
-        self.qsize -= cnt
-        self.queue[:self.qsize] = self.queue[cnt:cnt + self.qsize]
-        return out
-
-    # -- phases
-    def _edges(self, ids: np.ndarray,
-               up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Positions in ``ids`` of the (child, parent) ends of every edge
-        with both ends in ``ids``, given ``up``, the parents of ``ids``.
-        Each id's own parent slot briefly holds its position | 2^63, each
-        child reads its parent's slot, and the slots get ``up`` back: an id
-        or NIL xor 2^63 is at least 2^63 - 1, a tag xors to its position.
-        Each id writes only its own slot, so in the fork-join model these
-        are two parallel loops and a barrier."""
-        i = ix(ids)
-        tag = WORD(1 << 63)
-        self.pa[i] = np.arange(len(ids), dtype=WORD) | tag
-        kid = (up != _NILW).nonzero()[0]
-        got = self.pa[ix(up.take(kid))]
-        self.pa[i] = up
-        got ^= tag
-        hit = (got < WORD(len(ids))).nonzero()[0]
-        return kid.take(hit), ix(got.take(hit))
+        """The next ``count`` leaves past the cursor, ascending (fewer only
+        when the leaves run out).  About half of a window's ids are leaves,
+        so the first window is min(``SCRATCH_WORDS``, 2·count) ids; a
+        shortfall sweeps on in ``SCRATCH_WORDS``-id windows."""
+        parts = []
+        width = min(SCRATCH_WORDS, 2 * count)
+        while count > 0 and self.cursor < self.n:
+            lo = self.cursor
+            hi = min(lo + width, self.n)
+            idx = (self.lf[lo:hi] == _NILW).nonzero()[0]
+            if len(idx) > count:
+                idx = idx[:count]
+                hi = lo + int(idx[-1]) + 1
+            idx += lo
+            self.cursor = hi
+            parts.append(idx)
+            count -= len(idx)
+            width = SCRATCH_WORDS
+        return np.concatenate(parts) if parts else np.empty(0, dtype=WORD)
 
     def reserve(self, view) -> None:
         ids = view.ids
         i = ix(ids)
-        # every id can contract when queued and stays so: a node only loses
-        # children, and a compress hands its child a parent; so only the
-        # in-prefix edges can fail an id
-        if self.debug and not self._ready(i).all():
-            raise AssertionError("a prefix id is neither parented nor bare, "
-                                 "or has two children")
+        if self.debug:
+            self._check_leaves(i)
         ok = view.committed
         ok[:] = True
-        kid, up = self._edges(ids, self.pa[i])
-        pv = self.p[i]
-        a, b = pv.take(kid), pv.take(up)
+        up = self.pa.take(i)
+        # a bare root stands in as its own parent: its sibling reads as
+        # itself and its grandparent as NIL, so it conflicts with nothing
+        bare = up == _NILW
+        if bare.any():
+            np.copyto(up, ids, where=bare)
+        q = ix(up)
+        sib = self.lf.take(q)
+        sib ^= self.rt.take(q)
+        sib ^= ids  # one of p's slots holds the leaf itself
+        pv = self.p.take(i)
+
+        # sibling leaves in the round
+        k = (sib <= ids[-1]).nonzero()[0]
+        s = sib.take(k)
+        del sib
+        keep = (self.lf.take(ix(s)) == _NILW) & (s != ids.take(k))
+        k, s = k[keep], ix(s[keep])
+        a, b = pv.take(k), self.p.take(s)
+        ok[k.take((a >= b).nonzero()[0])] = False
+        del k, s, a, b
+
+        # one step's p is another's g: every compressing step tags its p's
+        # parent slot and reads its g's
+        g = self.pa.take(q)
+        c = (g != _NILW).nonzero()[0]
+        g = g.take(c)
+        tag = WORD(1 << 63)
+        pc = q.take(c)
+        self.pa[pc] = c.view(WORD) | tag
+        got = self.pa.take(ix(g))
+        self.pa[pc] = g
+        del g, pc
+        got ^= tag
+        hit = (got < WORD(len(ids))).nonzero()[0]
+        kid, par = c.take(hit), ix(got.take(hit))
+        a, b = pv.take(kid), pv.take(par)
         ok[kid.take((a >= b).nonzero()[0])] = False
-        ok[up.take((b >= a).nonzero()[0])] = False
+        ok[par.take((b >= a).nonzero()[0])] = False
 
     def commit(self, view) -> None:
         v = view.ids[view.committed]
-        pa = self.pa[ix(v)]
-        if self.debug and len(self._edges(v, pa)[0]):
-            raise AssertionError("a parent and its child contracted together")
-        pm = pa != _NILW
+        up = self.pa.take(ix(v))
+        pm = up != _NILW
         if not pm.all():
-            # a committed root is bare and its value final; dropping it
-            # keeps its NIL parent from indexing the folds below
-            v, pa = v[pm], pa[pm]
-        vi = ix(v)
-        pi = ix(pa)
-        # the one child, if any (NIL is the largest word).  A node folds
-        # into its child, or into its parent when it has none (a rake); no
-        # parent commits with its child, so no fold reads a folded value
-        child = np.minimum(self.lf[vi], self.rt[vi])
-        cm = child != _NILW
-        np.add.at(self.values, ix(np.where(cm, child, pa)), self.values[vi])
+            # a bare root's step does nothing: its value is final
+            v, up = v[pm], up[pm]
+        del pm
+        q = ix(up)
+        g = self.pa.take(q)
+        sib = self.lf.take(q)
+        sib ^= self.rt.take(q)
+        sib ^= v
+        cm = g != _NILW
         k = cm.nonzero()[0]
-        self.pa[ix(child.take(k))] = pa.take(k)
-
-        # fresh: a rake's parent that had two children and has a parent, or
-        # that is left a bare root.  Each rake reads its sibling slot: a left
-        # rake before the round's writes, a right rake after them, so a
-        # parent raked from both sides passes on one side only
-        is_left = self.lf[pi] == v
-        r = (~cm).nonzero()[0]
-        q = pi.take(r)
-        sib = self.rt[q]
-        for side, at in ((self.lf, is_left), (self.rt, ~is_left)):
-            s = at.nonzero()[0]
-            side[pi.take(s)] = child.take(s)
-        right = (~is_left.take(r)).nonzero()[0]
-        sib[right] = self.lf[q.take(right)]
-        fresh = (sib != _NILW) == (self.pa[q] != _NILW)
-        fresh &= q < self.cursor
-        self._push(np.sort(pa.take(r.take(fresh.nonzero()[0]))))
+        if self.debug:
+            self._check_steps(up, up.take(k), g.take(k))
+        # a compress folds l and p into s, a root rake folds l into p; no
+        # step reads a value another writes, and no two write one slot
+        add = self.values.take(ix(v))
+        add[k] += self.values.take(q.take(k))
+        self.values[ix(np.where(cm, sib, up))] += add
+        del add
+        self.pa[ix(sib.take(k))] = g.take(k)
+        # then a compress writes s into p's slot in g, and a root rake p
+        # into l's slot in p: (host, old word, new word), in place
+        rake = ~cm
+        del cm, k
+        np.copyto(g, up, where=rake)
+        np.copyto(sib, up, where=rake)
+        np.copyto(up, v, where=rake)
+        del rake, v
+        host = ix(g)
+        left = self.lf.take(host) == up
+        at = left.nonzero()[0]
+        self.lf[host.take(at)] = sib.take(at)
+        at = (~left).nonzero()[0]
+        self.rt[host.take(at)] = sib.take(at)
 
     def clean(self, view) -> None:
         pass
+
+    # -- debug checks
+    def _check_leaves(self, i: np.ndarray) -> None:
+        """Every prefix id is a leaf: only a leaf can step."""
+        if not ((self.lf[i] == _NILW) & (self.rt[i] == _NILW)).all():
+            raise AssertionError("a prefix id is not a leaf")
+
+    @staticmethod
+    def _check_steps(parents: np.ndarray, compressed: np.ndarray,
+                     grandparents: np.ndarray) -> None:
+        """No two committed steps share a parent, and no compressed parent
+        is another committed step's grandparent."""
+        if len(np.unique(parents)) < len(parents):
+            raise AssertionError("two committed steps share a parent")
+        if np.isin(compressed, grandparents).any():
+            raise AssertionError("a committed step's parent is another's "
+                                 "grandparent")
 
 
 class _Roots(Mapping):
@@ -492,9 +513,11 @@ def tree_contract(tree: BinaryTree, p: np.ndarray, values: np.ndarray,
     The returned mapping is a read-only view that reads ``tree.parent``
     and ``values`` when asked, so nothing in it grows with the root count;
     changing those arrays afterwards changes its answers.
-    In debug mode every round raises ``AssertionError`` if a prefix id
-    cannot contract (each must be bare, or parented with at most one
-    child), or if a parent and its child contract together.
+    Each root keeps its id; the other nodes' links are left as the steps
+    that removed them saw them, and a root's raked slots hold its own id.
+    In debug mode every round raises ``AssertionError`` if a prefix id is
+    not a leaf, if two committed steps share a parent, or if a committed
+    step's compressed parent is another's grandparent.
     """
     as_words(p)
     as_words(values)
@@ -503,11 +526,8 @@ def tree_contract(tree: BinaryTree, p: np.ndarray, values: np.ndarray,
         raise ValueError("priorities/values length mismatch")
     if n == 0:
         return _Roots(tree.parent, values), RoundStats()
-    prefix = budget.round_words(n)
-    client = _TreeClient(tree, p, values, prefix, debug)
-    try:
-        stats = run_rounds(n, prefix, client.reserve, client.commit,
-                           client.clean, id_source=client.next_ids)
-    finally:
-        release(client.queue)
+    client = _TreeClient(tree, p, values, debug)
+    stats = run_rounds(client.count_leaves(), budget.round_words(n),
+                       client.reserve, client.commit, client.clean,
+                       id_source=client.next_ids)
     return _Roots(tree.parent, values), stats

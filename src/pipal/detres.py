@@ -12,9 +12,9 @@ failure packing: one :func:`pipal.runtime.keep_block` call over the whole
 prefix, which gathers the failed iterates to its front in order.  Phase
 callbacks receive the whole active prefix at once and operate on it with
 array operations, so results are independent of thread count.  Each
-client resolves its own write-max claims: random permutation by one sort
-of packed (target, position) words per round, the contractions by
-comparing neighbor priorities.
+client resolves its own write-max claims: random permutation by priority
+writes into its targets' own slots, the contractions by comparing
+neighbor priorities.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ class LivelockError(RuntimeError):
 class ReservationTable:
     """Word->word map with write-max semantics, kept as one sorted run.
 
-    No library operation uses it: random permutation now sorts its own
-    packed claims.  It stays, with its tests, because perfbench's tracer
+    No library operation uses it: random permutation reserves by priority
+    writes into its swap sequence's own slots.  It stays, with its tests, because perfbench's tracer
     patches its ``reserve_max``, ``lookup`` and ``delete`` by name.
 
     ``keys[:count]`` are the distinct keys in ascending order and

@@ -4,8 +4,9 @@ Each operation takes an :class:`~pipal.runtime.EpsilonConfig` budget and
 keeps its charged auxiliary footprint within a small constant times
 ``budget.prefix_words(n)``.  Random permutation runs on the deterministic
 reservations engine over the cache-capped prefix ``budget.round_words(n)``
-<= b(n); each round finds its write-max winners with one sort of packed
-(target, position) words in one charged buffer.  Filter, partition and
+<= b(n); each round finds its write-max winners by priority writes into
+the swap sequence's own target slots, restored before the round ends, so
+it charges only the engine's state.  Filter, partition and
 quicksort run the strong steps (compaction, partition, split) through
 :func:`_step_rounds`, the relaxed block loop: one b(n)-word block per round
 through one charged buffer.  All of them run on :func:`pipal.detres.decompose_driver`, the one
@@ -29,8 +30,6 @@ from .runtime import (
     aux,
     ix,
     keep_block,
-    release,
-    run_starts,
 )
 from .strong import (
     _check_sorted_run,
@@ -44,22 +43,23 @@ from .strong import (
     rotate,
 )
 
-# merge_strong and rotate are unused here; perfbench's tracer patches them
-# by name in this module, so they stay importable from it
+# merge_strong, rotate and alloc are unused here; perfbench's tracer patches
+# them by name in this module, so they stay importable from it
 __all__ = [
     "RP_VARIANTS", "make_swap_sequence", "validate_swap_sequence",
     "random_permutation", "decompose_driver",
     "filter_relaxed", "partition_relaxed", "quicksort_relaxed",
-    "merge_relaxed", "mergesort_relaxed", "merge_strong", "rotate",
+    "merge_relaxed", "mergesort_relaxed", "merge_strong", "rotate", "alloc",
 ]
 
 DEFAULT_BUDGET = EpsilonConfig(epsilon=0.5)
 
 RP_VARIANTS = ("final",)
 
-# a round's packed claim: the target above 32 bits, the batch position below
-_SHIFT = WORD(32)
-_LOW = WORD((1 << 32) - 1)
+# a round's reservation: a target slot starts at all ones, and each claim
+# writes its batch position with the top bit set, which no word of h has
+_ONES = WORD((1 << 64) - 1)
+_TAG = WORD(1 << 63)
 
 
 # ---------------------------------------------------------------------------
@@ -93,26 +93,26 @@ def validate_swap_sequence(h: np.ndarray) -> int:
 # Random permutation (parallel shuffle equivalent to the sequential one)
 
 class _RpClient:
-    """Round callbacks and storage for random permutation.
+    """Round callbacks for random permutation: reservation by priority
+    writes into the targets' own slots of ``h``.
 
-    Each round packs every iterate's claim into one prefix-sized buffer,
-    its target above its batch position, and sorts it.  The round's ids
-    strictly descend (failures stay in order ahead of the fresh ids, and
-    every fresh id is below every earlier one), so each target's run starts
-    at its smallest position, which holds its largest id: the write-max
-    winner.  An iterate commits when it heads its target's run and no
-    iterate targets its own position (a claim there always comes from a
-    larger id, since h[j] < j).
+    The round's ids strictly descend (failures stay in order ahead of the
+    fresh ids, and every fresh id is below every earlier one), so the
+    smallest position targeting a slot holds the largest id: the write-max
+    winner.  The reserve saves each target's word of ``h``, fills the
+    targets with all ones, and writes position | 2^63 into them with
+    ``np.minimum.at``, which is defined for repeated indices.  An iterate
+    commits when its target holds its own tag and its own slot holds no
+    tag (a claim there always comes from a larger id, since h[j] < j).
+    Then every target gets its word back, also when the round raises, so
+    the caller's ``h`` comes back byte-identical.  The commit reads the
+    winners' targets from the restored ``h`` and swaps.
     """
 
-    def __init__(self, a: np.ndarray, h: np.ndarray, prefix: int):
+    def __init__(self, a: np.ndarray, h: np.ndarray):
         self.a = a
         self.h = h
-        self.claims = alloc(prefix)
         self.cursor = len(a) - 1
-
-    def release(self) -> None:
-        release(self.claims)
 
     # -- iterate source: descending ids, self-swaps retired at ingestion
     def next_ids(self, count: int) -> np.ndarray:
@@ -138,38 +138,27 @@ class _RpClient:
 
     # -- phases
     def reserve(self, view) -> None:
-        ids = view.ids
-        claims = self.claims[:len(ids)]
-        np.take(self.h, ix(ids), out=claims)
-        claims <<= _SHIFT
-        claims |= np.arange(len(ids), dtype=WORD)
-        claims.sort()
+        h = self.h
+        i = ix(view.ids)
+        t = ix(h.take(i))
+        old = h.take(t)
+        try:
+            h[t] = _ONES
+            tag = np.arange(len(i), dtype=WORD)
+            tag |= _TAG
+            np.minimum.at(h, t, tag)
+            won = view.committed
+            np.equal(h.take(t), tag, out=won)
+            del tag
+            won &= h.take(i) < _TAG
+        finally:
+            h[t] = old
 
     def commit(self, view) -> None:
-        ids = view.ids
-        claims = self.claims[:len(ids)]
-        claimed = view.committed  # by position, until the commit mask
-        tgt = claims >> _SHIFT
-        # every round id is at least ids[-1], so only the sorted targets'
-        # tail from ids[-1] on can name one: search that tail into the
-        # ascending ids[::-1] and mark the exact hits.  Every target is
-        # below ids[0] (h[j] < j), so each search lands inside ids
-        tail = tgt[np.searchsorted(tgt, ids[-1]):]
-        at = np.searchsorted(ids[::-1], tail)
-        claimed[::-1][at[ids[::-1].take(at) == tail]] = True
-        won = claims[run_starts(tgt)]
-        # free each temporary early: commit sets rp's traced peak
-        del tgt, tail, at
-        won = won[~claimed[ix(won & _LOW)]]
-        dst = ix(won >> _SHIFT)
-        won &= _LOW
-        view.committed[:] = False
-        view.committed[ix(won)] = True
-
-        src = ix(ids[ix(won)])
-        del won
-        tmp = self.a[src]
-        self.a[src] = self.a[dst]
+        src = ix(view.ids[view.committed])
+        dst = ix(self.h.take(src))
+        tmp = self.a.take(src)
+        self.a[src] = self.a.take(dst)
         self.a[dst] = tmp
 
     def clean(self, view) -> None:
@@ -183,17 +172,14 @@ def random_permutation(a: np.ndarray, h: np.ndarray, variant: str = "final",
     The output equals the sequential shuffle with the same ``h``: rounds
     work on the first pending swaps in sequential order and only commit
     swaps that win their target and whose own position nobody claims.
-    Rounds run over p = ``budget.round_words(n)`` <= b(n) ids, and each
-    round sorts one p-word buffer of packed claims, so the charged peak is
-    2·p + ⌈p/8⌉ words: that buffer, the engine's p-word prefix and its
-    p-byte commit mask.  Targets are packed into 32 bits, so ``a`` must
-    hold fewer than 2^32 words.
+    Rounds run over p = ``budget.round_words(n)`` <= b(n) ids and reserve
+    by priority writes into ``h`` itself, which every round restores, so
+    the charged peak is p + ⌈p/8⌉ words: the engine's p-word prefix and its
+    p-byte commit mask.  Nothing is packed into 32 bits, so the length of
+    ``a`` has no cap below the word range.
     ``variant`` must be one of :data:`RP_VARIANTS`.
     """
     as_words(a)
-    if len(a) >= 1 << 32:
-        raise ValueError("random permutation supports fewer than 2^32 "
-                         "elements")
     if len(h) != len(a):
         raise ValueError("swap sequence length must match the array")
     if variant not in RP_VARIANTS:
@@ -203,12 +189,9 @@ def random_permutation(a: np.ndarray, h: np.ndarray, variant: str = "final",
     if n_iterates == 0:
         return RoundStats()
 
-    client = _RpClient(a, h, prefix)
-    try:
-        return run_rounds(n_iterates, prefix, client.reserve, client.commit,
-                          client.clean, id_source=client.next_ids)
-    finally:
-        client.release()
+    client = _RpClient(a, h)
+    return run_rounds(n_iterates, prefix, client.reserve, client.commit,
+                      client.clean, id_source=client.next_ids)
 
 
 # ---------------------------------------------------------------------------

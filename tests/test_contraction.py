@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pipal import baselines as bl
@@ -29,7 +29,6 @@ from pipal.runtime import (
     EpsilonConfig,
     Rng,
     SpaceMeter,
-    WORD,
     ix,
     meter_scope,
 )
@@ -312,9 +311,9 @@ def test_rank_budget_metered():
 
 @pytest.mark.parametrize("op", ["list_contract", "list_rank", "tree_contract"])
 def test_default_budget_charges_only_engine_state(op):
-    """Near n = 2^20 the list ops charge only the engine's prefix and commit
-    mask, p + ceil(p/8) words for the round prefix p = round_words(n), below
-    b(n); tree contraction adds its p-word frontier queue."""
+    """Near n = 2^20 every contraction op charges only the engine's prefix
+    and commit mask: p + ceil(p/8) words for the round prefix
+    p = round_words(n), below b(n)."""
     n = (1 << 20) - (op == "tree_contract")  # a full binary tree has odd n
     budget = contraction.DEFAULT_BUDGET
     p = budget.round_words(n)
@@ -327,7 +326,6 @@ def test_default_budget_charges_only_engine_state(op):
         tree = BinaryTree(np.where(ids > 0, (ids - 1) // 2, NIL).astype(np.uint64),
                           kids(2 * ids + 1), kids(2 * ids + 2))
         body = lambda: tree_contract(tree, pri, np.ones(n, dtype=np.uint64))
-        limit = 2 * p + -(-p // 8)
     else:
         order = np.random.default_rng(4).permutation(ids)
         lst = LinkedList(np.full(n, NIL, dtype=np.uint64),
@@ -335,7 +333,7 @@ def test_default_budget_charges_only_engine_state(op):
         lst.next[order[:-1]] = order[1:]
         lst.prev[order[1:]] = order[:-1]
         body = lambda: getattr(contraction, op)(lst, pri)
-        limit = p + -(-p // 8)
+    limit = p + -(-p // 8)
     meter = SpaceMeter()
     report = meter_scope(meter, limit, body)
     assert report.peak_words == limit
@@ -392,20 +390,28 @@ def test_tree_forest_of_many_roots():
         assert stats.rounds > 1
 
 
-def test_tree_frontier_is_fifo_and_overflow_raises():
-    t = BinaryTree(words([None]), words([None]), words([None]))
-    client = contraction._TreeClient(t, words([0]), words([0]), 10, False)
-    client.cursor = client.n  # nothing left to sweep
-    client._push(np.arange(10, dtype=np.uint64))  # capacity: the prefix, 10
-    with pytest.raises(RuntimeError, match="frontier overflow"):
-        client._push(words([10]))
-    assert client.next_ids(3).tolist() == [0, 1, 2]
-    client._push(words([10, 11, 12]))
-    assert client.next_ids(4).tolist() == [3, 4, 5, 6]
-    client._push(words([13, 14, 15, 16]))
-    with pytest.raises(RuntimeError, match="frontier overflow"):
-        client._push(words([17]))
-    assert client.next_ids(20).tolist() == list(range(7, 17))
+def test_tree_frontier_is_fifo_and_overflow_raises(monkeypatch):
+    # the frontier is the leaf sweep: requests take the leaves in id order,
+    # exactly as many as asked while leaves remain, across the windows of a
+    # caterpillar whose first half (the spine) holds no leaf
+    tree = caterpillar(3 * SCRATCH_WORDS)
+    n = len(tree)
+    client = contraction._TreeClient(tree, words(range(n)), words([0] * n),
+                                     False)
+    leaves = np.flatnonzero(tree.left == NIL).tolist()
+    assert client.count_leaves() == len(leaves) == 3 * SCRATCH_WORDS + 1
+    for count in (4, 1, 2 * SCRATCH_WORDS, 7, 500, n):
+        assert client.next_ids(count).tolist() == leaves[:count]
+        leaves = leaves[count:]
+    assert not leaves and client.next_ids(5).tolist() == []
+    # an engine told of one iterate fewer than the sweep finds reports it
+    count_leaves = contraction._TreeClient.count_leaves
+    monkeypatch.setattr(contraction._TreeClient, "count_leaves",
+                        lambda self: count_leaves(self) - 1)
+    tree = caterpillar(8)
+    with pytest.raises(RuntimeError, match="more than"):
+        tree_contract(tree, make_priorities(len(tree), Rng(1)),
+                      np.ones(len(tree), dtype=np.uint64), budget=FULL)
 
 
 def test_tree_budget_metered():
@@ -539,76 +545,83 @@ def test_list_rank_traced_peak_is_sublinear(budget, traced_peak):
     assert peak <= 12 * 8 * b + 6 * SCRATCH_WORDS * 8, peak
 
 
-# one commit on a hand-built tree: (parent, left, right) before, the
-# committed ids and the cursor; then the queue, the links after and the
-# values after, node i starting with the value 10^i; ``_`` is NIL
+# one commit on a hand-built tree: (parent, left, right) before and the
+# committed leaves; then the links and the values after, node i starting
+# with the value 10^i, or the debug check's message for steps that may not
+# commit together; ``_`` is NIL.  A compress hands the raked parent's other
+# child a fresh parent, the grandparent; nothing is queued.
 _ = None
 LEAVES_UNDER_1 = ([_, 0, 0, 1, 1], [1, 3, _, _, _], [2, 4, _, _, _])
 CHERRY = ([_, 0, 0], [1, _, _], [2, _, _])
 FRESH_PARENT_CASES = [
-    pytest.param(LEAVES_UNDER_1, [3, 4], 5, [1],
-                 ([_, 0, 0, 1, 1], [1, _, _, _, _], [2, _, _, _, _]),
-                 [1, 11010, 100, 1000, 10000], id="non-root-raked-both-sides"),
-    pytest.param(LEAVES_UNDER_1, [3], 5, [1],
-                 ([_, 0, 0, 1, 1], [1, _, _, _, _], [2, 4, _, _, _]),
-                 [1, 1010, 100, 1000, 10000], id="non-root-raked-one-side"),
-    pytest.param(([_, 0, 0, 1], [1, 3, _, _], [2, _, _, _]), [3], 4, [],
-                 ([_, 0, 0, 1], [1, _, _, _], [2, _, _, _]),
-                 [1, 1010, 100, 1000], id="non-root-unary-raked"),
-    pytest.param(([_, 0], [_, _], [1, _]), [1], 2, [0],
-                 ([_, 0], [_, _], [_, _]), [11, 10], id="root-unary-raked"),
-    pytest.param(CHERRY, [1, 2], 3, [0], ([_, 0, 0], [_, _, _], [_, _, _]),
-                 [111, 10, 100], id="root-raked-both-sides"),
-    pytest.param(CHERRY, [1], 3, [], ([_, 0, 0], [_, _, _], [2, _, _]),
+    pytest.param(LEAVES_UNDER_1, [3, 4], "share a parent", None,
+                 id="non-root-raked-both-sides"),
+    # 3 rakes into 1 and 1 compresses: 4 takes 1's slot under 0
+    pytest.param(LEAVES_UNDER_1, [3],
+                 ([_, 0, 0, 1, 0], [4, 3, _, _, _], [2, 4, _, _, _]),
+                 [1, 10, 100, 1000, 11010], id="non-root-raked-one-side"),
+    # the raked parent's other child is internal: it moves up with its kids
+    pytest.param(([_, 0, 0, 1, 1, 4, 4], [1, 3, _, _, 5, _, _],
+                  [2, 4, _, _, 6, _, _]), [3],
+                 ([_, 0, 0, 1, 0, 4, 4], [4, 3, _, _, 5, _, _],
+                  [2, 4, _, _, 6, _, _]),
+                 [1, 10, 100, 1000, 11010, 100000, 1000000],
+                 id="non-root-unary-raked"),
+    # a root whose left slot was raked before has one child left
+    pytest.param(([_, 0], [0, _], [1, _]), [1], ([_, 0], [0, _], [0, _]),
+                 [11, 10], id="root-unary-raked"),
+    pytest.param(CHERRY, [1, 2], "share a parent", None,
+                 id="root-raked-both-sides"),
+    # a root rake: the root keeps its id and takes the leaf's value, and
+    # the leaf's slot gets the root's own id
+    pytest.param(CHERRY, [1], ([_, 0, 0], [0, _, _], [2, _, _]),
                  [11, 10, 100], id="root-raked-one-side"),
-    pytest.param(LEAVES_UNDER_1, [3, 4], 1, [],
-                 ([_, 0, 0, 1, 1], [1, _, _, _, _], [2, _, _, _, _]),
-                 [1, 11010, 100, 1000, 10000], id="parent-at-cursor"),
-    # 4 is 1's right child and 5 is 2's left child: the sides' fresh
-    # parents come out as [2], [1] and queue ascending
+    # the leaves come first in id order, their parents past them
+    pytest.param(([4, 4, 3, _, 3], [_, _, _, 4, 0], [_, _, _, 2, 1]), [0],
+                 ([4, 3, 3, _, 3], [_, _, _, 1, 0], [_, _, _, 2, 1]),
+                 [1, 10011, 100, 1000, 10000], id="parent-at-cursor"),
+    # two compresses under one grandparent write its two slots
     pytest.param(([_, 0, 0, 1, 1, 2, 2], [1, 3, 5, _, _, _, _],
-                  [2, 4, 6, _, _, _, _]), [4, 5], 7, [1, 2],
-                 ([_, 0, 0, 1, 1, 2, 2], [1, 3, _, _, _, _, _],
-                  [2, _, 6, _, _, _, _]),
-                 [1, 10010, 100100, 1000, 10000, 100000, 1000000],
+                  [2, 4, 6, _, _, _, _]), [4, 5],
+                 ([_, 0, 0, 0, 1, 2, 0], [3, 3, 5, _, _, _, _],
+                  [6, 4, 6, _, _, _, _]),
+                 [1, 10, 100, 11010, 10000, 100000, 1100100],
                  id="fresh-parents-ascending"),
-    # 3 takes the compress of its parent 1 and the rake of its child 4
-    pytest.param(([_, 0, 0, 1, 3, 3], [1, 3, _, 4, _, _], [2, _, _, 5, _, _]),
-                 [1, 4], 6, [3],
-                 ([_, 0, 0, 0, 3, 3], [3, 3, _, _, _, _], [2, _, _, 5, _, _]),
-                 [1, 10, 100, 11010, 10000, 100000], id="compress-and-rake"),
-    # 1's unary children 3 and 4 compress: each side's scatter writes its
-    # own slot of 1, which keeps two children and is not queued
-    pytest.param(([_, 0, 0, 1, 1, 3, 4], [1, 3, _, 5, _, _, _],
-                  [2, 4, _, _, 6, _, _]), [3, 4], 7, [],
-                 ([_, 0, 0, 1, 1, 1, 1], [1, 5, _, 5, _, _, _],
-                  [2, 6, _, _, 6, _, _]),
-                 [1, 10, 100, 1000, 10000, 101000, 1010000],
-                 id="parent-compressed-both-sides"),
-    # 1 loses its left leaf 3 and keeps 4's child 5 on its right: queued once
-    pytest.param(([_, 0, 0, 1, 1, 4], [1, 3, _, _, _, _], [2, 4, _, _, 5, _]),
-                 [3, 4], 6, [1],
-                 ([_, 0, 0, 1, 1, 1], [1, _, _, _, _, _], [2, 5, _, _, 5, _]),
-                 [1, 1010, 100, 1000, 10000, 110000],
-                 id="left-rake-right-compress"),
+    # a compress under the root and a rake into it commit together: each
+    # writes its own slot of the root
+    pytest.param(([_, 0, 0, 1, 1], [1, 3, _, _, _], [2, 4, _, _, _]), [2, 3],
+                 ([_, 0, 0, 1, 0], [4, 3, _, _, _], [0, 4, _, _, _]),
+                 [101, 10, 100, 1000, 11010], id="compress-and-rake"),
+    # 1's internal children 3 and 4 both compress: 6 and 8 take its slots
+    pytest.param(([_, 0, 0, 1, 1, 3, 3, 4, 4], [1, 3, _, 5, 7, _, _, _, _],
+                  [2, 4, _, 6, 8, _, _, _, _]), [5, 7],
+                 ([_, 0, 0, 1, 1, 3, 1, 4, 1], [1, 6, _, 5, 7, _, _, _, _],
+                  [2, 8, _, 6, 8, _, _, _, _]),
+                 [1, 10, 100, 1000, 10000, 100000, 1101000, 10000000,
+                  110010000], id="parent-compressed-both-sides"),
+    pytest.param(([_, 0, 0, 2, 2], [1, _, 3, _, _], [2, _, 4, _, _]), [1, 3],
+                 ([_, 0, 0, 2, 0], [0, _, 3, _, _], [4, _, 4, _, _]),
+                 [11, 10, 100, 1000, 11100], id="left-rake-right-compress"),
 ]
 
 
-@pytest.mark.parametrize("before, ids, cursor, queue, after, values",
-                         FRESH_PARENT_CASES)
-def test_tree_commit_queues_fresh_parents(before, ids, cursor, queue, after,
-                                          values):
-    # a raked parent is queued once it becomes contractible: a non-root one
-    # that had two children, a root once bare, and only behind the cursor
+@pytest.mark.parametrize("before, ids, after, values", FRESH_PARENT_CASES)
+def test_tree_commit_queues_fresh_parents(before, ids, after, values):
     tree = BinaryTree(*map(words, before))
     n = len(tree)
-    client = contraction._TreeClient(tree, words(range(n)),
-                                     words([10 ** i for i in range(n)]), n, True)
-    client.cursor = cursor
+    vals = words([10 ** i for i in range(n)])
+    client = contraction._TreeClient(tree, words(range(n)), vals, True)
+    client.cursor = 3
     view = RoundView(ids=words(ids), committed=np.ones(len(ids), bool))
-    client.commit(view)
-    assert client.queue[:client.qsize].tolist() == queue
-    assert client.values.tolist() == values
+    if isinstance(after, str):
+        # the debug check runs before any write
+        with pytest.raises(AssertionError, match=after):
+            client.commit(view)
+        after, values = before, [10 ** i for i in range(n)]
+    else:
+        client.commit(view)
+    assert client.cursor == 3  # a commit never moves the sweep
+    assert vals.tolist() == values
     assert [a.tolist() for a in (tree.parent, tree.left, tree.right)] \
         == [words(a).tolist() for a in after]
 
@@ -616,12 +629,12 @@ def test_tree_commit_queues_fresh_parents(before, ids, cursor, queue, after,
 # ---------------------------------------------------------------------------
 # round-by-round reference of the activity rule
 
-def local_minima(ids, p, neighbors, contractible=lambda v: True):
+def local_minima(ids, p, neighbors):
     """The ids, in order, whose priority is below that of every neighbor
     that is in this round's ids."""
     active = set(ids)
-    return [v for v in ids if contractible(v)
-            and all(p[v] < p[u] for u in neighbors(v) if u in active)]
+    return [v for v in ids
+            if all(p[v] < p[u] for u in neighbors(v) if u in active)]
 
 
 def check_list_rounds(nxt, prv, p, prefix, rounds):
@@ -648,35 +661,71 @@ def check_list_rounds(nxt, prv, p, prefix, rounds):
     assert fresh == n and not pending
 
 
-def check_tree_rounds(tree, p, rounds):
-    """Replay the tree rounds in plain Python: every id is pending, and the
-    committed ids are the contractible local minima among the round's ids
-    (a node is contractible when bare, or when it has a parent and one
-    child)."""
+def leaf_steps(pa, lf, rt, ids):
+    """{leaf: (p, g)} for a round's leaves over plain-list links: None for a
+    bare root's p, and for g under a root."""
+    steps = {}
+    for v in ids:
+        q = pa[v]
+        steps[v] = (None, None) if q == NIL else (q, None if pa[q] == NIL
+                                                  else pa[q])
+    return steps
+
+
+def step_conflicts(steps):
+    """The conflict rule as a nested loop: two steps conflict when they
+    share a parent, or when one's parent is the other's grandparent and
+    both compress (a root rake has no grandparent and writes no tag)."""
+    def conflicts(v):
+        q, g = steps[v]
+        for u, (qu, gu) in steps.items():
+            if u != v and q is not None and (
+                    qu == q or (g is not None and gu is not None
+                                and (qu == g or gu == q))):
+                yield u
+    return conflicts
+
+
+def apply_step(pa, lf, rt, v):
+    """One leaf step over plain-list links: rake v into its parent p and
+    compress p, or, under a root, only rake."""
+    q = pa[v]
+    if q == NIL:
+        return
+    g = pa[q]
+    if g == NIL:
+        host, old, new = q, v, q
+    else:
+        s = rt[q] if lf[q] == v else lf[q]
+        pa[s] = g
+        host, old, new = g, q, s
+    if lf[host] == old:
+        lf[host] = new
+    else:
+        rt[host] = new
+
+
+def check_tree_rounds(tree, p, prefix, rounds):
+    """Replay the leaf steps in plain Python: each round's ids are the last
+    round's failures in order, then the next leaves in id order up to the
+    prefix, and its committed ids are the steps below every step they
+    conflict with."""
     pa, lf, rt, p = (a.tolist() for a in (tree.parent, tree.left,
                                           tree.right, p))
-    pending = set(range(len(p)))
-
-    def contractible(v):
-        kids = (lf[v] != NIL) + (rt[v] != NIL)
-        return kids == 0 or (kids == 1 and pa[v] != NIL)
-
+    leaves = [v for v in range(len(p)) if lf[v] == NIL]
+    fresh, pending = 0, []
     for ids, done in rounds:
-        assert pending.issuperset(ids)
-        expect = local_minima(ids, p, lambda v: (pa[v], lf[v], rt[v]),
-                              contractible)
+        top = min(len(leaves), fresh + prefix - len(pending))
+        assert ids == pending + leaves[fresh:top]
+        fresh = top
+        expect = local_minima(ids, p, step_conflicts(leaf_steps(pa, lf, rt,
+                                                                ids)))
         assert done == expect
         for v in done:
-            q, c = pa[v], lf[v] if lf[v] != NIL else rt[v]
-            if q != NIL:
-                if lf[q] == v:
-                    lf[q] = c
-                else:
-                    rt[q] = c
-            if c != NIL:
-                pa[c] = q
-        pending.difference_update(done)
-    assert not pending
+            apply_step(pa, lf, rt, v)
+        gone = set(done)
+        pending = [v for v in ids if v not in gone]
+    assert fresh == len(leaves) and not pending
 
 
 REFERENCE_BUDGETS = [pytest.param(FULL, id="full"),
@@ -718,54 +767,69 @@ def test_list_reserve_tie_fails_both():
 
 
 def test_tree_reserve_tie_fails_both():
-    # root 0 with children 1 and 2; 1 has kept one child, the leaf 3.  The
-    # unary node 1 and its child 3 tie; 2's parent is not active.
-    tree = BinaryTree(words([None, 0, 0, 1]), words([1, 3, None, None]),
-                      words([2, None, None, None]))
-    client = contraction._TreeClient(tree, words([0, 4, 1, 4]),
-                                     words([0] * 4), 3, False)
-    view = RoundView(ids=words([3, 2, 1]), committed=np.zeros(3, bool))
-    client.reserve(view)
-    assert view.committed.tolist() == [False, True, False]
+    # root 0 holds the leaf 2 and 1; 1 holds the leaf 3 and 4; 4 holds the
+    # leaves 5 and 6.  2 rakes into the root and conflicts with nothing;
+    # 3 compresses 1, which is 5's and 6's grandparent
+    tree = BinaryTree(words([None, 0, 0, 1, 1, 4, 4]),
+                      words([1, 3, None, None, 5, None, None]),
+                      words([2, 4, None, None, 6, None, None]))
+    ids = words([2, 3, 5, 6])
+    for pri, expect in [
+            # the siblings 5 and 6 tie and both fail; both beat 3
+            ([0, 0, 9, 5, 0, 1, 1], [True, False, False, False]),
+            # 5 beats its sibling 6 and ties with 3: 3 and 5 fail
+            ([0, 0, 9, 1, 0, 1, 4], [True, False, False, False]),
+            # 5 beats its sibling 6 and 3
+            ([0, 0, 9, 3, 0, 2, 8], [True, False, True, False])]:
+        client = contraction._TreeClient(tree, words(pri), words([0] * 7),
+                                         False)
+        view = RoundView(ids=ids, committed=np.zeros(4, bool))
+        client.reserve(view)
+        assert view.committed.tolist() == expect
+        assert tree.parent.tolist() == words([None, 0, 0, 1, 1, 4, 4]).tolist()
 
 
 @st.composite
-def edge_batches(draw):
-    """(parent, ids): a parent array over 0..n-1 whose slots each hold an
-    id or NIL, with no tree shape asked of it (an id may have any number
-    of children, or be its own parent), and a batch of distinct ids in any
-    order."""
-    n = draw(st.integers(1, 24))
-    parent = draw(st.lists(st.one_of(st.none(), st.integers(0, n - 1)),
-                           min_size=n, max_size=n))
-    ids = draw(st.permutations(range(n)).flatmap(
-        lambda perm: st.integers(0, n).map(lambda k: perm[:k])))
-    return parent, ids
+def step_batches(draw):
+    """(tree, priorities, ids): a random full binary forest after a random
+    set of its leaves has stepped one by one, and a round of every live
+    leaf up to a drawn id, ascending, with priorities that may tie."""
+    sizes = draw(st.lists(st.integers(0, 12).map(lambda k: 2 * k + 1),
+                          min_size=1, max_size=3))
+    tree = random_forest(np.random.default_rng(draw(st.integers(0, 2**16))),
+                         sizes)
+    n = len(tree)
+    pa, lf, rt = (a.tolist() for a in (tree.parent, tree.left, tree.right))
+    leaves = [v for v in range(n) if lf[v] == NIL]
+    order = draw(st.permutations(leaves))
+    for v in order[:draw(st.integers(0, len(leaves) - 1))]:
+        apply_step(pa, lf, rt, v)
+        leaves.remove(v)
+    top = draw(st.integers(leaves[0], n))
+    ids = [v for v in leaves if v <= top]
+    pri = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    return BinaryTree(words(pa), words(lf), words(rt)), pri, ids
 
 
-@given(edge_batches())
-@example(([None], []))
-@example(([None], [0]))
-@example(([0], [0]))
-@example(([None, 0, 0, 0], [3, 0, 2]))
-@example(([2, 2, None], [2, 1, 0]))
+@given(step_batches())
 @settings(max_examples=300, deadline=None)
 def test_tree_edges_match_nested_loop(batch):
-    parent, ids = batch
-    n = len(parent)
-    pa = words(parent)
-    tree = BinaryTree(pa, words([None] * n), words([None] * n))
-    client = contraction._TreeClient(tree, words(range(n)), words([0] * n),
-                                     n, False)
-    up = pa[words(ids).astype(np.int64)]
-    kid, par = client._edges(words(ids), up)
-    assert len(kid) == len(par)
-    oracle = {(c, q) for c in range(len(ids)) for q in range(len(ids))
-              if up[c] == ids[q]}
-    assert set(zip(kid.tolist(), par.tolist())) == oracle
-    assert len(oracle) == len(kid)
+    # the reserve's sibling check and tag search against the conflict rule
+    # as a nested loop over every pair of the round's steps
+    tree, pri, ids = batch
+    before = [a.tobytes() for a in (tree.parent, tree.left, tree.right)]
+    n = len(tree)
+    client = contraction._TreeClient(tree, words(pri), words([0] * n), True)
+    view = RoundView(ids=words(ids), committed=np.zeros(len(ids), bool))
+    client.reserve(view)
+    pa, lf, rt = (a.tolist() for a in (tree.parent, tree.left, tree.right))
+    expect = local_minima(ids, pri, step_conflicts(leaf_steps(pa, lf, rt,
+                                                              ids)))
+    assert [v for v, ok in zip(ids, view.committed) if ok] == expect
     # the tags are gone: every parent slot holds its word again
-    assert pa.tobytes() == words(parent).tobytes()
+    assert [a.tobytes() for a in (tree.parent, tree.left, tree.right)] == before
+    # and the winners commit together under the debug check
+    client.commit(view)
 
 
 def random_forest(rng, sizes):
@@ -800,18 +864,20 @@ def complete_tree(depth):
 
 
 @pytest.mark.parametrize("before, ids", [
-    pytest.param(LEAVES_UNDER_1, [3, 1], id="parented-with-two-children"),
+    pytest.param(LEAVES_UNDER_1, [1, 3], id="parented-with-two-children"),
+    # left NIL alone does not make a leaf
     pytest.param(([_, 0], [_, _], [1, _]), [0], id="root-with-one-child"),
 ])
 def test_tree_debug_check_fires_on_a_prefix_id_that_cannot_contract(before, ids):
+    # only a leaf can step, so every id the source yields must be one
     tree = BinaryTree(*map(words, before))
     n = len(tree)
     for debug in (False, True):
         client = contraction._TreeClient(tree, words(range(n)),
-                                         words([0] * n), n, debug)
+                                         words([0] * n), debug)
         view = RoundView(ids=words(ids), committed=np.zeros(len(ids), bool))
         if debug:
-            with pytest.raises(AssertionError, match="neither parented nor"):
+            with pytest.raises(AssertionError, match="not a leaf"):
                 client.reserve(view)
         else:
             client.reserve(view)  # only debug mode checks
@@ -835,29 +901,37 @@ TREE_SHAPES = {
 @pytest.mark.parametrize("shape", sorted(TREE_SHAPES))
 def test_tree_debug_check_holds_on_shapes(monkeypatch, capture_rounds, shape,
                                           budget):
-    # every prefix id can contract (bare, or parented with at most one
-    # child): the debug check runs on every id of every round and never fires
+    # every prefix id is a leaf, and no two committed steps share a parent
+    # or stand as parent and grandparent: the debug checks run on every
+    # round's ids and steps and never fire
     tree = TREE_SHAPES[shape]()
     validate_binary_tree(tree)
     n = len(tree)
+    bare = set(np.flatnonzero((tree.parent == NIL) & (tree.left == NIL)).tolist())
     vals = Rng(43).words(0, n)
     ref = bl.seq_tree_eval(tree.parent, tree.left, tree.right, vals)
-    checked = []
-    ready = contraction._TreeClient._ready
+    leaves, steps = [], []
+    check_leaves = contraction._TreeClient._check_leaves
+    check_steps = contraction._TreeClient._check_steps
 
-    def spy(self, at):
-        out = ready(self, at)
-        if not isinstance(at, slice):
-            checked.append(len(out))
-        return out
+    def spy_leaves(self, i):
+        leaves.append(len(i))
+        check_leaves(self, i)
 
-    monkeypatch.setattr(contraction._TreeClient, "_ready", spy)
+    def spy_steps(parents, compressed, grandparents):
+        steps.append(len(parents))
+        check_steps(parents, compressed, grandparents)
+
+    monkeypatch.setattr(contraction._TreeClient, "_check_leaves", spy_leaves)
+    monkeypatch.setattr(contraction._TreeClient, "_check_steps",
+                        staticmethod(spy_steps))
     rounds = capture_rounds(contraction)
     roots, stats = tree_contract(tree, make_priorities(n, Rng(44)), vals,
                                  budget=budget, debug=True)
     assert roots == ref
-    assert checked == [len(ids) for ids, _ in rounds]
-    assert len(checked) == stats.rounds > 1
+    assert leaves == [len(ids) for ids, _ in rounds]
+    assert steps == [len(set(done) - bare) for _, done in rounds]
+    assert len(leaves) == stats.rounds > 1
 
 
 @pytest.mark.parametrize("budget", [FULL, contraction.DEFAULT_BUDGET,
@@ -865,37 +939,64 @@ def test_tree_debug_check_holds_on_shapes(monkeypatch, capture_rounds, shape,
                          ids=["full", "default", "power", "power-0.99"])
 @pytest.mark.parametrize("shape", sorted(TREE_SHAPES))
 def test_tree_frontier_holds_at_most_the_request(monkeypatch, shape, budget):
-    # the sweep fills only what the engine asks for, and a round's commit
-    # queues at most what the next round asks for: no request finds more
-    # than it asks queued, and the queue never passes the prefix p
+    # the frontier is the leaf sweep: each request gets at most the ids it
+    # asks for, exactly that many while leaves remain, and over the run
+    # every leaf once, in id order
     tree = TREE_SHAPES[shape]()
     n = len(tree)
+    leaves = np.flatnonzero(tree.left == NIL).tolist()
     vals = Rng(48).words(0, n)
     ref = bl.seq_tree_eval(tree.parent, tree.left, tree.right, vals)
-    next_ids, push = contraction._TreeClient.next_ids, contraction._TreeClient._push
-    requests = []
+    next_ids = contraction._TreeClient.next_ids
+    requests, swept = [], []
 
     def spy_next_ids(self, count):
-        assert self.qsize <= count
+        out = next_ids(self, count)
+        assert len(out) == count or (len(out) < count and self.cursor == n)
         requests.append(count)
-        return next_ids(self, count)
-
-    def spy_push(self, ids):
-        assert self.qsize + len(ids) <= budget.round_words(n) == len(self.queue)
-        push(self, ids)
+        swept.extend(out.tolist())
+        return out
 
     monkeypatch.setattr(contraction._TreeClient, "next_ids", spy_next_ids)
-    monkeypatch.setattr(contraction._TreeClient, "_push", spy_push)
     roots, stats = tree_contract(tree, make_priorities(n, Rng(49)), vals,
                                  budget=budget)
     assert roots == ref
+    assert swept == leaves
+    assert max(requests) <= budget.round_words(n)
     assert len(requests) > stats.rounds  # the last request finds nothing
+
+
+# rounds of node-by-node contraction (every node an iterate, through a
+# frontier queue of contractible nodes) with priorities from Rng(44), at
+# FULL, the default budget, PURE(0.5) and PURE(0.99)
+NODE_BY_NODE_ROUNDS = {
+    "caterpillar": (40, 134, 337, 10002),
+    "complete": (16, 60, 139, 10241),
+    "forest": (19, 60, 150, 10007),
+    "random": (21, 62, 153, 10003),
+    "singletons": (4, 51, 111, 6148),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(TREE_SHAPES))
+def test_tree_rounds_within_node_by_node_rounds(shape):
+    # each leaf step removes a leaf and its parent, so the leaf loop needs
+    # no more rounds than contracting one node per iterate: about half as
+    # many on random trees, as many on bare roots
+    got = []
+    for budget in (FULL, contraction.DEFAULT_BUDGET, PURE(0.5), PURE(0.99)):
+        tree = TREE_SHAPES[shape]()
+        n = len(tree)
+        _, stats = tree_contract(tree, make_priorities(n, Rng(44)),
+                                 Rng(47).words(0, n), budget=budget)
+        got.append(stats.rounds)
+    assert all(a <= b for a, b in zip(got, NODE_BY_NODE_ROUNDS[shape])), got
 
 
 @pytest.mark.parametrize("budget", REFERENCE_BUDGETS)
 @pytest.mark.parametrize("shape", sorted(TREE_SHAPES))
 def test_tree_rounds_match_reference(capture_rounds, shape, budget):
-    # on a caterpillar every compress is of a left child (a spine node)
+    # on a caterpillar each leaf's parent is its neighbor leaf's grandparent
     rounds = capture_rounds(contraction)
     tree = TREE_SHAPES[shape]()
     n = len(tree)
@@ -905,38 +1006,37 @@ def test_tree_rounds_match_reference(capture_rounds, shape, budget):
     p = make_priorities(n, Rng(16))
     roots, stats = tree_contract(tree, p, vals, budget=budget)
     assert roots == ref and len(rounds) == stats.rounds
-    check_tree_rounds(start, p, rounds)
+    check_tree_rounds(start, p, budget.round_words(n), rounds)
 
 
 def _reference_commit(self, view):
-    """The tree commit with a boolean-mask compress for every split: what
-    ``_TreeClient.commit`` computed before it gathered and scattered
-    through index lists."""
+    """The leaf commit with a boolean mask for every split (bare or not,
+    compress or rake, left or right slot), where ``_TreeClient.commit``
+    gathers and scatters through index lists."""
     v = view.ids[view.committed]
-    pa = self.pa[ix(v)]
-    if self.debug and len(self._edges(v, pa)[0]):
-        raise AssertionError("a parent and its child contracted together")
-    pm = pa != NIL
-    if not pm.all():
-        v, pa = v[pm], pa[pm]
-    vi = ix(v)
-    pi = ix(pa)
-    child = np.minimum(self.lf[vi], self.rt[vi])
-    cm = child != NIL
-    np.add.at(self.values, ix(np.where(cm, child, pa)), self.values[vi])
-    self.pa[ix(child[cm])] = pa[cm]
-    is_left = self.lf[pi] == v
+    up = self.pa[ix(v)]
+    pm = up != NIL
+    v, up = v[pm], up[pm]
+    q = ix(up)
+    g = self.pa[q]
+    sib = np.where(self.lf[q] == v, self.rt[q], self.lf[q])
+    cm = g != NIL
+    if self.debug:
+        self._check_steps(up, up[cm], g[cm])
     rake = ~cm
-    p = pa[rake]
-    q = ix(p)
-    on_left = is_left[rake]
-    sib = self.rt[q]
-    self.lf[pi[is_left]] = child[is_left]
-    is_right = ~is_left
-    self.rt[pi[is_right]] = child[is_right]
-    np.copyto(sib, self.lf[q], where=~on_left)
-    self._push(np.sort(p[((sib != NIL) == (self.pa[q] != NIL))
-                         & (p < WORD(self.cursor))]))
+    gc, qc, sc = ix(g[cm]), q[cm], sib[cm]
+    qr, vr = q[rake], v[rake]
+    into_s = self.values[ix(v[cm])] + self.values[qc]
+    into_root = self.values[ix(vr)]
+    g_left = self.lf[gc] == up[cm]
+    r_left = self.lf[qr] == vr
+    self.values[ix(sc)] += into_s
+    self.values[qr] += into_root
+    self.pa[ix(sc)] = g[cm]
+    self.lf[gc[g_left]] = sc[g_left]
+    self.rt[gc[~g_left]] = sc[~g_left]
+    self.lf[qr[r_left]] = up[rake][r_left]
+    self.rt[qr[~r_left]] = up[rake][~r_left]
 
 
 @pytest.mark.parametrize("budget", REFERENCE_BUDGETS)
@@ -944,7 +1044,7 @@ def _reference_commit(self, view):
 def test_tree_commit_matches_mask_reference(monkeypatch, capture_rounds,
                                             shape, budget):
     # the index-list commit makes the mask commit's writes: the same links,
-    # values, rounds and queue order
+    # values and rounds
     runs = []
     for commit in (contraction._TreeClient.commit, _reference_commit):
         monkeypatch.setattr(contraction._TreeClient, "commit", commit)
@@ -963,12 +1063,24 @@ def test_tree_commit_matches_mask_reference(monkeypatch, capture_rounds,
 
 
 def test_tree_debug_check_fires_on_co_contraction(monkeypatch):
-    def admit_all(self, view):
-        view.committed[:] = True
+    # a reserve that admits steps the rule keeps apart: the commit's debug
+    # check fires before any write
+    admit = {}
 
-    monkeypatch.setattr(contraction._TreeClient, "reserve", admit_all)
+    def admit_some(self, view):
+        view.committed[:] = np.isin(view.ids, admit["ids"])
+
+    monkeypatch.setattr(contraction._TreeClient, "reserve", admit_some)
+    # the caterpillar's last spine node holds two leaves, which share it
     tree = caterpillar(8)
     n = len(tree)
-    with pytest.raises(AssertionError, match="parent and its child"):
+    admit["ids"] = words([15, 16])
+    with pytest.raises(AssertionError, match="share a parent"):
+        tree_contract(tree, make_priorities(n, Rng(1)),
+                      np.ones(n, dtype=np.uint64), budget=FULL, debug=True)
+    # leaf 9 sits under spine node 1, which is leaf 10's grandparent
+    tree = caterpillar(8)
+    admit["ids"] = words([9, 10])
+    with pytest.raises(AssertionError, match="another's grandparent"):
         tree_contract(tree, make_priorities(n, Rng(1)),
                       np.ones(n, dtype=np.uint64), budget=FULL, debug=True)

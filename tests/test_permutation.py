@@ -178,16 +178,58 @@ def test_default_budget_charges_at_most_8b(n):
     (1000, EpsilonConfig(0.99, prefix_fraction=POWER_ONLY_FRACTION)),
 ])
 def test_charged_peak_is_4b_plus_mask(n, budget):
-    # for the round prefix p = round_words(n) <= b(n): the engine's p-word
-    # prefix and its p-byte commit mask, plus the p-word claims buffer
+    # for the round prefix p = round_words(n) <= b(n): only the engine's
+    # p-word prefix and its p-byte commit mask; the claims go into h itself
     b, p = budget.prefix_words(n), budget.round_words(n)
     assert p == (SCRATCH_WORDS if b > SCRATCH_WORDS else b)
     h = make_swap_sequence(n, Rng(1))
     a = np.arange(n, dtype=np.uint64)
     meter = SpaceMeter()
     report = meter_scope(meter, 8 * b, lambda: random_permutation(a, h, budget=budget))
-    assert report.peak_words == 2 * p + -(-p // 8), (p, report.peak_words)
+    assert report.peak_words == p + -(-p // 8), (p, report.peak_words)
     assert np.array_equal(a, seq_result(n, h))
+
+
+class _MinimumThatRaises:
+    """``np.minimum`` whose ``at`` raises after its writes on the chosen
+    call, so a round fails between the targets' overwrite and restore."""
+
+    def __init__(self, real, on_call):
+        self.real = real
+        self.on_call = on_call
+        self.calls = 0
+
+    def __call__(self, *args, **kwargs):
+        return self.real(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.real, name)
+
+    def at(self, *args):
+        self.real.at(*args)
+        self.calls += 1
+        if self.calls == self.on_call:
+            raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("on_call", [1, 5])
+def test_reserve_restores_h_when_a_round_raises(monkeypatch, on_call):
+    # the reserve writes its claims into h's target slots; whatever a round
+    # raises, every slot gets its word back and the engine's words return
+    n = 5000
+    h = make_swap_sequence(n, Rng(33))
+    before = h.tobytes()
+    minimum = _MinimumThatRaises(np.minimum, on_call)
+    monkeypatch.setattr(np, "minimum", minimum)
+    meter = SpaceMeter()
+    a = np.arange(n, dtype=np.uint64)
+    budget = EpsilonConfig(0.5, prefix_fraction=POWER_ONLY_FRACTION)
+    with pytest.raises(KeyboardInterrupt):
+        meter_scope(meter, 8 * budget.prefix_words(n),
+                    lambda: random_permutation(a, h, budget=budget))
+    assert minimum.calls == on_call
+    assert h.tobytes() == before
+    assert meter.current_words == 0
 
 
 def _reference_rounds(h, prefix):
@@ -262,13 +304,10 @@ def test_rp_id_source_takes_exactly_count():
     h[100:SCRATCH_WORDS + 300] = np.arange(100, SCRATCH_WORDS + 300, dtype=WORD)
     h[n - 5:n - 2] = np.arange(n - 5, n - 2, dtype=WORD)
     pending = [i for i in range(n - 1, -1, -1) if h[i] != i]
-    client = relaxed._RpClient(np.arange(n, dtype=WORD), h, 8)
-    try:
-        for count in (4, 1, 2 * SCRATCH_WORDS, 7, 500, n):
-            assert client.next_ids(count).tolist() == pending[:count]
-            pending = pending[count:]
-    finally:
-        client.release()
+    client = relaxed._RpClient(np.arange(n, dtype=WORD), h)
+    for count in (4, 1, 2 * SCRATCH_WORDS, 7, 500, n):
+        assert client.next_ids(count).tolist() == pending[:count]
+        pending = pending[count:]
     assert not pending
 
 
@@ -299,18 +338,21 @@ def test_narrow_prefix_rounds_match_reference(capture_rounds, case):
     assert np.array_equal(a, seq_result(n, h))
 
 
-def test_rejects_2_to_the_32_elements():
-    # the round packs each target into 32 bits; the cap is checked from the
-    # length alone, before any word is read or charged
+def test_length_checks_raise_before_any_word_is_charged():
+    # no word is packed, so no length cap remains; a length mismatch is
+    # still rejected from the lengths alone, before any word is read or
+    # charged, even at 2^32 words
     class Huge(np.ndarray):
         def __len__(self):
             return 1 << 32
 
-    a = np.zeros(4, dtype=np.uint64).view(Huge)
-    meter = SpaceMeter()
-    with pytest.raises(ValueError, match="2\\^32"):
-        meter_scope(meter, 1, lambda: random_permutation(a, a))
-    assert meter.current_words == 0
+    huge = np.zeros(4, dtype=np.uint64).view(Huge)
+    small = np.zeros(4, dtype=np.uint64)
+    for a, h in ((huge, small), (small, huge)):
+        meter = SpaceMeter()
+        with pytest.raises(ValueError, match="length must match"):
+            meter_scope(meter, 1, lambda: random_permutation(a, h))
+        assert meter.current_words == 0
 
 
 def test_round_stats_conservation():
